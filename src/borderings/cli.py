@@ -179,7 +179,8 @@ def cmd_factorial(args) -> int:
         args,
         "factorial",
         lambda S, T, allow: factorial(
-            S, T, args.k, config=_engine_config(args), allow_uncertified=allow
+            S, T, args.k, config=_engine_config(args), allow_uncertified=allow,
+            force_greedy=args.force_greedy,
         ),
     )
 
@@ -189,7 +190,8 @@ def cmd_integer(args) -> int:
         args,
         "integer",
         lambda S, T, allow: gen_integer(
-            S, T, args.n, config=_engine_config(args), allow_uncertified=allow
+            S, T, args.n, config=_engine_config(args), allow_uncertified=allow,
+            force_greedy=args.force_greedy,
         ),
     )
 
@@ -199,7 +201,8 @@ def cmd_binomial(args) -> int:
         args,
         "binomial",
         lambda S, T, allow: gen_binomial(
-            S, T, args.k, args.l, config=_engine_config(args), allow_uncertified=allow
+            S, T, args.k, args.l, config=_engine_config(args), allow_uncertified=allow,
+            force_greedy=args.force_greedy,
         ),
     )
 
@@ -211,13 +214,14 @@ def cmd_tables(args) -> int:
     if args.format == "json":
         results = []
         for w in which:
-            diff = tables.compare(w)
+            text = tables.generate(w)
+            diff = tables.compare(w, text)
             results.append(
                 {
                     "table": w,
                     "matches_golden": diff.ok,
                     "mismatches": diff.mismatches,
-                    "lines": tables.generate(w).splitlines(),
+                    "lines": text.splitlines(),
                 }
             )
             failed = failed or not diff.ok
@@ -227,9 +231,10 @@ def cmd_tables(args) -> int:
         em = _Emitter(args.format, config, [])
         print(em.header_line())
         for w in which:
-            diff = tables.compare(w)
+            text = tables.generate(w)
+            diff = tables.compare(w, text)
             print(f"# table {w}: {'matches golden' if diff.ok else 'MISMATCH'}")
-            sys.stdout.write(tables.generate(w))
+            sys.stdout.write(text)
             for m in diff.mismatches:
                 print(f"# diff: {m}")
             failed = failed or not diff.ok

@@ -32,8 +32,9 @@ def _alpha_values(
     k: int,
     config: EngineConfig,
     allow_uncertified: bool,
+    force_greedy: bool = False,
 ) -> list[ExtNat]:
-    seq = exponent_sequence(S, b, k, config=config)
+    seq = exponent_sequence(S, b, k, force_greedy=force_greedy, config=config)
     if seq.window_limited and not allow_uncertified:
         raise WindowLimitedError(
             f"exponents for (S={S.spec}, b={b}) are window-limited; "
@@ -48,6 +49,7 @@ def factorial(
     k: int,
     config: EngineConfig = DEFAULT_CONFIG,
     allow_uncertified: bool = False,
+    force_greedy: bool = False,
 ) -> FactoredNumber:
     """The k-th generalized factorial for (S, T) in factored form."""
     if k < 0:
@@ -61,7 +63,7 @@ def factorial(
         elif b == 1:
             exps[1] = ZERO if k == 0 else INF
         else:
-            exps[b] = _alpha_values(S, b, k, config, allow_uncertified)[k]
+            exps[b] = _alpha_values(S, b, k, config, allow_uncertified, force_greedy)[k]
     return FactoredNumber(exps)
 
 
@@ -71,6 +73,7 @@ def gen_integer(
     n: int,
     config: EngineConfig = DEFAULT_CONFIG,
     allow_uncertified: bool = False,
+    force_greedy: bool = False,
 ) -> FactoredNumber:
     """The n-th generalized integer: the exponentwise ratio of consecutive factorials.
 
@@ -91,7 +94,7 @@ def gen_integer(
         if b == 1:
             exps[1] = INF  # ratio of 1^inf factors is still the unit
             continue
-        values = _alpha_values(S, b, n, config, allow_uncertified)
+        values = _alpha_values(S, b, n, config, allow_uncertified, force_greedy)
         exps[b] = values[n].minus(values[n - 1])
     return FactoredNumber(exps)
 
@@ -103,6 +106,7 @@ def gen_binomial(
     ell: int,
     config: EngineConfig = DEFAULT_CONFIG,
     allow_uncertified: bool = False,
+    force_greedy: bool = False,
 ) -> FactoredNumber:
     """The generalized binomial coefficient (k over ell) for (S, T)."""
     if not 0 <= ell <= k:
@@ -119,7 +123,7 @@ def gen_binomial(
             if k >= 1:
                 exps[1] = INF
             continue
-        values = _alpha_values(S, b, k, config, allow_uncertified)
+        values = _alpha_values(S, b, k, config, allow_uncertified, force_greedy)
         diff = values[k].minus(values[ell]).minus(values[k - ell])
         exps[b] = diff
     return FactoredNumber(exps)

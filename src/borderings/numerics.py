@@ -103,6 +103,7 @@ class ExtNat:
 
 INF = ExtNat.infinity()
 ZERO = ExtNat(0)
+_SMALL = tuple(ExtNat(k) for k in range(64))  # ExtNat is immutable, so ord_b shares these
 
 
 def extnat_sum(values) -> ExtNat:
@@ -138,7 +139,7 @@ def ord_b(b: int, a: int) -> ExtNat:
     while a % b == 0:
         a //= b
         k += 1
-    return ExtNat(k)
+    return _SMALL[k] if k < len(_SMALL) else ExtNat(k)
 
 
 @dataclass(frozen=True)

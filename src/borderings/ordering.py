@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -155,10 +156,6 @@ def pairwise_valuation_sum(seq, b: int) -> ExtNat:
     )
 
 
-def _exact_value(prefix: Sequence[int], b: int, a: int) -> ExtNat:
-    return extnat_sum(ord_b(b, a - p) for p in prefix)
-
-
 def _initial_element(S: IntegerSet, policy: TieBreakPolicy, config: EngineConfig) -> int:
     if isinstance(policy, RandomTieBreak):
         pool = []
@@ -179,106 +176,161 @@ def _first_unused(S: IntegerSet, used: set[int]) -> Optional[int]:
     return None
 
 
-def _scan_step(
-    prefix: Sequence[int], b: int, S: IntegerSet, policy: TieBreakPolicy, candidates, certified: bool
-) -> StepResult:
-    """Exhaustive minimisation over an explicit candidate list."""
-    best: ExtNat | None = None
-    minimizers: list[int] = []
-    for a in candidates:
-        v = _exact_value(prefix, b, a)
-        if best is None or v < best:
-            best, minimizers = v, [a]
-        elif v == best:
-            minimizers.append(a)
-    if best is None:
-        raise ValueError("no candidates to minimise over")
-    if not best.is_finite:
-        # set exhausted: by convention later elements repeat the canonical first
-        return StepResult(min(candidates, key=canonical_key), INF, certified)
-    return StepResult(policy.choose(minimizers), best, certified or best == ZERO)
+class _GreedyState:
+    """The prefix of one greedy run and what its steps need, kept current on append.
 
-
-def _residue_branch_and_bound(prefix: Sequence[int], b: int, S: IntegerSet, config: EngineConfig):
-    """Certified minimum of sum_j ord_b(a' - a_j) over infinite structured S.
-
-    Returns (best_val, realized, finite_hits, value_certain, ties_complete):
-    `realized` holds (value, modulus, residue) subclasses whose S-members
-    all attain exactly `value`; `finite_hits` holds (value, element) pairs
-    from residue classes meeting S in finitely many elements.
+    `values` maps each tracked element a to its step value
+    sum_j ord_b(a - a_j) over the prefix as a plain int (None for
+    infinity); `levels` maps l to the counts of prefix residues mod b^l.
+    An element or level is filled from the prefix on first use, then
+    updated by each append: one valuation per tracked element, one count
+    per level.
     """
-    heap: list[tuple[int, int, int]] = [(0, 0, 0)]  # (bound, depth, residue mod b**depth)
-    counts_cache: dict[int, dict[int, int]] = {}
-    best_val: Optional[int] = None
-    realized: list[tuple[int, int, int]] = []
-    finite_hits: list[tuple[int, int]] = []
-    value_certain = True
-    ties_complete = True
 
-    while heap:
-        bound, depth, r = heapq.heappop(heap)
-        if best_val is not None and bound > best_val:
-            break
-        if depth >= config.level_max:
-            if best_val is not None and bound == best_val:
-                # min value is settled; only the tie set may be incomplete
-                ties_complete = False
+    def __init__(self, S: IntegerSet, b: int, config: EngineConfig):
+        self.S, self.b, self.config = S, b, config
+        self.prefix: list[int] = []
+        self.values: dict[int, Optional[int]] = {}
+        self.levels: dict[int, Counter] = {}
+        self.scan_list: Optional[list[int]] = None
+
+    def append(self, a: int) -> None:
+        b, values = self.b, self.values
+        for c, total in values.items():
+            if total is not None:
+                v = ord_b(b, c - a)
+                values[c] = total + v.value if v.is_finite else None
+        for level, counts in self.levels.items():
+            counts[a % b**level] += 1
+        self.prefix.append(a)
+
+    def value_of(self, a: int) -> Optional[int]:
+        if a not in self.values:
+            v = extnat_sum(ord_b(self.b, a - p) for p in self.prefix)
+            self.values[a] = v.value if v.is_finite else None
+        return self.values[a]
+
+    def counts(self, level: int) -> Counter:
+        if level not in self.levels:
+            self.levels[level] = Counter(a % self.b**level for a in self.prefix)
+        return self.levels[level]
+
+    def step(self, policy: TieBreakPolicy) -> StepResult:
+        S, b, config = self.S, self.b, self.config
+        if not self.prefix:
+            return StepResult(_initial_element(S, policy, config), ZERO, True)
+        if b < 2:
+            nxt = _first_unused(S, set(self.prefix)) if b == 0 else None
+            if nxt is None:  # b = 1, or b = 0 with S used up
+                return StepResult(next(iter(S.iter_canonical())), INF, True)
+            return StepResult(nxt, ZERO, True)
+
+        if S.cardinality.is_finite:
+            return self._scan(policy, self._candidates(lambda: list(S.iter_canonical())), True)
+
+        if S.residue_status(0, b).kind is ResidueKind.UNKNOWN:
+            # no residue knowledge: scan the set's declared window; certified
+            # only on an exact zero
+            window = getattr(S, "enumeration_cap", config.window)
+            candidates = self._candidates(lambda: S.elements_up_to(window))
+            if not candidates:
+                raise ValueError(f"set {S.spec} has no elements within the scan window")
+            return self._scan(policy, candidates, False)
+
+        certified = self._branch_and_bound(policy)
+        if certified is None:
+            return self._scan(policy, self._candidates(lambda: S.elements_up_to(config.window)), False)
+        return certified
+
+    def _candidates(self, build) -> list[int]:
+        """The explicit candidate list of a scanning run, built and tracked once."""
+        if self.scan_list is None:
+            self.scan_list = build()
+            for a in self.scan_list:
+                self.value_of(a)
+        return self.scan_list
+
+    def _scan(self, policy: TieBreakPolicy, candidates: list[int], certified: bool) -> StepResult:
+        """Exhaustive minimisation over an explicit candidate list."""
+        values = self.values
+        best: Optional[int] = None
+        minimizers: list[int] = []
+        for a in candidates:
+            v = values[a]
+            if v is None:
                 continue
-            value_certain = False
-            ties_complete = False
-            break
-        mod1 = b ** (depth + 1)
-        if depth + 1 not in counts_cache:
-            cnt: dict[int, int] = {}
-            for a in prefix:
-                x = a % mod1
-                cnt[x] = cnt.get(x, 0) + 1
-            counts_cache[depth + 1] = cnt
-        counts = counts_cache[depth + 1]
-        base_mod = b**depth
-        for i in range(b):
-            r1 = r + i * base_mod
-            status = S.residue_status(r1, mod1)
-            if not status.nonempty:
-                continue
-            c1 = counts.get(r1, 0)
-            if status.kind is ResidueKind.FINITE_ONLY:
-                for a in status.members:
-                    v = _exact_value(prefix, b, a)
-                    if v.is_finite:
-                        finite_hits.append((v.value, a))
-                        if best_val is None or v.value < best_val:
-                            best_val = v.value
-                continue
-            if c1 == 0:
-                # no prefix element shares this subclass, so every S-member
-                # of it attains the parent bound exactly
-                realized.append((bound, mod1, r1))
-                if best_val is None or bound < best_val:
-                    best_val = bound
-            else:
-                heapq.heappush(heap, (bound + c1, depth + 1, r1))
+            if best is None or v < best:
+                best, minimizers = v, [a]
+            elif v == best:
+                minimizers.append(a)
+        if not candidates:
+            raise ValueError("no candidates to minimise over")
+        if best is None:
+            # set exhausted: by convention later elements repeat the canonical first
+            return StepResult(min(candidates, key=canonical_key), INF, certified)
+        return StepResult(policy.choose(minimizers), ExtNat(best), certified or best == 0)
 
-    return best_val, realized, finite_hits, value_certain, ties_complete
+    def _branch_and_bound(self, policy: TieBreakPolicy) -> Optional[StepResult]:
+        """Certified minimum of sum_j ord_b(a' - a_j) over infinite structured S.
 
+        `realized` collects (value, modulus, residue) subclasses whose
+        S-members all attain exactly `value`; `finite_hits` collects
+        (value, element) pairs from residue classes meeting S in finitely
+        many elements.  Returns None when the level cap leaves the minimum
+        unsettled.  A settled minimum may come with an incomplete tie set
+        at the cap; the choice among the ties found is still a minimizer.
+        """
+        S, b, level_max = self.S, self.b, self.config.level_max
+        heap: list[tuple[int, int, int]] = [(0, 0, 0)]  # (bound, depth, residue mod b**depth)
+        best_val: Optional[int] = None
+        realized: list[tuple[int, int, int]] = []
+        finite_hits: list[tuple[int, int]] = []
 
-def _choose_minimizer(
-    S: IntegerSet,
-    best_val: int,
-    realized,
-    finite_hits,
-    policy: TieBreakPolicy,
-    config: EngineConfig,
-) -> int:
-    pool = [a for v, a in finite_hits if v == best_val]
-    for v, mod, r in realized:
-        if v == best_val:
-            pick = S.pick_in_class(r, mod, cap=config.search_cap)
-            if pick is not None:
-                pool.append(pick)
-    if not pool:
-        raise RuntimeError("internal error: certified minimum without a witness")
-    return policy.choose(pool)
+        while heap:
+            bound, depth, r = heapq.heappop(heap)
+            if best_val is not None and bound > best_val:
+                break
+            if depth >= level_max:
+                if best_val is not None and bound == best_val:
+                    continue
+                return None
+            mod1 = b ** (depth + 1)
+            counts = self.counts(depth + 1)
+            base_mod = b**depth
+            for i in range(b):
+                r1 = r + i * base_mod
+                status = S.residue_status(r1, mod1)
+                if not status.nonempty:
+                    continue
+                if status.kind is ResidueKind.FINITE_ONLY:
+                    for a in status.members:
+                        v = self.value_of(a)
+                        if v is not None:
+                            finite_hits.append((v, a))
+                            if best_val is None or v < best_val:
+                                best_val = v
+                    continue
+                c1 = counts[r1]
+                if c1 == 0:
+                    # no prefix element shares this subclass, so every S-member
+                    # of it attains the parent bound exactly
+                    realized.append((bound, mod1, r1))
+                    if best_val is None or bound < best_val:
+                        best_val = bound
+                else:
+                    heapq.heappush(heap, (bound + c1, depth + 1, r1))
+
+        if best_val is None:
+            return None
+        pool = [a for v, a in finite_hits if v == best_val]
+        for v, mod, r in realized:
+            if v == best_val:
+                pick = S.pick_in_class(r, mod, cap=self.config.search_cap)
+                if pick is not None:
+                    pool.append(pick)
+        if not pool:
+            raise RuntimeError("internal error: certified minimum without a witness")
+        return StepResult(policy.choose(pool), ExtNat(best_val), True)
 
 
 def greedy_step(
@@ -288,46 +340,19 @@ def greedy_step(
     policy: TieBreakPolicy = CANONICAL,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> StepResult:
-    """One greedy extension step; certified means provably minimal over all of S."""
+    """One greedy extension step; certified means provably minimal over all of S.
+
+    A plain prefix is replayed into a fresh state; `b_ordering` passes its
+    running state instead, so each of its steps costs O(|S|), not O(|S|*k).
+    """
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
-    prefix = list(_elems(prefix))
-    if not prefix:
-        return StepResult(_initial_element(S, policy, config), ZERO, True)
-
-    if b == 0:
-        nxt = _first_unused(S, set(prefix))
-        if nxt is None:
-            return StepResult(next(iter(S.iter_canonical())), INF, True)
-        return StepResult(nxt, ZERO, True)
-    if b == 1:
-        return StepResult(next(iter(S.iter_canonical())), INF, True)
-
-    if S.cardinality.is_finite:
-        return _scan_step(prefix, b, S, policy, list(S.iter_canonical()), certified=True)
-
-    probe = S.residue_status(0, b)
-    if probe.kind is ResidueKind.UNKNOWN:
-        # no residue knowledge: scan the set's declared window; certified
-        # only on an exact zero
-        window = getattr(S, "enumeration_cap", config.window)
-        candidates = S.elements_up_to(window)
-        if not candidates:
-            raise ValueError(f"set {S.spec} has no elements within the scan window")
-        return _scan_step(prefix, b, S, policy, candidates, certified=False)
-
-    best_val, realized, finite_hits, value_certain, ties_complete = _residue_branch_and_bound(
-        prefix, b, S, config
-    )
-    if best_val is None or not value_certain:
-        candidates = S.elements_up_to(config.window)
-        return _scan_step(prefix, b, S, policy, candidates, certified=False)
-    if not ties_complete and isinstance(policy, CanonicalTieBreak):
-        # value is certified but the tie set may be incomplete at the level
-        # cap; the choice below is still a true minimizer
-        pass
-    element = _choose_minimizer(S, best_val, realized, finite_hits, policy, config)
-    return StepResult(element, ExtNat(best_val), True)
+    state = prefix
+    if not isinstance(state, _GreedyState):
+        state = _GreedyState(S, b, config)
+        for a in _elems(prefix):
+            state.append(a)
+    return state.step(policy)
 
 
 def b_ordering(
@@ -341,7 +366,7 @@ def b_ordering(
     """A b-ordering of S of length k+1 with exponents and step certificates."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    elements: list[int] = []
+    state = _GreedyState(S, b, config)
     exponents: list[ExtNat] = []
     certified: list[bool] = []
     for i in range(k + 1):
@@ -350,11 +375,11 @@ def b_ordering(
                 raise ValueError(f"start element {start} is not in {S.spec}")
             step = StepResult(start, ZERO, True)
         else:
-            step = greedy_step(elements, b, S, policy, config)
-        elements.append(step.element)
+            step = greedy_step(state, b, S, policy, config)
+        state.append(step.element)
         exponents.append(step.value)
         certified.append(step.certified)
-    return BOrdering(b, elements, exponents, certified, policy.name)
+    return BOrdering(b, state.prefix, exponents, certified, policy.name)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .numerics import ExtNat, ord_b
 from .numerics import digits as base_digits
+from .ordering import CANONICAL, TieBreakPolicy
 
 
 class CapError(ArithmeticError):
@@ -211,27 +212,6 @@ def is_t_primitive(p: SeriesPolynomial) -> bool:
     return p.is_t_primitive()
 
 
-class SeriesTieBreak:
-    """Tie-break over candidate indices into U (deterministic default: lowest)."""
-
-    name = "first"
-
-    def choose(self, indices: Sequence[int]) -> int:
-        return min(indices)
-
-
-class RandomSeriesTieBreak(SeriesTieBreak):
-    def __init__(self, seed: int):
-        self.name = f"random[seed={seed}]"
-        self._rng = random.Random(seed)
-
-    def choose(self, indices: Sequence[int]) -> int:
-        return self._rng.choice(sorted(indices))
-
-
-FIRST = SeriesTieBreak()
-
-
 @dataclass
 class TOrdering:
     """A greedy t-ordering of a finite set of series with its exponent values."""
@@ -245,34 +225,28 @@ class TOrdering:
 def t_ordering(
     U: Sequence[TruncatedSeries],
     k: int,
-    policy: SeriesTieBreak = FIRST,
+    policy: TieBreakPolicy = CANONICAL,
     start: Optional[int] = None,
 ) -> TOrdering:
     """Greedy ordering of U minimising summed ord_t of differences at each step.
 
-    Raises CapError if truncation leaves a minimisation ambiguous; choose
-    the cap above the largest exponent the run can attain.
+    Each candidate's sum is kept current by one ord_t per step.  Raises
+    CapError if truncation leaves a minimisation ambiguous; choose the cap
+    above the largest exponent the run can attain.
     """
     if not U:
         raise ValueError("U must be nonempty")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    indices: list[int] = []
-    exponents: list[TOrderValue] = []
-    for step in range(k + 1):
-        if step == 0:
-            idx = start if start is not None else policy.choose(range(len(U)))
-            if not 0 <= idx < len(U):
-                raise ValueError(f"start index {idx} out of range")
-            indices.append(idx)
-            exponents.append(TOrderValue.of(0))
-            continue
-        sums: list[TOrderValue] = []
-        for cand in range(len(U)):
-            total = TOrderValue.of(0)
-            for j in indices:
-                total = total + (U[cand] - U[j]).ord_t()
-            sums.append(total)
+    idx = start if start is not None else policy.choose(range(len(U)))
+    if not 0 <= idx < len(U):
+        raise ValueError(f"start index {idx} out of range")
+    indices = [idx]
+    exponents = [TOrderValue.of(0)]
+    sums = [TOrderValue.of(0)] * len(U)
+    for _ in range(k):
+        last = U[indices[-1]]
+        sums = [s + (f - last).ord_t() for s, f in zip(sums, U)]
         exact_vals = [s.floor for s in sums if s.exact]
         if exact_vals:
             vmin = min(exact_vals)
@@ -281,15 +255,12 @@ def t_ordering(
                     raise CapError(
                         f"candidate order >= {s.floor} is unresolved below exact minimum {vmin}"
                     )
-            minimizers = [i for i, s in enumerate(sums) if s.exact and s.floor == vmin]
-            chosen = policy.choose(minimizers)
-            indices.append(chosen)
-            exponents.append(sums[chosen])
+            chosen = policy.choose([i for i, s in enumerate(sums) if s.exact and s.floor == vmin])
         else:
             # every candidate is capped: record the chosen at-least marker
             chosen = policy.choose(range(len(U)))
-            indices.append(chosen)
-            exponents.append(sums[chosen])
+        indices.append(chosen)
+        exponents.append(sums[chosen])
     return TOrdering(indices, [U[i] for i in indices], exponents, policy.name)
 
 

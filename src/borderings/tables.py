@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
+from typing import Optional
 
 from .factored import BaseSet, group_digits
 from .factorials import factorial, gen_binomial, gen_integer
@@ -88,9 +89,9 @@ class TableDiff:
         return not self.mismatches
 
 
-def compare(which: int) -> TableDiff:
-    """Line-level diff of the regenerated table against its golden file."""
-    gen_lines = generate(which).splitlines()
+def compare(which: int, text: Optional[str] = None) -> TableDiff:
+    """Line-level diff of a generated table (regenerated if not given) against its golden file."""
+    gen_lines = (generate(which) if text is None else text).splitlines()
     gold_lines = golden(which).splitlines()
     mismatches = []
     for i in range(max(len(gen_lines), len(gold_lines))):

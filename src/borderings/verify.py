@@ -39,7 +39,6 @@ from .ordering import (
     exponent_sequence,
 )
 from .series import (
-    RandomSeriesTieBreak,
     TruncatedSeries,
     maxmin_check,
     phi_b,
@@ -444,7 +443,7 @@ def _suite_maxmin(rep: SuiteReport, rng: random.Random, config: EngineConfig) ->
                 run = t_ordering(
                     U,
                     k,
-                    policy=RandomSeriesTieBreak(rng.randrange(1 << 30)),
+                    policy=RandomTieBreak(rng.randrange(1 << 30)),
                     start=rng.randrange(len(U)),
                 )
             key = tuple(v.render() for v in run.exponents)

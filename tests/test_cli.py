@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import borderings.ordering as ordering_module
+from borderings import tables
 from borderings.cli import main
 from borderings.factored import FactoredNumber
 
@@ -97,6 +99,38 @@ class TestFactoredCommands:
             assert f"{parsed.value():,}" == row["decimal"]
             assert FactoredNumber.parse(row["factored_bases"]).value() == parsed.value()
 
+    @pytest.mark.parametrize("spec,k_max", [("Z", 12), ("P", 6)])
+    def test_force_greedy_matches_closed_forms(self, capsys, monkeypatch, spec, k_max):
+        calls = 0
+        original = ordering_module.b_ordering
+
+        def counting_b_ordering(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ordering_module, "b_ordering", counting_b_ordering)
+        queries = [("factorial", "--k", str(k)) for k in range(k_max + 1)]
+        queries += [("integer", "--n", str(n)) for n in range(1, k_max + 1)]
+        queries += [("binomial", "--k", str(k_max), "--l", str(l)) for l in range(k_max + 1)]
+        greedy_runs = dict.fromkeys(("factorial", "integer", "binomial"), 0)
+        for query in queries:
+            rows = {}
+            for flags in ((), ("--force-greedy",)):
+                calls = 0
+                code, out, _ = run_cli(
+                    capsys, *query, "--set", spec, "--bases", "auto", "--format", "json", *flags
+                )
+                assert code == 0
+                rows[flags] = json.loads(out)["results"]
+                if flags:
+                    greedy_runs[query[0]] += calls
+                else:
+                    assert calls == 0, query  # closed forms serve Z and P by default
+            assert rows[()] == rows[("--force-greedy",)], query
+        # the flag reaches the engine for every factored command
+        assert all(greedy_runs.values()), greedy_runs
+
     def test_auto_bases_rejected_off_ZP(self, capsys):
         code, _, err = run_cli(
             capsys, "factorial", "--set", "ap:1,4", "--bases", "auto", "--k", "3"
@@ -109,6 +143,25 @@ class TestTables:
         code, out, _ = run_cli(capsys, "tables", "--which", "all")
         assert code == 0
         assert out.count("matches golden") == 4
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_table_built_once(self, capsys, monkeypatch, fmt):
+        built = []
+        original = tables.generate
+
+        def counting_generate(which):
+            built.append(which)
+            return original(which)
+
+        monkeypatch.setattr(tables, "generate", counting_generate)
+        code, _, _ = run_cli(capsys, "tables", "--which", "all", "--format", fmt)
+        assert code == 0 and built == [1, 2, 3, 4]
+
+    def test_compare_checks_the_given_text(self):
+        text = tables.generate(3)
+        assert tables.compare(3, text).ok
+        diff = tables.compare(3, text.replace("4,050", "4,051"))
+        assert not diff.ok and len(diff.mismatches) == 1
 
     def test_single_table_json(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--which", "3", "--format", "json")

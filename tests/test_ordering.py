@@ -13,6 +13,7 @@ from borderings.intsets import (
     ExplicitFinite,
     NonnegativeIntegers,
     Primes,
+    parse_set_spec,
 )
 from borderings.numerics import INF, ExtNat
 from borderings.ordering import (
@@ -29,6 +30,7 @@ from borderings.ordering import (
     pairwise_valuation_sum,
 )
 from borderings.closedforms import alpha_P, alpha_Z
+import borderings.ordering as ordering_module
 
 from oracle import all_greedy_exponent_tuples, windowed_min
 
@@ -309,3 +311,65 @@ class TestMajorization:
     def test_element_validation(self):
         with pytest.raises(ValueError):
             check_majorization(Primes(), 2, [2, 4])
+
+
+class TestIncrementalKernel:
+    # element lists recorded from the engine that re-summed the prefix for
+    # every candidate at every step; the running-value kernel must make the
+    # same random draws in the same order
+    RANDOM_RUNS = [
+        ("range:0..15", 2, 20, 3,
+         [7, 4, 10, 13, 1, 0, 14, 11, 6, 5, 15, 12, 9, 2, 3, 8, 0, 0, 0, 0, 0]),
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 6, 12, 11,
+         [12, 25, 10, -3, -7, 18, 9, 1, 4, 0, 0, 0, 0]),
+        ("range:-6..6", 3, 14, 5, [3, 1, 2, 6, -5, -1, -2, 5, 0, -4, -6, 4, -3, 0, 0]),
+        ("ap:1,3", 2, 15, 2, [10, 1, 4, 7, 16, 19, 22, 13, 25, 34, 43, 40, 37, 46, 31, 28]),
+        ("Z", 4, 12, 9, [14, 1, 0, -1, -5, -4, 6, -7, 5, 7, 8, -6, 3]),
+        ("P", 6, 10, 4, [53, 3, 2, 7, 37, 11, 13, 5, 19, 29, 61]),
+    ]
+
+    @pytest.mark.parametrize("spec,b,k,seed,expected", RANDOM_RUNS)
+    def test_random_tie_break_runs_are_reproduced(self, spec, b, k, seed, expected):
+        run = b_ordering(parse_set_spec(spec), b, k, RandomTieBreak(seed))
+        assert run.elements == expected
+        assert run.exponents == run.recomputed_exponents()
+
+    @pytest.mark.parametrize(
+        "S,b,k,config",
+        [
+            (ExplicitFinite(range(-5, 6)), 2, 14, EngineConfig()),
+            (ExplicitFinite([-9, -4, 0, 1, 7, 12, 20, 33]), 6, 10, EngineConfig()),
+            (AllIntegers(), 3, 30, EngineConfig()),
+            (Primes(), 6, 25, EngineConfig()),
+            (ArithmeticProgression(2, 5), 10, 20, EngineConfig()),
+            (AllIntegers(), 2, 10, EngineConfig(level_max=1, window=200)),
+            (CustomPredicate(lambda a: a % 3 == 1, 60, name="mod3"), 2, 12, EngineConfig()),
+        ],
+    )
+    def test_greedy_step_on_every_prefix_matches_the_run(self, S, b, k, config):
+        run = b_ordering(S, b, k, config=config)
+        for i in range(k + 1):
+            res = greedy_step(run.elements[:i], b, S, config=config)
+            assert (res.element, res.value, res.certified) == (
+                run.elements[i],
+                run.exponents[i],
+                run.certified[i],
+            ), (S.spec, b, i)
+
+    def test_valuations_per_run_are_linear_in_steps(self, monkeypatch):
+        calls = 0
+        original = ordering_module.ord_b
+
+        def counting_ord_b(b, a):
+            nonlocal calls
+            calls += 1
+            return original(b, a)
+
+        monkeypatch.setattr(ordering_module, "ord_b", counting_ord_b)
+        rng = random.Random(48)
+        S = ExplicitFinite(rng.sample(range(-500, 500), 48))
+        for b in (2, 6, 10):
+            calls = 0
+            run = b_ordering(S, b, 47)
+            assert sorted(run.elements) == sorted(S.values)
+            assert calls <= 48 * (47 + 1), (b, calls)

@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 from borderings.intsets import ExplicitFinite
-from borderings.ordering import exponent_sequence
+from borderings.ordering import RandomTieBreak, exponent_sequence
 from borderings.series import (
     CapError,
-    RandomSeriesTieBreak,
     SeriesPolynomial,
     TOrderValue,
     TruncatedSeries,
@@ -149,8 +148,22 @@ class TestTOrdering:
         U = [phi_b(v, 2, 10) for v in (-9, -4, 0, 3, 8, 12)]
         ref = [e.render() for e in t_ordering(U, 5).exponents]
         for seed in range(5):
-            run = t_ordering(U, 5, policy=RandomSeriesTieBreak(seed), start=rng.randrange(6))
+            run = t_ordering(U, 5, policy=RandomTieBreak(seed), start=rng.randrange(6))
             assert [e.render() for e in run.exponents] == ref
+
+    def test_random_tie_break_indices_are_reproduced(self):
+        # recorded from the engine that re-summed every prefix at every step;
+        # the running sums must make the same draws, capped steps included
+        U = [phi_b(v, 2, 12) for v in (-9, -4, 0, 3, 5, 8, 12, 17)]
+        exact = ["0", "0", "1", "2", "3", "4", "5", "8"]
+        expected = {
+            1: ([2, 0, 7, 1, 4, 3, 5, 6, 3, 1], exact + [">=16", ">=20"]),
+            6: ([1, 7, 3, 2, 0, 4, 5, 6, 5, 0], exact + [">=19", ">=16"]),
+        }
+        for seed, (indices, rendered) in expected.items():
+            run = t_ordering(U, 9, RandomTieBreak(seed))
+            assert run.indices == indices
+            assert [e.render() for e in run.exponents] == rendered
 
     def test_capped_exponents_never_pretend_exactness(self):
         # running past |U| leaves only capped markers; asking maxmin for
