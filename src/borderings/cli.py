@@ -1,7 +1,9 @@
 """Command-line interface: computations, table reproduction, verification harness.
 
-Every run prints a reproducibility header with the fully resolved
-configuration; identical (config, seed) runs produce byte-identical
+Every run prints a reproducibility header: the command, its parameters,
+its output options and, for engine commands, the resolved EngineConfig
+that ran.  Each subcommand takes only the flags that change its
+computation; identical (config, seed) runs produce byte-identical
 output.  Infinity renders as the symbol in text mode and as the literal
 string "inf" in CSV and JSON.
 
@@ -14,9 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 from . import __version__, tables, verify
-from .factored import BaseSetError, FactoredNumber, group_digits, parse_base_spec
+from .factored import BaseSetError, group_digits, parse_base_spec
 from .factorials import (
     WindowLimitedError,
     factorial,
@@ -27,21 +30,12 @@ from .factorials import (
 )
 from .intsets import SearchExhausted, SetSpecError, parse_set_spec
 from .numerics import ExtNat
-from .ordering import EngineConfig, exponent_sequence
+from .ordering import DEFAULT_CONFIG, EngineConfig, exponent_sequence
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNCERTIFIED = 3
-
-
-def _log10(n: int) -> float:
-    """log10 of a positive integer of any size."""
-    s = str(n)
-    import math
-
-    head = int(s[:15]) if len(s) > 15 else n
-    return len(s) - (15 if len(s) > 15 else len(s)) + math.log10(head)
 
 
 def _render_extnat(v: ExtNat, fmt: str) -> str:
@@ -97,119 +91,72 @@ def _csv_cell(v) -> str:
     return s
 
 
-def _engine_config(args) -> EngineConfig:
-    return EngineConfig(
-        level_max=args.bb_level_max,
-        window=args.enum_bound,
-        search_cap=args.search_cap,
-    )
+def _config(args) -> EngineConfig:
+    """The EngineConfig that the command's flags resolve to."""
+    names = {f.name for f in fields(EngineConfig)}
+    return EngineConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _base_config(args, command: str, **extra) -> dict:
-    cfg = {"command": command}
-    cfg.update(extra)
-    cfg.update(
-        {
-            "format": args.format,
-            "seed": args.seed,
-            "enum_bound": args.enum_bound,
-            "bb_level_max": args.bb_level_max,
-            "series_cap": args.series_cap,
-            "force_greedy": args.force_greedy,
-            "allow_uncertified": args.allow_uncertified,
-        }
-    )
-    return cfg
-
-
-def _factored_fields(F: FactoredNumber, fmt: str) -> dict:
-    refined = F.refine_to_primes()
-    return {
-        "decimal": group_digits(F.value()),
-        "factored": refined.format_factored(),
-        "factored_bases": F.format_factored(),
-    }
+def _header(args, config: EngineConfig | None = None, **params) -> dict:
+    """command + parameters + format (+ seed) + the EngineConfig that ran, if any."""
+    header = {"command": args.command, **params, "format": args.format}
+    if hasattr(args, "seed"):
+        header["seed"] = args.seed
+    if config is not None:
+        header.update(asdict(config))
+    return header
 
 
 def cmd_exponents(args) -> int:
     S = parse_set_spec(args.set)
-    seq = exponent_sequence(
-        S, args.base, args.k, force_greedy=args.force_greedy, config=_engine_config(args)
-    )
-    if seq.window_limited and not args.allow_uncertified:
+    config = _config(args)
+    seq = exponent_sequence(S, args.base, args.k, config=config)
+    if seq.window_limited and not config.allow_uncertified:
         print(
             "error: result is window-limited (uncertified); rerun with --allow-uncertified",
             file=sys.stderr,
         )
         return EXIT_UNCERTIFIED
-    config = _base_config(
-        args, "exponents", set=S.spec, base=args.base, k=args.k, source=seq.source
-    )
-    em = _Emitter(args.format, config, ["i", "alpha", "certified"])
+    header = _header(args, config, set=S.spec, base=args.base, k=args.k, source=seq.source)
+    em = _Emitter(args.format, header, ["i", "alpha", "certified"])
     for i, (v, cert) in enumerate(zip(seq.values, seq.certified_steps)):
         em.add(i=i, alpha=_render_extnat(v, args.format), certified=cert)
     em.emit()
     return EXIT_OK
 
 
-def _run_factored_command(args, command: str, compute) -> int:
+_FACTORED = {  # command: (function, its integer parameters after S and T, help)
+    "factorial": (factorial, ("k",), "generalized factorial k!_{S,T}"),
+    "integer": (gen_integer, ("n",), "generalized integer [n]_{S,T}"),
+    "binomial": (gen_binomial, ("k", "l"), "generalized binomial coefficient"),
+}
+
+
+def cmd_factored(args) -> int:
     S = parse_set_spec(args.set)
     T = parse_base_spec(args.bases)
+    compute, names, _ = _FACTORED[args.command]
+    numbers = {name: getattr(args, name) for name in names}
+    config = _config(args)
     try:
-        value = compute(S, T, allow=args.allow_uncertified)
+        value = compute(S, T, *numbers.values(), config=config)
     except WindowLimitedError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e} (rerun with --allow-uncertified)", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    params = {"set": S.spec, "bases": T.describe()}
-    if command == "factorial":
-        params["k"] = args.k
-    elif command == "integer":
-        params["n"] = args.n
-    else:
-        params.update({"k": args.k, "l": args.l})
-    config = _base_config(args, command, **params)
-    em = _Emitter(args.format, config, ["decimal", "factored", "factored_bases"])
-    em.add(**_factored_fields(value, args.format))
+    header = _header(args, config, set=S.spec, bases=T.describe(), **numbers)
+    em = _Emitter(args.format, header, ["decimal", "factored", "factored_bases"])
+    em.add(
+        decimal=group_digits(value.value()),
+        factored=value.refine_to_primes().format_factored(),
+        factored_bases=value.format_factored(),
+    )
     em.emit()
     return EXIT_OK
 
 
-def cmd_factorial(args) -> int:
-    return _run_factored_command(
-        args,
-        "factorial",
-        lambda S, T, allow: factorial(
-            S, T, args.k, config=_engine_config(args), allow_uncertified=allow,
-            force_greedy=args.force_greedy,
-        ),
-    )
-
-
-def cmd_integer(args) -> int:
-    return _run_factored_command(
-        args,
-        "integer",
-        lambda S, T, allow: gen_integer(
-            S, T, args.n, config=_engine_config(args), allow_uncertified=allow,
-            force_greedy=args.force_greedy,
-        ),
-    )
-
-
-def cmd_binomial(args) -> int:
-    return _run_factored_command(
-        args,
-        "binomial",
-        lambda S, T, allow: gen_binomial(
-            S, T, args.k, args.l, config=_engine_config(args), allow_uncertified=allow,
-            force_greedy=args.force_greedy,
-        ),
-    )
-
-
 def cmd_tables(args) -> int:
     which = tables.TABLE_NAMES if args.which == "all" else (int(args.which),)
-    config = _base_config(args, "tables", which=args.which)
+    header = _header(args, which=args.which)
     failed = False
     if args.format == "json":
         results = []
@@ -225,10 +172,10 @@ def cmd_tables(args) -> int:
                 }
             )
             failed = failed or not diff.ok
-        doc = {"version": __version__, "config": config, "results": results}
+        doc = {"version": __version__, "config": header, "results": results}
         print(json.dumps(doc, indent=2))
     else:
-        em = _Emitter(args.format, config, [])
+        em = _Emitter(args.format, header, [])
         print(em.header_line())
         for w in which:
             text = tables.generate(w)
@@ -246,28 +193,27 @@ def cmd_rowproduct(args) -> int:
         value = partial_row_product(args.n, args.x)
     else:
         value = row_product(args.n)
-    config = _base_config(args, "rowproduct", n=args.n, x=args.x if args.x is not None else "")
-    em = _Emitter(args.format, config, ["n", "x", "decimal", "factored", "log10"])
+    header = _header(args, n=args.n, x=args.x if args.x is not None else "")
+    em = _Emitter(args.format, header, ["n", "x", "decimal", "factored", "digits"])
     v = value.value()
     em.add(
         n=args.n,
         x=args.x if args.x is not None else args.n,
         decimal=group_digits(v),
         factored=value.refine_to_primes().format_factored(),
-        log10=f"{_log10(v):.6f}" if v > 0 else "-inf",
+        digits=len(str(v)),
     )
     em.emit()
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    config = _base_config(args, "verify", suite=args.suite, scale=args.scale)
-    if args.suite == "all":
-        reports = verify.run_all(seed=args.seed, scale=args.scale, config=_engine_config(args))
-    else:
-        reports = [
-            verify.run_suite(args.suite, seed=args.seed, scale=args.scale, config=_engine_config(args))
-        ]
+    config = _config(args)
+    header = _header(args, config, suite=args.suite, scale=args.scale)
+    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    reports = [
+        verify.run_suite(name, seed=args.seed, scale=args.scale, config=config) for name in names
+    ]
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
         results = []
@@ -275,10 +221,10 @@ def cmd_verify(args) -> int:
             d = r.as_dict()
             d.pop("elapsed_seconds")  # keep identical runs byte-identical
             results.append(d)
-        doc = {"version": __version__, "config": config, "results": results}
+        doc = {"version": __version__, "config": header, "results": results}
         print(json.dumps(doc, indent=2))
     else:
-        em = _Emitter(args.format, config, ["suite", "instance", "passed", "params", "detail"])
+        em = _Emitter(args.format, header, ["suite", "instance", "passed", "params", "detail"])
         if args.format == "csv":
             for r in reports:
                 for inst in r.instances:
@@ -307,62 +253,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"borderings {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
-    common.add_argument("--enum-bound", type=int, default=1000, help="windowed-scan bound")
-    common.add_argument("--bb-level-max", type=int, default=12, help="residue search depth cap")
-    common.add_argument("--series-cap", type=int, default=32, help="series truncation cap")
-    common.add_argument("--search-cap", type=int, default=10**7, help="in-class search cap")
-    common.add_argument("--force-greedy", action="store_true", help="skip closed-form dispatch")
-    common.add_argument(
+    # each subcommand takes only the flags that change what it computes;
+    # engine defaults come from DEFAULT_CONFIG
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    engine = argparse.ArgumentParser(add_help=False, parents=[output])
+    for name, help_ in (
+        ("enum_bound", "windowed-scan bound"),
+        ("bb_level_max", "residue search depth cap"),
+        ("search_cap", "in-class search cap"),
+    ):
+        flag = "--" + name.replace("_", "-")
+        engine.add_argument(flag, type=int, default=getattr(DEFAULT_CONFIG, name), help=help_)
+    compute = argparse.ArgumentParser(add_help=False, parents=[engine])
+    compute.add_argument(
+        "--force-greedy",
+        action="store_true",
+        default=DEFAULT_CONFIG.force_greedy,
+        help="skip closed-form dispatch",
+    )
+    compute.add_argument(
         "--allow-uncertified",
         action="store_true",
+        default=DEFAULT_CONFIG.allow_uncertified,
         help="accept window-limited results instead of failing with exit code 3",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exponents", parents=[common], help="exponent invariants of (S, b)")
+    p = sub.add_parser("exponents", parents=[compute], help="exponent invariants of (S, b)")
     p.add_argument("--set", required=True, help="set spec: Z | N | P | ap:f,s | list:... | file:path | range:lo..hi")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_exponents)
 
-    p = sub.add_parser("factorial", parents=[common], help="generalized factorial k!_{S,T}")
-    p.add_argument("--set", required=True)
-    p.add_argument("--bases", required=True, help="base spec: auto | upto:n | primes:n | list:... | range:lo..hi")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_factorial)
+    for command, (_, names, help_) in _FACTORED.items():
+        p = sub.add_parser(command, parents=[compute], help=help_)
+        p.add_argument("--set", required=True)
+        p.add_argument("--bases", required=True, help="base spec: auto | upto:n | primes:n | list:... | range:lo..hi")
+        for name in names:
+            p.add_argument(f"--{name}", type=int, required=True)
+        p.set_defaults(func=cmd_factored)
 
-    p = sub.add_parser("integer", parents=[common], help="generalized integer [n]_{S,T}")
-    p.add_argument("--set", required=True)
-    p.add_argument("--bases", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_integer)
-
-    p = sub.add_parser("binomial", parents=[common], help="generalized binomial coefficient")
-    p.add_argument("--set", required=True)
-    p.add_argument("--bases", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(func=cmd_binomial)
-
-    p = sub.add_parser("tables", parents=[common], help="regenerate reference tables and diff against golden files")
+    p = sub.add_parser("tables", parents=[output], help="regenerate reference tables and diff against golden files")
     p.add_argument("--which", choices=("1", "2", "3", "4", "all"), default="all")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("rowproduct", parents=[common], help="row product of generalized binomials for (Z, N)")
+    p = sub.add_parser("rowproduct", parents=[output], help="row product of generalized binomials for (Z, N)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=int, default=None, help="truncate the product to bases <= x")
     p.set_defaults(func=cmd_rowproduct)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[engine], help="run a verification suite")
     p.add_argument(
         "--suite",
         choices=verify.SUITE_NAMES + ("all",),
         default="all",
     )
+    p.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
     p.add_argument("--scale", type=float, default=1.0, help="instance-count multiplier")
     p.set_defaults(func=cmd_verify)
 

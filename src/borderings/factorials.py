@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .factored import BaseSet, BaseSetError, FactoredNumber, group_digits  # noqa: F401
+from .factored import BaseSet, FactoredNumber
 from .intsets import IntegerSet
-from .numerics import INF, ExtNat, ZERO, cumulative_digit_sum, digit_sum
+from .numerics import INF, ExtNat, cumulative_digit_sum, digit_sum, extnat_sum
 from .ordering import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -26,19 +26,12 @@ class WindowLimitedError(RuntimeError):
     """A product would silently absorb uncertified (window-limited) exponents."""
 
 
-def _alpha_values(
-    S: IntegerSet,
-    b: int,
-    k: int,
-    config: EngineConfig,
-    allow_uncertified: bool,
-    force_greedy: bool = False,
-) -> list[ExtNat]:
-    seq = exponent_sequence(S, b, k, force_greedy=force_greedy, config=config)
-    if seq.window_limited and not allow_uncertified:
+def _alpha_values(S: IntegerSet, b: int, k: int, config: EngineConfig) -> list[ExtNat]:
+    seq = exponent_sequence(S, b, k, config=config)
+    if seq.window_limited and not config.allow_uncertified:
         raise WindowLimitedError(
             f"exponents for (S={S.spec}, b={b}) are window-limited; "
-            "pass allow_uncertified=True to accept them"
+            "pass config=EngineConfig(allow_uncertified=True) to accept them"
         )
     return seq.values
 
@@ -48,23 +41,11 @@ def factorial(
     T: BaseSet,
     k: int,
     config: EngineConfig = DEFAULT_CONFIG,
-    allow_uncertified: bool = False,
-    force_greedy: bool = False,
 ) -> FactoredNumber:
     """The k-th generalized factorial for (S, T) in factored form."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    bases = T.resolve(S, k)
-    card = S.cardinality
-    exps: dict[int, ExtNat] = {}
-    for b in bases:
-        if b == 0:
-            exps[0] = ZERO if (not card.is_finite or k < card.value) else INF
-        elif b == 1:
-            exps[1] = ZERO if k == 0 else INF
-        else:
-            exps[b] = _alpha_values(S, b, k, config, allow_uncertified, force_greedy)[k]
-    return FactoredNumber(exps)
+    return FactoredNumber({b: _alpha_values(S, b, k, config)[k] for b in T.resolve(S, k)})
 
 
 def gen_integer(
@@ -72,8 +53,6 @@ def gen_integer(
     T: BaseSet,
     n: int,
     config: EngineConfig = DEFAULT_CONFIG,
-    allow_uncertified: bool = False,
-    force_greedy: bool = False,
 ) -> FactoredNumber:
     """The n-th generalized integer: the exponentwise ratio of consecutive factorials.
 
@@ -94,7 +73,7 @@ def gen_integer(
         if b == 1:
             exps[1] = INF  # ratio of 1^inf factors is still the unit
             continue
-        values = _alpha_values(S, b, n, config, allow_uncertified, force_greedy)
+        values = _alpha_values(S, b, n, config)
         exps[b] = values[n].minus(values[n - 1])
     return FactoredNumber(exps)
 
@@ -105,8 +84,6 @@ def gen_binomial(
     k: int,
     ell: int,
     config: EngineConfig = DEFAULT_CONFIG,
-    allow_uncertified: bool = False,
-    force_greedy: bool = False,
 ) -> FactoredNumber:
     """The generalized binomial coefficient (k over ell) for (S, T)."""
     if not 0 <= ell <= k:
@@ -123,28 +100,10 @@ def gen_binomial(
             if k >= 1:
                 exps[1] = INF
             continue
-        values = _alpha_values(S, b, k, config, allow_uncertified, force_greedy)
+        values = _alpha_values(S, b, k, config)
         diff = values[k].minus(values[ell]).minus(values[k - ell])
         exps[b] = diff
     return FactoredNumber(exps)
-
-
-def to_decimal(F: FactoredNumber) -> int:
-    """Exact integer value of a factored number."""
-    return F.value()
-
-
-def refine_to_primes(F: FactoredNumber) -> FactoredNumber:
-    """Value-preserving rewrite onto prime bases only."""
-    return F.refine_to_primes()
-
-
-def exponentwise_divides(F1: FactoredNumber, F2: FactoredNumber) -> bool:
-    return F1.exponentwise_divides(F2)
-
-
-def integer_divides(F1: FactoredNumber, F2: FactoredNumber) -> bool:
-    return F1.integer_divides(F2)
 
 
 def pairwise_multiple_check(
@@ -152,7 +111,6 @@ def pairwise_multiple_check(
     T: BaseSet,
     seq: Sequence[int],
     config: EngineConfig = DEFAULT_CONFIG,
-    allow_uncertified: bool = False,
 ) -> bool:
     """Check that the pairwise-difference product over T is a multiple of 0!..n!.
 
@@ -163,21 +121,8 @@ def pairwise_multiple_check(
     n = len(elements) - 1
     if n < 0:
         raise ValueError("sequence must be nonempty")
-    bases = T.resolve(S, n)
-    card = S.cardinality
-    for b in bases:
-        gamma = pairwise_valuation_sum(elements, b)
-        if b == 0:
-            need = ZERO if (not card.is_finite or n < card.value) else INF
-        elif b == 1:
-            need = ZERO if n == 0 else INF
-        else:
-            values = _alpha_values(S, b, n, config, allow_uncertified)
-            total: ExtNat = ZERO
-            for v in values:
-                total = total + v
-            need = total
-        if gamma < need:
+    for b in T.resolve(S, n):
+        if pairwise_valuation_sum(elements, b) < extnat_sum(_alpha_values(S, b, n, config)):
             return False
     return True
 

@@ -29,13 +29,16 @@ from .intsets import (
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs for the greedy engine and harness; defaults suit desk-scale runs."""
+    """The resolved settings of a run; the CLI prints exactly these fields.
 
-    level_max: int = 12       # residue branch-and-bound depth cap
-    window: int = 1000        # |a| bound for uncertified windowed scans
-    search_cap: int = 10**7   # cap for in-class element searches
-    start_pool: int = 32      # candidate pool size for randomised starts
-    series_cap: int = 16      # truncation cap for random series families
+    Defaults suit desk-scale runs.
+    """
+
+    enum_bound: int = 1000           # |a| bound for uncertified windowed scans
+    bb_level_max: int = 12           # residue branch-and-bound depth cap
+    search_cap: int = 10**7          # cap for in-class element searches
+    force_greedy: bool = False       # skip the closed forms for Z, N and P
+    allow_uncertified: bool = False  # accept window-limited results instead of refusing
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -156,12 +159,15 @@ def pairwise_valuation_sum(seq, b: int) -> ExtNat:
     )
 
 
-def _initial_element(S: IntegerSet, policy: TieBreakPolicy, config: EngineConfig) -> int:
+START_POOL = 32  # candidate pool size for randomised starts
+
+
+def _initial_element(S: IntegerSet, policy: TieBreakPolicy) -> int:
     if isinstance(policy, RandomTieBreak):
         pool = []
         for a in S.iter_canonical():
             pool.append(a)
-            if len(pool) >= config.start_pool:
+            if len(pool) >= START_POOL:
                 break
         return policy.choose(pool)
     return next(iter(S.iter_canonical()))
@@ -218,7 +224,7 @@ class _GreedyState:
     def step(self, policy: TieBreakPolicy) -> StepResult:
         S, b, config = self.S, self.b, self.config
         if not self.prefix:
-            return StepResult(_initial_element(S, policy, config), ZERO, True)
+            return StepResult(_initial_element(S, policy), ZERO, True)
         if b < 2:
             nxt = _first_unused(S, set(self.prefix)) if b == 0 else None
             if nxt is None:  # b = 1, or b = 0 with S used up
@@ -231,7 +237,7 @@ class _GreedyState:
         if S.residue_status(0, b).kind is ResidueKind.UNKNOWN:
             # no residue knowledge: scan the set's declared window; certified
             # only on an exact zero
-            window = getattr(S, "enumeration_cap", config.window)
+            window = getattr(S, "enumeration_cap", config.enum_bound)
             candidates = self._candidates(lambda: S.elements_up_to(window))
             if not candidates:
                 raise ValueError(f"set {S.spec} has no elements within the scan window")
@@ -239,7 +245,7 @@ class _GreedyState:
 
         certified = self._branch_and_bound(policy)
         if certified is None:
-            return self._scan(policy, self._candidates(lambda: S.elements_up_to(config.window)), False)
+            return self._scan(policy, self._candidates(lambda: S.elements_up_to(config.enum_bound)), False)
         return certified
 
     def _candidates(self, build) -> list[int]:
@@ -280,7 +286,7 @@ class _GreedyState:
         unsettled.  A settled minimum may come with an incomplete tie set
         at the cap; the choice among the ties found is still a minimizer.
         """
-        S, b, level_max = self.S, self.b, self.config.level_max
+        S, b, level_max = self.S, self.b, self.config.bb_level_max
         heap: list[tuple[int, int, int]] = [(0, 0, 0)]  # (bound, depth, residue mod b**depth)
         best_val: Optional[int] = None
         realized: list[tuple[int, int, int]] = []
@@ -409,7 +415,6 @@ def exponent_sequence(
     S: IntegerSet,
     b: int,
     k: int,
-    force_greedy: bool = False,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> ExponentSequence:
     """Invariant exponents for (S, b), via closed forms where available."""
@@ -427,7 +432,7 @@ def exponent_sequence(
         values = [ZERO] + [INF] * k
         return ExponentSequence(S.spec, b, values, all_ok, "degenerate-base")
 
-    if not force_greedy:
+    if not config.force_greedy:
         from . import closedforms
         from .intsets import AllIntegers, NonnegativeIntegers, Primes
 

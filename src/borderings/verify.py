@@ -26,7 +26,7 @@ from .factorials import (
     row_product_direct,
 )
 from .intsets import AllIntegers, ExplicitFinite, Primes
-from .numerics import floor_sum, ord_b, totient, omega
+from .numerics import floor_sum, is_prime, ord_b, totient, omega
 from .ordering import (
     CANONICAL,
     DEFAULT_CONFIG,
@@ -263,7 +263,7 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random, config: EngineConf
         add = evaluate_test_sequence(seq, b)
         mult = evaluate_multiplicative(seq, b)
         ok = all(a <= m for a, m in zip(add, mult))
-        if ok and _is_prime_base(b):
+        if ok and is_prime(b):
             ok = all(a == m for a, m in zip(add, mult))
         rep.add("additive-le-multiplicative", {"b": b, "seq": _values_str(seq)}, ok)
     # the natural ordering attains the Z invariants for every base at once
@@ -274,12 +274,6 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random, config: EngineConf
             v.is_finite and v.value == closedforms.alpha_Z(k, b) for k, v in enumerate(vals)
         )
         rep.add("natural-order-attains-invariants", {"b": b, "k_max": 40}, ok)
-
-
-def _is_prime_base(b: int) -> bool:
-    from .numerics import is_prime
-
-    return is_prime(b)
 
 
 def _random_base_set(rng: random.Random) -> BaseSet:
@@ -418,6 +412,9 @@ def _random_series_family(rng: random.Random, cap: int) -> list[TruncatedSeries]
     return out
 
 
+SERIES_CAP = 16  # truncation cap for random series families
+
+
 def _suite_maxmin(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
     for i in range(_count(50, rep.scale)):
         if i % 2 == 0:
@@ -428,7 +425,7 @@ def _suite_maxmin(rep: SuiteReport, rng: random.Random, config: EngineConfig) ->
             U = [phi_b(v, b, cap) for v in values]
             family = f"phi_{b}({_values_str(values)})"
         else:
-            cap = config.series_cap
+            cap = SERIES_CAP
             U = _random_series_family(rng, cap)
             family = f"random-series[{len(U)}]"
         k = rng.randint(1, len(U) - 1)

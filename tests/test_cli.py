@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
+import borderings.cli as cli_module
 import borderings.ordering as ordering_module
 from borderings import tables
-from borderings.cli import main
+from borderings.cli import build_parser, main
 from borderings.factored import FactoredNumber
+from borderings.ordering import EngineConfig
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +187,11 @@ class TestRowProduct:
         data = out.splitlines()[-1].split(",")
         assert data[0] == "9" and data[1] == "2"
 
+    def test_digits_column_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "rowproduct", "--n", "30", "--format", "json")
+        row = json.loads(out)["results"][0]
+        assert code == 0 and row["digits"] == len(row["decimal"].replace(",", ""))
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -209,11 +219,122 @@ class TestHeader:
         code, out, _ = run_cli(capsys, "exponents", "--set", "Z", "--base", "3", "--k", "2")
         header = out.splitlines()[0]
         assert header.startswith("# borderings")
-        for key in ("command=exponents", "set=Z", "base=3", "k=2", "seed=0"):
+        for key in ("command=exponents", "set=Z", "base=3", "k=2", "search_cap="):
             assert key in header
+        assert "seed" not in header
 
     def test_byte_identical_repeat(self, capsys):
         args = ("factorial", "--set", "Z", "--bases", "auto", "--k", "16", "--format", "csv")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+ENGINE_FIELDS = {f.name for f in dataclasses.fields(EngineConfig)}
+ENGINE_COMMANDS = ("exponents", "factorial", "integer", "binomial", "verify")
+COMMANDS = {  # command: (a valid argument list, the header keys besides the EngineConfig)
+    "exponents": (
+        ["--set", "Z", "--base", "3", "--k", "2"],
+        {"command", "set", "base", "k", "source", "format"},  # source: the route that ran
+    ),
+    "factorial": (
+        ["--set", "Z", "--bases", "auto", "--k", "3"],
+        {"command", "set", "bases", "k", "format"},
+    ),
+    "integer": (
+        ["--set", "Z", "--bases", "auto", "--n", "3"],
+        {"command", "set", "bases", "n", "format"},
+    ),
+    "binomial": (
+        ["--set", "Z", "--bases", "auto", "--k", "3", "--l", "1"],
+        {"command", "set", "bases", "k", "l", "format"},
+    ),
+    "tables": (["--which", "3"], {"command", "which", "format"}),
+    "rowproduct": (["--n", "4"], {"command", "n", "x", "format"}),
+    "verify": (
+        ["--suite", "tables", "--scale", "0.1"],
+        {"command", "suite", "scale", "seed", "format"},
+    ),
+}
+
+
+def accepted_flags(command):
+    """The dests of every option the subcommand's parser accepts."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+class TestHeaderHonesty:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_header_is_parameters_flags_and_engine_config(self, capsys, command):
+        argv, keys = COMMANDS[command]
+        code, out, _ = run_cli(capsys, command, *argv, "--format", "json")
+        assert code == 0
+        engine = ENGINE_FIELDS if command in ENGINE_COMMANDS else set()
+        assert set(json.loads(out)["config"]) == keys | engine
+        # the parameters are flags too: the header is the command, its flags, the
+        # EngineConfig and, for exponents, the route that ran
+        route = {"source"} if command == "exponents" else set()
+        assert {"command"} | accepted_flags(command) | engine | route == keys | engine
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_series_cap_is_gone(self, capsys, command):
+        code, _, _ = run_cli(capsys, command, *COMMANDS[command][0], "--series-cap", "8")
+        assert code == 2
+
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"verify"}))
+    def test_seed_only_on_verify(self, capsys, command):
+        code, _, _ = run_cli(capsys, command, *COMMANDS[command][0], "--seed", "3")
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command in ("tables", "rowproduct")
+            for flag in (
+                "--enum-bound=5",
+                "--bb-level-max=3",
+                "--search-cap=9",
+                "--force-greedy",
+                "--allow-uncertified",
+            )
+        ]
+        + [("verify", "--force-greedy"), ("verify", "--allow-uncertified")],
+    )
+    def test_engine_flags_only_where_they_act(self, capsys, command, flag):
+        code, _, _ = run_cli(capsys, command, *COMMANDS[command][0], flag)
+        assert code == 2
+
+    def test_search_cap_reaches_the_engine(self, capsys, monkeypatch):
+        seen = []
+        original = cli_module.exponent_sequence
+
+        def recording_exponent_sequence(*args, config, **kwargs):
+            seen.append(config)
+            return original(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(cli_module, "exponent_sequence", recording_exponent_sequence)
+        code, out, _ = run_cli(
+            capsys, "exponents", "--set", "Z", "--base", "2", "--k", "3", "--search-cap", "123"
+        )
+        assert code == 0
+        assert "search_cap=123" in out.splitlines()[0]
+        assert [c.search_cap for c in seen] == [123]
+
+
+# sha256 of json.dumps(results, sort_keys=True) for the command below; a change
+# that is not meant to alter verify output keeps it, one that is re-records it
+# and says why
+VERIFY_RESULTS_SHA256 = "11dd58530428de970d0aab830138806eec10de7637db50c733e88a03c3c230be"
+
+
+def test_verify_results_are_byte_identical(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--seed", "7", "--scale", "0.1", "--format", "json"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_RESULTS_SHA256

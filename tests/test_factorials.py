@@ -28,6 +28,7 @@ from borderings.intsets import (
     Primes,
 )
 from borderings.numerics import INF, ord_b
+from borderings.ordering import EngineConfig
 
 Z = AllIntegers()
 AUTO = BaseSet.auto()
@@ -68,7 +69,7 @@ class TestFactorial:
         S = CustomPredicate(lambda a: a % 4 == 2, enumeration_cap=300, name="mod4")
         with pytest.raises(WindowLimitedError):
             factorial(S, BaseSet.explicit([2, 3]), 3)
-        F = factorial(S, BaseSet.explicit([2, 3]), 3, allow_uncertified=True)
+        F = factorial(S, BaseSet.explicit([2, 3]), 3, config=EngineConfig(allow_uncertified=True))
         assert F.value() >= 1
 
 

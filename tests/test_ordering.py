@@ -231,19 +231,19 @@ class TestExponentSequence:
     def test_closed_form_dispatch_and_force_greedy(self):
         Z = AllIntegers()
         fast = exponent_sequence(Z, 5, 30)
-        slow = exponent_sequence(Z, 5, 30, force_greedy=True)
+        slow = exponent_sequence(Z, 5, 30, config=EngineConfig(force_greedy=True))
         assert fast.source == "closed-form" and slow.source == "greedy"
         assert fast.values == slow.values
         P = Primes()
         fastp = exponent_sequence(P, 6, 20)
-        slowp = exponent_sequence(P, 6, 20, force_greedy=True)
+        slowp = exponent_sequence(P, 6, 20, config=EngineConfig(force_greedy=True))
         assert fastp.values == slowp.values
         assert slowp.certified
 
     def test_nonnegative_integers_match_integers(self):
         N = NonnegativeIntegers()
         for b in (2, 3, 6, 10):
-            seq = exponent_sequence(N, b, 25, force_greedy=True)
+            seq = exponent_sequence(N, b, 25, config=EngineConfig(force_greedy=True))
             assert [v.value for v in seq.values] == [alpha_Z(k, b) for k in range(26)]
 
     def test_degenerate_bases(self):
@@ -271,8 +271,8 @@ class TestExponentSequence:
         assert not all(seq.certified_steps)
 
     def test_level_cap_falls_back_uncertified(self):
-        cfg = EngineConfig(level_max=1, window=200)
-        seq = exponent_sequence(AllIntegers(), 2, 10, force_greedy=True, config=cfg)
+        cfg = EngineConfig(bb_level_max=1, enum_bound=200, force_greedy=True)
+        seq = exponent_sequence(AllIntegers(), 2, 10, config=cfg)
         assert seq.window_limited
         # windowed values still agree with the closed form at this scale
         assert [v.value for v in seq.values] == [alpha_Z(k, 2) for k in range(11)]
@@ -342,7 +342,7 @@ class TestIncrementalKernel:
             (AllIntegers(), 3, 30, EngineConfig()),
             (Primes(), 6, 25, EngineConfig()),
             (ArithmeticProgression(2, 5), 10, 20, EngineConfig()),
-            (AllIntegers(), 2, 10, EngineConfig(level_max=1, window=200)),
+            (AllIntegers(), 2, 10, EngineConfig(bb_level_max=1, enum_bound=200)),
             (CustomPredicate(lambda a: a % 3 == 1, 60, name="mod3"), 2, 12, EngineConfig()),
         ],
     )
