@@ -191,6 +191,12 @@ class _GreedyState:
     An element or level is filled from the prefix on first use, then
     updated by each append: one valuation per tracked element, one count
     per level.
+
+    The branch and bound also memoizes, per run, what depends on S alone:
+    `children` maps a node, the class r mod b^l, to its nonempty
+    subclasses, and `witnesses` maps a realized class to its smallest
+    member.  Both are keyed by the class id b^l + r, which lies in
+    [b^l, 2*b^l), so no two classes share one.
     """
 
     def __init__(self, S: IntegerSet, b: int, config: EngineConfig):
@@ -199,6 +205,8 @@ class _GreedyState:
         self.values: dict[int, Optional[int]] = {}
         self.levels: dict[int, Counter] = {}
         self.scan_list: Optional[list[int]] = None
+        self.children: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        self.witnesses: dict[int, Optional[int]] = {}
 
     def append(self, a: int) -> None:
         b, values = self.b, self.values
@@ -221,6 +229,33 @@ class _GreedyState:
             self.levels[level] = Counter(a % self.b**level for a in self.prefix)
         return self.levels[level]
 
+    def subclasses(self, r: int, depth: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The residues mod b^(depth+1) of the infinite subclasses of r mod b^depth
+        and the S-members of its finite ones, asked of S once per run.
+
+        None when S answers UNKNOWN, as a set without residue knowledge
+        does for every class.
+        """
+        key = self.b**depth + r
+        if key not in self.children:
+            S, b = self.S, self.b
+            mod1, base_mod = b ** (depth + 1), b**depth
+            infinite: list[int] = []
+            finite: list[int] = []
+            for i in range(b):
+                r1 = r + i * base_mod
+                status = S.residue_status(r1, mod1)
+                if status.kind is ResidueKind.UNKNOWN:
+                    self.children[key] = None
+                    break
+                if status.kind is ResidueKind.INFINITE:
+                    infinite.append(r1)
+                else:
+                    finite.extend(status.members)
+            else:
+                self.children[key] = (tuple(infinite), tuple(finite))
+        return self.children[key]
+
     def step(self, policy: TieBreakPolicy) -> StepResult:
         S, b, config = self.S, self.b, self.config
         if not self.prefix:
@@ -234,7 +269,7 @@ class _GreedyState:
         if S.cardinality.is_finite:
             return self._scan(policy, self._candidates(lambda: list(S.iter_canonical())), True)
 
-        if S.residue_status(0, b).kind is ResidueKind.UNKNOWN:
+        if self.subclasses(0, 0) is None:
             # no residue knowledge: scan the set's declared window; certified
             # only on an exact zero
             window = getattr(S, "enumeration_cap", config.enum_bound)
@@ -285,8 +320,10 @@ class _GreedyState:
         many elements.  Returns None when the level cap leaves the minimum
         unsettled.  A settled minimum may come with an incomplete tie set
         at the cap; the choice among the ties found is still a minimizer.
+        A child whose bound already exceeds the best value is never pushed:
+        popping it would end the walk, as popping any node above it does.
         """
-        S, b, level_max = self.S, self.b, self.config.bb_level_max
+        b, level_max = self.b, self.config.bb_level_max
         heap: list[tuple[int, int, int]] = [(0, 0, 0)]  # (bound, depth, residue mod b**depth)
         best_val: Optional[int] = None
         realized: list[tuple[int, int, int]] = []
@@ -302,20 +339,14 @@ class _GreedyState:
                 return None
             mod1 = b ** (depth + 1)
             counts = self.counts(depth + 1)
-            base_mod = b**depth
-            for i in range(b):
-                r1 = r + i * base_mod
-                status = S.residue_status(r1, mod1)
-                if not status.nonempty:
-                    continue
-                if status.kind is ResidueKind.FINITE_ONLY:
-                    for a in status.members:
-                        v = self.value_of(a)
-                        if v is not None:
-                            finite_hits.append((v, a))
-                            if best_val is None or v < best_val:
-                                best_val = v
-                    continue
+            infinite, finite = self.subclasses(r, depth)
+            for a in finite:
+                v = self.value_of(a)
+                if v is not None:
+                    finite_hits.append((v, a))
+                    if best_val is None or v < best_val:
+                        best_val = v
+            for r1 in infinite:
                 c1 = counts[r1]
                 if c1 == 0:
                     # no prefix element shares this subclass, so every S-member
@@ -323,17 +354,23 @@ class _GreedyState:
                     realized.append((bound, mod1, r1))
                     if best_val is None or bound < best_val:
                         best_val = bound
-                else:
+                elif best_val is None or bound + c1 <= best_val:
                     heapq.heappush(heap, (bound + c1, depth + 1, r1))
 
         if best_val is None:
             return None
+        # a realized class holds no prefix element, so its smallest member
+        # is never excluded and depends on S and the search cap alone; a
+        # SearchExhausted propagates and is asked again, never stored
+        witnesses = self.witnesses
         pool = [a for v, a in finite_hits if v == best_val]
         for v, mod, r in realized:
             if v == best_val:
-                pick = S.pick_in_class(r, mod, cap=self.config.search_cap)
-                if pick is not None:
-                    pool.append(pick)
+                key = mod + r
+                if key not in witnesses:
+                    witnesses[key] = self.S.pick_in_class(r, mod, cap=self.config.search_cap)
+                if witnesses[key] is not None:
+                    pool.append(witnesses[key])
         if not pool:
             raise RuntimeError("internal error: certified minimum without a witness")
         return StepResult(policy.choose(pool), ExtNat(best_val), True)

@@ -10,10 +10,12 @@ import json
 import pytest
 
 import borderings.cli as cli_module
+import borderings.factored as factored_module
+import borderings.factorials as factorials_module
 import borderings.ordering as ordering_module
 from borderings import tables
 from borderings.cli import build_parser, main
-from borderings.factored import FactoredNumber
+from borderings.factored import AUTO_K_MAX_P, AUTO_K_MAX_Z, FactoredNumber
 from borderings.ordering import EngineConfig
 
 
@@ -141,6 +143,36 @@ class TestFactoredCommands:
             capsys, "factorial", "--set", "ap:1,4", "--bases", "auto", "--k", "3"
         )
         assert code == 2 and "auto" in err
+
+    @pytest.mark.parametrize(
+        "query,spec,limit",
+        [
+            (("factorial", "--k"), "P", AUTO_K_MAX_P),
+            (("integer", "--n"), "Z", AUTO_K_MAX_Z),
+            (("binomial", "--l", "1", "--k"), "N", AUTO_K_MAX_Z),
+        ],
+    )
+    def test_auto_bases_over_the_k_limit_exit_2_before_any_work(
+        self, capsys, monkeypatch, query, spec, limit
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("base resolution started work past the k limit")
+
+        monkeypatch.setattr(factored_module, "totient", no_work)
+        monkeypatch.setattr(factorials_module, "exponent_sequence", no_work)
+        code, out, err = run_cli(
+            capsys, *query, str(limit + 1), "--set", spec, "--bases", "auto"
+        )
+        assert code == 2 and out == ""
+        assert f"k <= {limit}" in err
+
+    def test_prime_cutoff_below_two_exits_2(self, capsys):
+        for cutoff in ("-3", "0", "1"):
+            code, out, err = run_cli(
+                capsys, "factorial", "--set", "P", "--bases", f"primes:{cutoff}", "--k", "5"
+            )
+            assert code == 2 and out == "", cutoff
+            assert "prime cutoff" in err
 
 
 class TestTables:

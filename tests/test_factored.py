@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from borderings.factored import BaseSet, BaseSetError, FactoredNumber, group_digits, parse_base_spec
-from borderings.intsets import AllIntegers, ArithmeticProgression, Primes
+import borderings.factored as factored_module
+from borderings.factored import (
+    AUTO_K_MAX_P,
+    AUTO_K_MAX_Z,
+    BaseSet,
+    BaseSetError,
+    FactoredNumber,
+    group_digits,
+    parse_base_spec,
+)
+from borderings.intsets import AllIntegers, ArithmeticProgression, NonnegativeIntegers, Primes
 from borderings.numerics import INF, ExtNat, omega, totient
 
 
@@ -119,6 +128,34 @@ class TestBaseSets:
             for b in range(top + 1, 2 * k * k + 2):
                 assert totient(b) + omega(b) > k
         assert BaseSet.auto().resolve(P, 3) == (2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "S,limit",
+        [(AllIntegers(), AUTO_K_MAX_Z), (NonnegativeIntegers(), AUTO_K_MAX_Z), (Primes(), AUTO_K_MAX_P)],
+    )
+    def test_auto_refuses_k_past_its_limit_before_any_work(self, monkeypatch, S, limit):
+        def no_work(b):
+            raise AssertionError("totient called past the k limit")
+
+        monkeypatch.setattr(factored_module, "totient", no_work)
+        with pytest.raises(BaseSetError, match=f"k <= {limit}"):
+            BaseSet.auto().resolve(S, limit + 1)
+
+    def test_limits_cover_what_the_library_asks_for(self):
+        # verify and the CLI tests resolve auto bases up to k = 48 for Z and
+        # k = 26 for P; the limits stay well above both
+        assert AUTO_K_MAX_Z >= 48 and AUTO_K_MAX_P >= 26
+        assert BaseSet.auto().resolve(AllIntegers(), AUTO_K_MAX_Z)[-1] == AUTO_K_MAX_Z
+        assert BaseSet.auto().resolve(Primes(), 26)[-1] == 72
+
+    def test_prime_cutoff_below_two_is_rejected(self):
+        for cutoff in (-3, 0, 1):
+            with pytest.raises(BaseSetError):
+                BaseSet.primes_up_to(cutoff)
+            with pytest.raises(BaseSetError):
+                parse_base_spec(f"primes:{cutoff}")
+        assert BaseSet.primes_up_to(2).resolve() == (2,)
+        assert BaseSet.explicit([]).resolve() == ()  # an empty list stays legal
 
     def test_auto_needs_known_set(self):
         with pytest.raises(BaseSetError):

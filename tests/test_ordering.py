@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +15,7 @@ from borderings.intsets import (
     ExplicitFinite,
     NonnegativeIntegers,
     Primes,
+    SearchExhausted,
     parse_set_spec,
 )
 from borderings.numerics import INF, ExtNat
@@ -373,3 +376,101 @@ class TestIncrementalKernel:
             run = b_ordering(S, b, 47)
             assert sorted(run.elements) == sorted(S.values)
             assert calls <= 48 * (47 + 1), (b, calls)
+
+
+def run_digest(run) -> str:
+    payload = repr((run.elements, as_ints(run.exponents), run.certified))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestMemoizedFrontier:
+    # sha256 of (elements, exponents, certified), recorded from the engine
+    # that asked S for every residue status and witness at every step
+    CANONICAL_RUNS = [
+        ("P", 6, 400, EngineConfig(),
+         "166a7ffa5b90ec9f7994fd3ffc5afb51d6c1d6dde7fd396c678684a52130ccd3"),
+        ("Z", 2, 400, EngineConfig(),
+         "f23da30fb50d99924454de5e93e21795d3b3b441f542c9150d758398ce86d2b0"),
+        ("N", 5, 100, EngineConfig(),
+         "840a0ef5ed7bbd2f7dfeffd3aada85ab1726ff8b15193bf8598b79db5cf0f0bc"),
+        ("ap:3,7", 4, 100, EngineConfig(),
+         "24cbeb0073d7a77c97c220e3ea992fd4f3d7e846f03361cea1860310bfd3c0f8"),
+        ("ap:2,6", 6, 100, EngineConfig(),
+         "0b74c4f9cad2afb988c9a39a77892d06d3c662e6bde83b67c4e3ed433673a8ae"),
+        # level cap 2: 14 of 41 steps certified, the rest fall back to the window
+        ("P", 6, 40, EngineConfig(bb_level_max=2, enum_bound=400, allow_uncertified=True),
+         "b3c6e4ddd180f2c7db031937ac1eac4d92d7a85c23cbb772f3adb358a25e9c05"),
+    ]
+    RANDOM_RUNS = [
+        ("P", 6, 60, EngineConfig(bb_level_max=3, enum_bound=500), 8,
+         "475fc983a20c765bb2db588c8f2697f8bea04d199c6e6e3e586bdf443356781e"),
+        ("Z", 6, 80, EngineConfig(), 13,
+         "501a178649aa1c3c96af1d16fe3d6fb0b874f202bf4cc6f14caef9ee0717668c"),
+        ("ap:-20,3", 6, 60, EngineConfig(), 2,
+         "15b608ee4100d083d5671f98de313679e5dfebff2f733797e7f57ff859fcbf6d"),
+        ("P", 12, 120, EngineConfig(), 1,
+         "4000b47c467f88a8a3ba85e741bb920cf0e637e108ca45d1b799d484dc75c7b6"),
+        ("N", 10, 150, EngineConfig(bb_level_max=2, enum_bound=2000), 3,
+         "4056092252a05372f79673cb93ef88546f6a815506478423dc9a0c24058af4f4"),
+    ]
+
+    @pytest.mark.parametrize("spec,b,k,config,digest", CANONICAL_RUNS)
+    def test_canonical_runs_are_reproduced(self, spec, b, k, config, digest):
+        assert run_digest(b_ordering(parse_set_spec(spec), b, k, config=config)) == digest
+
+    @pytest.mark.parametrize("spec,b,k,config,seed,digest", RANDOM_RUNS)
+    def test_random_tie_break_runs_are_reproduced(self, spec, b, k, config, seed, digest):
+        run = b_ordering(parse_set_spec(spec), b, k, RandomTieBreak(seed), config=config)
+        assert run_digest(run) == digest
+
+    @staticmethod
+    def count_residue_questions(monkeypatch, cls):
+        """Count the engine's residue_status and pick_in_class calls per (r mod m, m).
+
+        Calls a set makes to itself (Primes.pick_in_class asks its own
+        residue_status) are not the engine's and are not counted.
+        """
+        asked = {"residue_status": Counter(), "pick_in_class": Counter()}
+        depth = [0]
+        for name in asked:
+            original = getattr(cls, name)
+
+            def counting(self, r, m, *args, _name=name, _original=original, **kwargs):
+                if not depth[0]:
+                    asked[_name][(r % m, m)] += 1
+                depth[0] += 1
+                try:
+                    return _original(self, r, m, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(cls, name, counting)
+        return asked
+
+    @pytest.mark.parametrize("S,b,k", [(Primes(), 6, 200), (AllIntegers(), 2, 200)])
+    def test_each_residue_question_is_asked_once_per_run(self, monkeypatch, S, b, k):
+        asked = self.count_residue_questions(monkeypatch, type(S))
+        b_ordering(S, b, k)
+        for name, counts in asked.items():
+            assert counts, name
+            assert max(counts.values()) == 1, (name, counts.most_common(3))
+
+    def test_tiny_search_cap_still_raises(self):
+        for S in (Primes(), NonnegativeIntegers()):
+            with pytest.raises(SearchExhausted):
+                b_ordering(S, 6, 40, config=EngineConfig(search_cap=20))
+        # a failed search is not remembered as an answer: the step raises again
+        run = b_ordering(Primes(), 6, 40)
+        state = ordering_module._GreedyState(Primes(), 6, EngineConfig(search_cap=20))
+        for a in run.elements:
+            try:
+                state.step(CANONICAL)
+            except SearchExhausted:
+                break
+            state.append(a)
+        else:
+            pytest.fail("no step needed a witness beyond the cap")
+        stored = dict(state.witnesses)
+        with pytest.raises(SearchExhausted):
+            state.step(CANONICAL)
+        assert state.witnesses == stored
