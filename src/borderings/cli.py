@@ -7,8 +7,11 @@ computation; identical (config, seed) runs produce byte-identical
 output.  Infinity renders as the symbol in text mode and as the literal
 string "inf" in CSV and JSON.
 
+Every value the CLI prints is certified: finite sets are scanned in
+full, and Z, N, P and ap: sets go through the certified residue walk.
+
 Exit codes: 0 success, 1 property or table-comparison failure,
-2 usage/spec error, 3 uncertified result without --allow-uncertified.
+2 usage/spec error.
 """
 
 from __future__ import annotations
@@ -20,14 +23,7 @@ from dataclasses import asdict, fields
 
 from . import __version__, tables, verify
 from .factored import BaseSetError, group_digits, parse_base_spec
-from .factorials import (
-    WindowLimitedError,
-    factorial,
-    gen_binomial,
-    gen_integer,
-    partial_row_product,
-    row_product,
-)
+from .factorials import factorial, gen_binomial, gen_integer, partial_row_product, row_product
 from .intsets import SearchExhausted, SetSpecError, parse_set_spec
 from .numerics import ExtNat
 from .ordering import DEFAULT_CONFIG, EngineConfig, exponent_sequence
@@ -35,7 +31,6 @@ from .ordering import DEFAULT_CONFIG, EngineConfig, exponent_sequence
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_UNCERTIFIED = 3
 
 
 def _render_extnat(v: ExtNat, fmt: str) -> str:
@@ -111,12 +106,6 @@ def cmd_exponents(args) -> int:
     S = parse_set_spec(args.set)
     config = _config(args)
     seq = exponent_sequence(S, args.base, args.k, config=config)
-    if seq.window_limited and not config.allow_uncertified:
-        print(
-            "error: result is window-limited (uncertified); rerun with --allow-uncertified",
-            file=sys.stderr,
-        )
-        return EXIT_UNCERTIFIED
     header = _header(args, config, set=S.spec, base=args.base, k=args.k, source=seq.source)
     em = _Emitter(args.format, header, ["i", "alpha", "certified"])
     for i, (v, cert) in enumerate(zip(seq.values, seq.certified_steps)):
@@ -138,11 +127,7 @@ def cmd_factored(args) -> int:
     compute, names, _ = _FACTORED[args.command]
     numbers = {name: getattr(args, name) for name in names}
     config = _config(args)
-    try:
-        value = compute(S, T, *numbers.values(), config=config)
-    except WindowLimitedError as e:
-        print(f"error: {e} (rerun with --allow-uncertified)", file=sys.stderr)
-        return EXIT_UNCERTIFIED
+    value = compute(S, T, *numbers.values(), config=config)
     header = _header(args, config, set=S.spec, bases=T.describe(), **numbers)
     em = _Emitter(args.format, header, ["decimal", "factored", "factored_bases"])
     em.add(
@@ -258,25 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "csv", "json"), default="text")
     engine = argparse.ArgumentParser(add_help=False, parents=[output])
-    for name, help_ in (
-        ("enum_bound", "windowed-scan bound"),
-        ("bb_level_max", "residue search depth cap"),
-        ("search_cap", "in-class search cap"),
-    ):
-        flag = "--" + name.replace("_", "-")
-        engine.add_argument(flag, type=int, default=getattr(DEFAULT_CONFIG, name), help=help_)
+    engine.add_argument(
+        "--search-cap", type=int, default=DEFAULT_CONFIG.search_cap, help="in-class search cap"
+    )
     compute = argparse.ArgumentParser(add_help=False, parents=[engine])
     compute.add_argument(
         "--force-greedy",
         action="store_true",
         default=DEFAULT_CONFIG.force_greedy,
         help="skip closed-form dispatch",
-    )
-    compute.add_argument(
-        "--allow-uncertified",
-        action="store_true",
-        default=DEFAULT_CONFIG.allow_uncertified,
-        help="accept window-limited results instead of failing with exit code 3",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

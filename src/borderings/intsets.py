@@ -70,7 +70,10 @@ class IntegerSet:
 
     Subclasses provide exact membership, bounded enumeration in canonical
     order, residue-class status for any modulus m >= 2, and a smallest-
-    element search within a residue class.
+    element search within a residue class.  An infinite set that answers
+    UNKNOWN to residue questions, as CustomPredicate does, must declare
+    `enumeration_cap`: greedy runs over it scan |a| <= enumeration_cap
+    and mark their values window-limited.
     """
 
     spec: str  # the set-spec string this set round-trips to
@@ -101,8 +104,8 @@ class IntegerSet:
     def residue_status(self, r: int, m: int) -> ResidueStatus:
         raise NotImplementedError
 
-    def pick_in_class(self, r: int, m: int, exclude=frozenset(), cap: int = 10**7) -> Optional[int]:
-        """Smallest member (canonical order) congruent to r mod m, skipping `exclude`.
+    def pick_in_class(self, r: int, m: int, cap: int = 10**7) -> Optional[int]:
+        """Smallest member (canonical order) congruent to r mod m.
 
         Returns None when the class is provably exhausted; raises
         SearchExhausted if an infinite class exceeds the search cap.
@@ -146,10 +149,10 @@ class ExplicitFinite(IntegerSet):
         r = _check_modulus(r, m)
         return ResidueStatus.finite(a for a in self.values if a % m == r)
 
-    def pick_in_class(self, r, m, exclude=frozenset(), cap=10**7):
+    def pick_in_class(self, r, m, cap=10**7):
         r = _check_modulus(r, m)
         for a in self._canonical:
-            if a % m == r and a not in exclude:
+            if a % m == r:
                 return a
         return None
 
@@ -178,18 +181,10 @@ class AllIntegers(IntegerSet):
         _check_modulus(r, m)
         return ResidueStatus.infinite()
 
-    def pick_in_class(self, r, m, exclude=frozenset(), cap=10**7):
+    def pick_in_class(self, r, m, cap=10**7):
         r = _check_modulus(r, m)
-        pos, neg = r, r - m  # the two arms of the class, merged by canonical key
-        while True:
-            if canonical_key(pos) <= canonical_key(neg):
-                cand, pos = pos, pos + m
-            else:
-                cand, neg = neg, neg - m
-            if cand not in exclude:
-                return cand
-            if abs(cand) > cap:
-                raise SearchExhausted(f"no element of Z in class {r} mod {m} below cap {cap}")
+        neg = r - m  # the class's least-|a| members are r and r - m
+        return r if canonical_key(r) <= canonical_key(neg) else neg
 
 
 class NonnegativeIntegers(IntegerSet):
@@ -211,14 +206,11 @@ class NonnegativeIntegers(IntegerSet):
         _check_modulus(r, m)
         return ResidueStatus.infinite()
 
-    def pick_in_class(self, r, m, exclude=frozenset(), cap=10**7):
+    def pick_in_class(self, r, m, cap=10**7):
         r = _check_modulus(r, m)
-        x = r
-        while x <= cap:
-            if x not in exclude:
-                return x
-            x += m
-        raise SearchExhausted(f"no element of N in class {r} mod {m} below cap {cap}")
+        if r > cap:
+            raise SearchExhausted(f"no element of N in class {r} mod {m} below cap {cap}")
+        return r
 
 
 class _PrimeCache:
@@ -277,19 +269,16 @@ class Primes(IntegerSet):
             return ResidueStatus.finite([g])
         return ResidueStatus.empty()
 
-    def pick_in_class(self, r, m, exclude=frozenset(), cap=10**7):
+    def pick_in_class(self, r, m, cap=10**7):
         r = _check_modulus(r, m)
         status = self.residue_status(r, m)
         if status.kind is ResidueKind.EMPTY:
             return None
         if status.kind is ResidueKind.FINITE_ONLY:
-            for p in status.members:
-                if p not in exclude:
-                    return p
-            return None
+            return status.members[0]
         x = r if r > 1 else r + m
         while x <= cap:
-            if x not in exclude and is_prime(x):
+            if is_prime(x):
                 return x
             x += m
         raise SearchExhausted(f"no prime in class {r} mod {m} below cap {cap}")
@@ -331,7 +320,7 @@ class ArithmeticProgression(IntegerSet):
         g = math.gcd(self.step, m)
         return ResidueStatus.infinite() if (r - self.first) % g == 0 else ResidueStatus.empty()
 
-    def pick_in_class(self, r, m, exclude=frozenset(), cap=10**7):
+    def pick_in_class(self, r, m, cap=10**7):
         r = _check_modulus(r, m)
         g = math.gcd(self.step, m)
         if (r - self.first) % g != 0:
@@ -339,23 +328,15 @@ class ArithmeticProgression(IntegerSet):
         # first + i*step = r (mod m)  <=>  i = i0 (mod m/g)
         mg = m // g
         i0 = ((r - self.first) // g * pow(self.step // g, -1, mg)) % mg if mg > 1 else 0
-        best = None
-        i = i0
-        while True:
-            x = self.first + i * self.step
-            if x not in exclude:
-                if best is None or canonical_key(x) < canonical_key(best):
-                    best = x
-                if x > 0:
-                    # canonical key only improves for negatives beyond here
-                    return best
-            i += mg
-            if abs(self.first + i * self.step) > cap:
-                if best is not None:
-                    return best
-                raise SearchExhausted(
-                    f"no element of {self.spec} in class {r} mod {m} below cap {cap}"
-                )
+        d = mg * self.step
+        best = x = self.first + i0 * self.step
+        # members rise by d; canonical key only improves while they are
+        # negative, and the search stops at the cap with the best so far
+        while x <= 0 and abs(x + d) <= cap:
+            x += d
+            if canonical_key(x) < canonical_key(best):
+                best = x
+        return best
 
 
 class CustomPredicate(IntegerSet):
@@ -399,19 +380,23 @@ class CustomPredicate(IntegerSet):
         _check_modulus(r, m)
         return ResidueStatus.unknown()
 
-    def pick_in_class(self, r, m, exclude=frozenset(), cap=10**7):
+    def pick_in_class(self, r, m, cap=10**7):
         r = _check_modulus(r, m)
         for a in self.elements_up_to(self.enumeration_cap):
-            if a % m == r and a not in exclude:
+            if a % m == r:
                 return a
         return None
+
+
+RANGE_WIDTH_MAX = 10**5  # most members a range: spec may name; it is built in full
 
 
 def parse_set_spec(spec: str) -> IntegerSet:
     """Parse the set-spec grammar used by the CLI and config files.
 
     Grammar: ``Z`` | ``N`` | ``P`` | ``ap:<first>,<step>`` |
-    ``list:<c1>,<c2>,...`` | ``file:<path>`` | ``range:<lo>..<hi>``.
+    ``list:<c1>,<c2>,...`` | ``file:<path>`` | ``range:<lo>..<hi>``, with a
+    range of at most RANGE_WIDTH_MAX members.
     """
     spec = spec.strip()
     if spec == "Z":
@@ -459,5 +444,9 @@ def parse_set_spec(spec: str) -> IntegerSet:
             raise SetSpecError(f"bad range spec {spec!r}: {e}") from None
         if hi < lo:
             raise SetSpecError(f"bad range spec {spec!r}: hi < lo")
+        if hi - lo + 1 > RANGE_WIDTH_MAX:
+            raise SetSpecError(
+                f"range spec {spec!r} names {hi - lo + 1} members; the limit is {RANGE_WIDTH_MAX}"
+            )
         return ExplicitFinite(range(lo, hi + 1), spec=spec)
     raise SetSpecError(f"unrecognised set spec {spec!r}")

@@ -7,8 +7,10 @@ is certified by branch and bound on residue classes mod b^l: the number
 of prefix elements congruent to a class (summed over levels) lower-bounds
 the value of every member of that class, and any member of a subclass
 avoiding all prefix residues at the next level attains its class bound
-exactly.  Sets with unknown residue structure fall back to a windowed
-scan whose results are marked window-limited rather than certified.
+exactly.  The walk always ends: every open node holds a prefix element,
+so its bound grows by at least one per level.  Sets with unknown residue
+structure fall back to a scan of their declared window whose results are
+marked window-limited rather than certified.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ class EngineConfig:
     Defaults suit desk-scale runs.
     """
 
-    enum_bound: int = 1000           # |a| bound for uncertified windowed scans
-    bb_level_max: int = 12           # residue branch-and-bound depth cap
     search_cap: int = 10**7          # cap for in-class element searches
     force_greedy: bool = False       # skip the closed forms for Z, N and P
     allow_uncertified: bool = False  # accept window-limited results instead of refusing
@@ -257,7 +257,7 @@ class _GreedyState:
         return self.children[key]
 
     def step(self, policy: TieBreakPolicy) -> StepResult:
-        S, b, config = self.S, self.b, self.config
+        S, b = self.S, self.b
         if not self.prefix:
             return StepResult(_initial_element(S, policy), ZERO, True)
         if b < 2:
@@ -272,16 +272,12 @@ class _GreedyState:
         if self.subclasses(0, 0) is None:
             # no residue knowledge: scan the set's declared window; certified
             # only on an exact zero
-            window = getattr(S, "enumeration_cap", config.enum_bound)
-            candidates = self._candidates(lambda: S.elements_up_to(window))
+            candidates = self._candidates(lambda: S.elements_up_to(S.enumeration_cap))
             if not candidates:
                 raise ValueError(f"set {S.spec} has no elements within the scan window")
             return self._scan(policy, candidates, False)
 
-        certified = self._branch_and_bound(policy)
-        if certified is None:
-            return self._scan(policy, self._candidates(lambda: S.elements_up_to(config.enum_bound)), False)
-        return certified
+        return self._branch_and_bound(policy)
 
     def _candidates(self, build) -> list[int]:
         """The explicit candidate list of a scanning run, built and tracked once."""
@@ -311,19 +307,19 @@ class _GreedyState:
             return StepResult(min(candidates, key=canonical_key), INF, certified)
         return StepResult(policy.choose(minimizers), ExtNat(best), certified or best == 0)
 
-    def _branch_and_bound(self, policy: TieBreakPolicy) -> Optional[StepResult]:
+    def _branch_and_bound(self, policy: TieBreakPolicy) -> StepResult:
         """Certified minimum of sum_j ord_b(a' - a_j) over infinite structured S.
 
         `realized` collects (value, modulus, residue) subclasses whose
         S-members all attain exactly `value`; `finite_hits` collects
         (value, element) pairs from residue classes meeting S in finitely
-        many elements.  Returns None when the level cap leaves the minimum
-        unsettled.  A settled minimum may come with an incomplete tie set
-        at the cap; the choice among the ties found is still a minimizer.
-        A child whose bound already exceeds the best value is never pushed:
-        popping it would end the walk, as popping any node above it does.
+        many elements.  Every pushed child holds a prefix element, so a node
+        at depth l has bound >= l: the walk expands nothing deeper than the
+        minimum value and ends with every tie found.  A child whose bound
+        already exceeds the best value is never pushed: popping it would
+        end the walk, as popping any node above it does.
         """
-        b, level_max = self.b, self.config.bb_level_max
+        b = self.b
         heap: list[tuple[int, int, int]] = [(0, 0, 0)]  # (bound, depth, residue mod b**depth)
         best_val: Optional[int] = None
         realized: list[tuple[int, int, int]] = []
@@ -333,10 +329,6 @@ class _GreedyState:
             bound, depth, r = heapq.heappop(heap)
             if best_val is not None and bound > best_val:
                 break
-            if depth >= level_max:
-                if best_val is not None and bound == best_val:
-                    continue
-                return None
             mod1 = b ** (depth + 1)
             counts = self.counts(depth + 1)
             infinite, finite = self.subclasses(r, depth)
@@ -357,8 +349,6 @@ class _GreedyState:
                 elif best_val is None or bound + c1 <= best_val:
                     heapq.heappush(heap, (bound + c1, depth + 1, r1))
 
-        if best_val is None:
-            return None
         # a realized class holds no prefix element, so its smallest member
         # is never excluded and depends on S and the search cap alone; a
         # SearchExhausted propagates and is asked again, never stored

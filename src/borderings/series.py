@@ -1,5 +1,8 @@
 """Truncated formal power series over exact rationals, t-orderings, and digit maps.
 
+Coefficients are given as int or Fraction and held as Fraction; anything
+else (a float, say) is refused rather than turned into a binary fraction.
+
 Everything is truncated at a degree cap; a vanishing truncation never
 pretends to be exact.  Orders below the cap are reported exactly, orders
 at or beyond it only as lower bounds, and any comparison whose outcome
@@ -69,7 +72,10 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = tuple(Fraction(c) for c in coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"series coefficients must be int or Fraction, got {c!r}")
+        cs = tuple(map(Fraction, coeffs))
         if not cs:
             raise ValueError("a truncated series needs a positive cap")
         object.__setattr__(self, "coeffs", cs)
@@ -80,7 +86,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, cap: int) -> "TruncatedSeries":
-        return cls([Fraction(c)] + [Fraction(0)] * (cap - 1))
+        return cls([c] + [Fraction(0)] * (cap - 1))
 
     @property
     def cap(self) -> int:
@@ -116,10 +122,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries(out)
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries([c * a for a in self.coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -52,19 +52,20 @@ class TestExponents:
         code, _, err = run_cli(capsys, "exponents", "--set", "what", "--base", "2", "--k", "3")
         assert code == 2 and "set spec" in err
 
-    def test_uncertified_exits_3(self, capsys):
+    def test_oversized_range_exits_2(self, capsys):
         code, _, err = run_cli(
-            capsys,
-            "exponents", "--set", "Z", "--base", "2", "--k", "10",
-            "--force-greedy", "--bb-level-max", "1",
+            capsys, "exponents", "--set", "range:0..1000000", "--base", "2", "--k", "3"
         )
-        assert code == 3 and "window-limited" in err
-        code, out, _ = run_cli(
-            capsys,
-            "exponents", "--set", "Z", "--base", "2", "--k", "10",
-            "--force-greedy", "--bb-level-max", "1", "--allow-uncertified",
-        )
-        assert code == 0 and "False" in out
+        assert code == 2 and "limit" in err
+
+    def test_deep_progression_is_certified(self, capsys):
+        # every class mod 2^l with l <= 12 that meets the set holds the whole
+        # prefix, so the walk goes deeper than 12 levels
+        code, out, _ = run_cli(capsys, "exponents", "--set", "ap:0,4096", "--base", "2", "--k", "3")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [r[1] for r in rows] == ["0", "12", "25", "37"]
+        assert all(r[2] == "True" for r in rows)
 
 
 class TestFactoredCommands:
@@ -313,6 +314,19 @@ class TestHeaderHonesty:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_series_cap_is_gone(self, capsys, command):
         code, _, _ = run_cli(capsys, command, *COMMANDS[command][0], "--series-cap", "8")
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command in ENGINE_COMMANDS
+            for flag in ("--enum-bound=5", "--bb-level-max=3", "--allow-uncertified")
+            if (command, flag) != ("verify", "--allow-uncertified")  # never a verify flag
+        ],
+    )
+    def test_depth_cap_and_window_flags_are_gone(self, capsys, command, flag):
+        code, _, _ = run_cli(capsys, command, *COMMANDS[command][0], flag)
         assert code == 2
 
     @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"verify"}))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import borderings.intsets as intsets_module
 from borderings.intsets import (
+    RANGE_WIDTH_MAX,
     AllIntegers,
     ArithmeticProgression,
     CustomPredicate,
@@ -44,6 +46,18 @@ class TestParsing:
                 parse_set_spec(bad)
         with pytest.raises(SetSpecError):
             ExplicitFinite([])
+
+    def test_oversized_range_is_refused_before_it_is_built(self, monkeypatch):
+        lo = -7
+        widest = f"range:{lo}..{lo + RANGE_WIDTH_MAX - 1}"
+        assert len(parse_set_spec(widest).values) == RANGE_WIDTH_MAX
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ExplicitFinite built for an oversized range")
+
+        monkeypatch.setattr(intsets_module, "ExplicitFinite", refuse)
+        with pytest.raises(SetSpecError, match="limit"):
+            parse_set_spec(f"range:{lo}..{lo + RANGE_WIDTH_MAX}")
 
 
 class TestEnumeration:
@@ -139,9 +153,10 @@ class TestResidueStatus:
 
 class TestPickInClass:
     def test_examples(self):
-        assert Primes().pick_in_class(1, 4, exclude={5}) == 13
+        assert Primes().pick_in_class(1, 4) == 5
         assert AllIntegers().pick_in_class(2, 5) == 2
-        assert ExplicitFinite(range(6)).pick_in_class(1, 6, exclude={1}) is None
+        assert AllIntegers().pick_in_class(4, 5) == -1
+        assert ExplicitFinite(range(6)).pick_in_class(6, 7) is None
 
     def test_result_is_canonical_member(self):
         sets = [
@@ -164,12 +179,6 @@ class TestPickInClass:
                     for x in S.elements_up_to(abs(a)):
                         if canonical_key(x) < canonical_key(a):
                             assert x % m != r
-
-    def test_exclusion(self):
-        Z = AllIntegers()
-        first = Z.pick_in_class(1, 3)
-        second = Z.pick_in_class(1, 3, exclude={first})
-        assert first != second and second % 3 == 1
 
     def test_negative_first_progression(self):
         S = ArithmeticProgression(-10, 3)

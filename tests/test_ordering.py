@@ -273,12 +273,12 @@ class TestExponentSequence:
         assert seq.window_limited
         assert not all(seq.certified_steps)
 
-    def test_level_cap_falls_back_uncertified(self):
-        cfg = EngineConfig(bb_level_max=1, enum_bound=200, force_greedy=True)
-        seq = exponent_sequence(AllIntegers(), 2, 10, config=cfg)
-        assert seq.window_limited
-        # windowed values still agree with the closed form at this scale
-        assert [v.value for v in seq.values] == [alpha_Z(k, 2) for k in range(11)]
+    def test_deep_progression_is_certified(self):
+        # step 2^20: every valuation gains 20, so the walk descends past
+        # depth 20 and alpha_i = 20*i + alpha_Z(i, 2)
+        seq = exponent_sequence(parse_set_spec("ap:0,1048576"), 2, 20)
+        assert seq.certified
+        assert [v.value for v in seq.values] == [20 * i + alpha_Z(i, 2) for i in range(21)]
 
 
 class TestMajorization:
@@ -345,7 +345,7 @@ class TestIncrementalKernel:
             (AllIntegers(), 3, 30, EngineConfig()),
             (Primes(), 6, 25, EngineConfig()),
             (ArithmeticProgression(2, 5), 10, 20, EngineConfig()),
-            (AllIntegers(), 2, 10, EngineConfig(bb_level_max=1, enum_bound=200)),
+            (ArithmeticProgression(0, 4096), 2, 10, EngineConfig()),
             (CustomPredicate(lambda a: a % 3 == 1, 60, name="mod3"), 2, 12, EngineConfig()),
         ],
     )
@@ -397,12 +397,9 @@ class TestMemoizedFrontier:
          "24cbeb0073d7a77c97c220e3ea992fd4f3d7e846f03361cea1860310bfd3c0f8"),
         ("ap:2,6", 6, 100, EngineConfig(),
          "0b74c4f9cad2afb988c9a39a77892d06d3c662e6bde83b67c4e3ed433673a8ae"),
-        # level cap 2: 14 of 41 steps certified, the rest fall back to the window
-        ("P", 6, 40, EngineConfig(bb_level_max=2, enum_bound=400, allow_uncertified=True),
-         "b3c6e4ddd180f2c7db031937ac1eac4d92d7a85c23cbb772f3adb358a25e9c05"),
     ]
     RANDOM_RUNS = [
-        ("P", 6, 60, EngineConfig(bb_level_max=3, enum_bound=500), 8,
+        ("P", 6, 60, EngineConfig(), 8,
          "475fc983a20c765bb2db588c8f2697f8bea04d199c6e6e3e586bdf443356781e"),
         ("Z", 6, 80, EngineConfig(), 13,
          "501a178649aa1c3c96af1d16fe3d6fb0b874f202bf4cc6f14caef9ee0717668c"),
@@ -410,8 +407,8 @@ class TestMemoizedFrontier:
          "15b608ee4100d083d5671f98de313679e5dfebff2f733797e7f57ff859fcbf6d"),
         ("P", 12, 120, EngineConfig(), 1,
          "4000b47c467f88a8a3ba85e741bb920cf0e637e108ca45d1b799d484dc75c7b6"),
-        ("N", 10, 150, EngineConfig(bb_level_max=2, enum_bound=2000), 3,
-         "4056092252a05372f79673cb93ef88546f6a815506478423dc9a0c24058af4f4"),
+        ("N", 10, 150, EngineConfig(), 3,
+         "0671965e298e014575afa9d564a7baa32bc11bdde39ae8e923ab31c09ae7c8dd"),
     ]
 
     @pytest.mark.parametrize("spec,b,k,config,digest", CANONICAL_RUNS)

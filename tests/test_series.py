@@ -39,6 +39,12 @@ class TestTruncatedSeries:
         assert (f * g).coeffs[:3] == (Fraction(1, 6), Fraction(1, 3), Fraction(1))
         assert (f - f).ord_t().exact is False
 
+    def test_float_coefficients_are_refused(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries([0.5, 0, 0])
+        with pytest.raises(TypeError):
+            TruncatedSeries.constant(0.1, 4)
+
     def test_min_cap_discipline(self):
         f = series(1, 1, cap=4)
         g = series(1, cap=9)

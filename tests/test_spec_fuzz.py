@@ -1,4 +1,4 @@
-"""Property-based round trips and error contracts of the set-spec and base-spec parsers.
+"""Property-based round trips and error contracts of the spec and factored-number parsers.
 
 Generated text never starts with ``file:``, so no test here reads the file
 system, and every generated range stays small enough to build.
@@ -9,7 +9,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borderings.factored import BaseSetError, parse_base_spec
+from borderings.factored import BaseSetError, FactoredNumber, parse_base_spec
 from borderings.intsets import SetSpecError, parse_set_spec
 
 small = st.integers(min_value=-60, max_value=60)
@@ -83,3 +83,19 @@ def test_base_spec_parses_or_raises_base_set_error(text):
     except BaseSetError:
         return
     assert parse_base_spec(B.describe()).describe() == B.describe()
+
+
+# factored text: bases and exponents joined by the format's own symbols, plus
+# the infinity spellings and free text
+factor_chars = st.text(alphabet="0123456789^* -+_∞inf\n", max_size=16)
+
+
+@settings(max_examples=300)
+@given(st.one_of(factor_chars, any_text))
+def test_factored_parse_parses_or_raises_value_error(text):
+    try:
+        F = FactoredNumber.parse(text)
+    except ValueError:
+        return
+    text = F.format_factored()
+    assert FactoredNumber.parse(text).format_factored() == text
