@@ -298,13 +298,9 @@ class ArithmeticProgression(IntegerSet):
         return a >= self.first and (a - self.first) % self.step == 0
 
     def elements_up_to(self, bound: int) -> list[int]:
-        out = []
-        x = self.first
-        while x <= bound:
-            if abs(x) <= bound:
-                out.append(x)
-            x += self.step
-        return sorted(out, key=canonical_key)
+        # start at the first member >= -bound
+        start = self.first + max(0, -((bound + self.first) // self.step)) * self.step
+        return sorted(range(start, bound + 1, self.step), key=canonical_key)
 
     def iter_canonical(self) -> Iterator[int]:
         if self.first >= 0:
@@ -329,14 +325,11 @@ class ArithmeticProgression(IntegerSet):
         mg = m // g
         i0 = ((r - self.first) // g * pow(self.step // g, -1, mg)) % mg if mg > 1 else 0
         d = mg * self.step
-        best = x = self.first + i0 * self.step
-        # members rise by d; canonical key only improves while they are
-        # negative, and the search stops at the cap with the best so far
-        while x <= 0 and abs(x + d) <= cap:
-            x += d
-            if canonical_key(x) < canonical_key(best):
-                best = x
-        return best
+        x = self.first + i0 * self.step  # the class's least member; members rise by d
+        if x >= 0:
+            return x
+        # the canonically least member is the least one >= 0 or the one below it
+        return min(x % d, x % d - d, key=canonical_key)
 
 
 class CustomPredicate(IntegerSet):

@@ -7,17 +7,19 @@ is certified by branch and bound on residue classes mod b^l: the number
 of prefix elements congruent to a class (summed over levels) lower-bounds
 the value of every member of that class, and any member of a subclass
 avoiding all prefix residues at the next level attains its class bound
-exactly.  The walk always ends: every open node holds a prefix element,
-so its bound grows by at least one per level.  Sets with unknown residue
-structure fall back to a scan of their declared window whose results are
-marked window-limited rather than certified.
+exactly.  The walk always ends: every opened subclass holds a prefix
+element, so its bound grows by at least one per level.  Each opened class
+keeps a summary of its best member between steps; an append changes the
+counts of the classes it lies in only, so only their summaries are
+recomputed.  Sets with unknown residue structure fall back to a scan of
+their declared window whose results are marked window-limited rather
+than certified.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -193,10 +195,13 @@ class _GreedyState:
     per level.
 
     The branch and bound also memoizes, per run, what depends on S alone:
-    `children` maps a node, the class r mod b^l, to its nonempty
-    subclasses, and `witnesses` maps a realized class to its smallest
-    member.  Both are keyed by the class id b^l + r, which lies in
-    [b^l, 2*b^l), so no two classes share one.
+    `children` maps a class r mod b^l to its nonempty subclasses, and
+    `witnesses` maps a realized class to (0, canonical key, member) for
+    its smallest member.  Both are keyed by the class id b^l + r, which
+    lies in [b^l, 2*b^l), so no two classes share one.  `summaries[l][r]`
+    holds the summary of the class (see `_summarize`).  It depends only on
+    the prefix counts inside the class, so an append drops just the
+    summaries of the classes a mod b^l.
     """
 
     def __init__(self, S: IntegerSet, b: int, config: EngineConfig):
@@ -206,7 +211,8 @@ class _GreedyState:
         self.levels: dict[int, Counter] = {}
         self.scan_list: Optional[list[int]] = None
         self.children: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        self.witnesses: dict[int, Optional[int]] = {}
+        self.witnesses: dict[int, tuple[int, tuple[int, int], int]] = {}
+        self.summaries: defaultdict[int, dict] = defaultdict(dict)
 
     def append(self, a: int) -> None:
         b, values = self.b, self.values
@@ -216,6 +222,8 @@ class _GreedyState:
                 values[c] = total + v.value if v.is_finite else None
         for level, counts in self.levels.items():
             counts[a % b**level] += 1
+        for depth, found in self.summaries.items():
+            found.pop(a % b**depth, None)
         self.prefix.append(a)
 
     def value_of(self, a: int) -> Optional[int]:
@@ -310,60 +318,80 @@ class _GreedyState:
     def _branch_and_bound(self, policy: TieBreakPolicy) -> StepResult:
         """Certified minimum of sum_j ord_b(a' - a_j) over infinite structured S.
 
-        `realized` collects (value, modulus, residue) subclasses whose
-        S-members all attain exactly `value`; `finite_hits` collects
-        (value, element) pairs from residue classes meeting S in finitely
-        many elements.  Every pushed child holds a prefix element, so a node
-        at depth l has bound >= l: the walk expands nothing deeper than the
-        minimum value and ends with every tie found.  A child whose bound
-        already exceeds the best value is never pushed: popping it would
-        end the walk, as popping any node above it does.
+        The root summary holds the least value and its canonical member.
+        Other policies draw from the full tie set, found by going down only
+        into subclasses whose summary attains the minimum.
         """
-        b = self.b
-        heap: list[tuple[int, int, int]] = [(0, 0, 0)]  # (bound, depth, residue mod b**depth)
-        best_val: Optional[int] = None
-        realized: list[tuple[int, int, int]] = []
-        finite_hits: list[tuple[int, int]] = []
+        value, _, element, *_ = self._summarize()
+        if not isinstance(policy, CanonicalTieBreak):
+            pool, todo = [], [(0, 0, value)]
+            while todo:
+                r, depth, target = todo.pop()
+                *_, direct, held = self.summaries[depth][r]
+                pool.extend(a for v, _, a in direct if v == target)
+                # a held subclass with c <= target was opened with its class
+                below = self.summaries[depth + 1]
+                todo.extend(
+                    (r1, depth + 1, target - c)
+                    for c, r1 in held
+                    if c <= target and c + below[r1][0] == target
+                )
+            element = policy.choose(pool)
+        return StepResult(element, ExtNat(value), True)
 
-        while heap:
-            bound, depth, r = heapq.heappop(heap)
-            if best_val is not None and bound > best_val:
-                break
-            mod1 = b ** (depth + 1)
-            counts = self.counts(depth + 1)
-            infinite, finite = self.subclasses(r, depth)
-            for a in finite:
-                v = self.value_of(a)
-                if v is not None:
-                    finite_hits.append((v, a))
-                    if best_val is None or v < best_val:
-                        best_val = v
-            for r1 in infinite:
-                c1 = counts[r1]
-                if c1 == 0:
-                    # no prefix element shares this subclass, so every S-member
-                    # of it attains the parent bound exactly
-                    realized.append((bound, mod1, r1))
-                    if best_val is None or bound < best_val:
-                        best_val = bound
-                elif best_val is None or bound + c1 <= best_val:
-                    heapq.heappush(heap, (bound + c1, depth + 1, r1))
+    def _summarize(self) -> tuple:
+        """The root summary, after summarizing every class it needs.
 
-        # a realized class holds no prefix element, so its smallest member
-        # is never excluded and depends on S and the search cap alone; a
-        # SearchExhausted propagates and is asked again, never stored
-        witnesses = self.witnesses
-        pool = [a for v, a in finite_hits if v == best_val]
-        for v, mod, r in realized:
-            if v == best_val:
-                key = mod + r
-                if key not in witnesses:
-                    witnesses[key] = self.S.pick_in_class(r, mod, cap=self.config.search_cap)
-                if witnesses[key] is not None:
-                    pool.append(witnesses[key])
-        if not pool:
-            raise RuntimeError("internal error: certified minimum without a witness")
-        return StepResult(policy.choose(pool), ExtNat(best_val), True)
+        The summary of the class r mod b^l, whose members all share `bound`
+        prefix counts on levels 1..l, is the least (value - bound, canonical
+        key, member) over its S-members, then two lists: `direct`, those
+        triples for its finite members outside the prefix and for the
+        witness of each realized subclass, and `held`, (prefix count,
+        residue) for its other infinite subclasses, least count first.  A
+        held subclass is opened only while its count is at most the best
+        value so far, so the walk stays finite.  An explicit stack stands in
+        for recursion: a progression with step 2^1500 nests 1,500 levels
+        at b = 2.
+        """
+        found, witnesses = self.summaries, self.witnesses
+        todo = [[0, 0, 0, None]]
+        while 0 not in found[0]:
+            frame = todo[-1]
+            r, depth, bound, parts = frame
+            if parts is None:
+                mod1, counts = self.b ** (depth + 1), self.counts(depth + 1)
+                infinite, finite = self.subclasses(r, depth)
+                direct = [
+                    (v - bound, canonical_key(a), a) for a in finite if (v := self.value_of(a)) is not None
+                ]
+                held = []
+                for r1 in infinite:
+                    if counts[r1]:
+                        held.append((counts[r1], r1))
+                        continue
+                    # a realized class holds no prefix element, so its smallest
+                    # member is never excluded and depends on S and the search
+                    # cap alone; a SearchExhausted propagates, never stored
+                    if mod1 + r1 not in witnesses:
+                        w = self.S.pick_in_class(r1, mod1, cap=self.config.search_cap)
+                        witnesses[mod1 + r1] = (0, canonical_key(w), w)
+                    direct.append(witnesses[mod1 + r1])
+                held.sort()
+                parts = frame[3] = direct, held
+            best = min(parts[0], default=None)
+            for c, r1 in parts[1]:
+                if best is not None and c > best[0]:
+                    break
+                sub = found[depth + 1].get(r1)
+                if sub is None:  # open the subclass, then come back
+                    todo.append([r1, depth + 1, bound + c, None])
+                    break
+                if best is None or (c + sub[0], sub[1]) < best[:2]:
+                    best = (c + sub[0], sub[1], sub[2])
+            if todo[-1] is frame:
+                found[depth][r] = (*best, *parts)
+                todo.pop()
+        return found[0][0]
 
 
 def greedy_step(

@@ -15,7 +15,7 @@ import borderings.factorials as factorials_module
 import borderings.ordering as ordering_module
 from borderings import tables
 from borderings.cli import build_parser, main
-from borderings.factored import AUTO_K_MAX_P, AUTO_K_MAX_Z, FactoredNumber
+from borderings.factored import AUTO_K_MAX_P, AUTO_K_MAX_Z, BASE_SPEC_MAX, FactoredNumber
 from borderings.ordering import EngineConfig
 
 
@@ -166,6 +166,17 @@ class TestFactoredCommands:
         )
         assert code == 2 and out == ""
         assert f"k <= {limit}" in err
+
+    def test_oversized_base_spec_exits_2_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("base resolution started work past the size limit")
+
+        monkeypatch.setattr(factorials_module, "exponent_sequence", no_work)
+        code, out, err = run_cli(
+            capsys, "factorial", "--set", "Z", "--bases", f"upto:{BASE_SPEC_MAX + 1}", "--k", "3"
+        )
+        assert code == 2 and out == ""
+        assert "limit" in err
 
     def test_prime_cutoff_below_two_exits_2(self, capsys):
         for cutoff in ("-3", "0", "1"):

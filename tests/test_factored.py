@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import borderings.factored as factored_module
 from borderings.factored import (
     AUTO_K_MAX_P,
     AUTO_K_MAX_Z,
+    BASE_SPEC_MAX,
     BaseSet,
     BaseSetError,
     FactoredNumber,
@@ -91,7 +92,14 @@ class TestTextFormat:
         assert FactoredNumber.parse("0").is_zero
         assert FactoredNumber.parse("1") == FactoredNumber.one()
 
+    def test_lone_base_one_keeps_its_exponent(self):
+        # bare "1" is the empty product, so 1^1 alone must say so
+        assert FactoredNumber({1: 1}).format_factored() == "1^1"
+        assert FactoredNumber.parse("1^1") == FactoredNumber({1: 1}) != FactoredNumber.one()
+        assert FactoredNumber({1: 1, 2: 1}).format_factored() == "1 * 2"
+
     @given(factored_numbers)
+    @example(FactoredNumber({1: 1}))
     def test_round_trip(self, F):
         assert FactoredNumber.parse(F.format_factored()) == F
 
@@ -156,6 +164,25 @@ class TestBaseSets:
                 parse_base_spec(f"primes:{cutoff}")
         assert BaseSet.primes_up_to(2).resolve() == (2,)
         assert BaseSet.explicit([]).resolve() == ()  # an empty list stays legal
+
+    @pytest.mark.parametrize(
+        "spec,widest,count",
+        [
+            ("upto:{}", BASE_SPEC_MAX, BASE_SPEC_MAX - 1),
+            ("primes:{}", BASE_SPEC_MAX, 1229),
+            ("range:7..{}", BASE_SPEC_MAX + 6, BASE_SPEC_MAX),
+        ],
+    )
+    def test_oversized_base_spec_is_refused_before_it_is_built(self, monkeypatch, spec, widest, count):
+        assert len(parse_base_spec(spec.format(widest)).resolve()) == count
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a base list was built past the size limit")
+
+        monkeypatch.setattr(factored_module, "primes_up_to", no_work)
+        monkeypatch.setattr(BaseSet, "resolve", no_work)
+        with pytest.raises(BaseSetError, match="limit"):
+            parse_base_spec(spec.format(widest + 1))
 
     def test_auto_needs_known_set(self):
         with pytest.raises(BaseSetError):

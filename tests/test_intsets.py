@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 import borderings.intsets as intsets_module
@@ -179,6 +182,31 @@ class TestPickInClass:
                     for x in S.elements_up_to(abs(a)):
                         if canonical_key(x) < canonical_key(a):
                             assert x % m != r
+
+    def test_progression_matches_a_brute_force_oracle(self):
+        # the witness is computed, not searched for, so no cap can cut it short
+        rng = random.Random(20000)
+        for _ in range(5000):
+            first, step = rng.randint(-120, 120), rng.randint(1, 12)
+            m, bound, cap = rng.randint(2, 24), rng.randint(-3, 150), rng.randint(0, 40)
+            r = rng.randrange(m)
+            S = ArithmeticProgression(first, step)
+            case = (first, step, r, m, bound, cap)
+            reach = abs(first) + math.lcm(step, m)  # the class's least member is within reach
+            want = next(
+                (x for x in AllIntegers().elements_up_to(reach) if S.contains(x) and x % m == r), None
+            )
+            assert S.pick_in_class(r, m, cap=cap) == want, case
+            assert S.elements_up_to(bound) == [
+                x for x in AllIntegers().elements_up_to(bound) if S.contains(x)
+            ], case
+
+    def test_far_negative_progression(self):
+        S = ArithmeticProgression(-100_000_000, 1)
+        assert S.pick_in_class(0, 2) == 0
+        assert S.pick_in_class(1, 2) == 1
+        assert S.elements_up_to(2) == [0, 1, -1, 2, -2]
+        assert S.elements_up_to(-1) == []
 
     def test_negative_first_progression(self):
         S = ArithmeticProgression(-10, 3)

@@ -471,3 +471,104 @@ class TestMemoizedFrontier:
         with pytest.raises(SearchExhausted):
             state.step(CANONICAL)
         assert state.witnesses == stored
+
+
+class TestPersistentFrontier:
+    # sha256 of (elements, exponents, certified), recorded from the engine
+    # that walked the residue frontier from the root at every step
+    RUNS = [
+        ("Z", 2, 1600, None, None,
+         "6c948a96e71efe88b0bd4da39320be18b97dac50227743feb472a19ddbf63063"),
+        ("P", 6, 800, 101, None,
+         "f35c95d176050349ab6525ffbee5af65d572d77043c51b54dd4045a07e0b3aa0"),
+        ("P", 12, 400, None, None,
+         "b4c698643a8e71f8de965bdbb6172cc1425be332eb2f5ee45e04bb95e7027b1e"),
+        ("ap:-20,3", 6, 150, None, None,
+         "50bd8d51ba46ddc70debc3425b95905de17bfd42aaab8e58eb840671d9019c7a"),
+        ("Z", 2, 300, None, 7,
+         "bd242a9a531458b835701c04f7f3c2f1bf4d9de6773c1f661bc852e51e99b3b6"),
+    ]
+
+    @pytest.mark.parametrize("spec,b,k,start,seed,digest", RUNS)
+    def test_runs_are_reproduced(self, spec, b, k, start, seed, digest):
+        policy = CANONICAL if seed is None else RandomTieBreak(seed)
+        run = b_ordering(parse_set_spec(spec), b, k, policy, start=start)
+        assert run_digest(run) == digest
+
+    def test_canonical_step_work_does_not_grow_with_the_tie_set(self, monkeypatch):
+        # the first 1,024 elements of the run are a full residue system mod
+        # 2^10, so all 1,024 classes mod 2^11 left free tie at the last step
+        run = b_ordering(AllIntegers(), 2, 1024)
+        state = ordering_module._GreedyState(AllIntegers(), 2, EngineConfig())
+        for a in run.elements[:-2]:
+            state.append(a)
+        state.step(CANONICAL)  # step 1,023 leaves its summaries, as in the run
+        state.append(run.elements[-2])
+        keys = 0
+        original = ordering_module.canonical_key
+
+        def counting_key(a):
+            nonlocal keys
+            keys += 1
+            return original(a)
+
+        monkeypatch.setattr(ordering_module, "canonical_key", counting_key)
+        step = state.step(CANONICAL)
+        assert (step.element, step.value, step.certified) == (
+            run.elements[-1], run.exponents[-1], True
+        )
+        assert keys <= 16, keys
+
+    def test_kept_summaries_equal_fresh_ones(self):
+        # an append drops only the summaries of the classes it lies in; every
+        # summary kept must equal the one a fresh state computes for the prefix
+        for S, b, k in [(Primes(), 6, 120), (AllIntegers(), 3, 100), (ArithmeticProgression(-20, 3), 6, 80)]:
+            state = ordering_module._GreedyState(S, b, EngineConfig())
+            compared = 0
+            for i in range(k + 1):
+                state.append(state.step(CANONICAL).element)
+                if i % 20:
+                    continue
+                state.step(CANONICAL)
+                fresh = ordering_module._GreedyState(S, b, EngineConfig())
+                for a in state.prefix:
+                    fresh.append(a)
+                fresh.step(CANONICAL)
+                for depth, found in fresh.summaries.items():
+                    for r, summary in found.items():
+                        if r in state.summaries[depth]:
+                            assert state.summaries[depth][r] == summary, (S.spec, i, depth, r)
+                            compared += 1
+            assert compared > 2 * (k // 20), S.spec
+
+    @pytest.mark.parametrize("S,b,k,cap", [(NonnegativeIntegers(), 2, 400, 300), (Primes(), 2, 300, 500)])
+    def test_small_search_cap_raises_and_never_returns_a_wrong_element(self, S, b, k, cap):
+        # witnesses are asked for every realized subclass of an opened class,
+        # so a small cap may raise some steps before a tied witness needs it
+        run = b_ordering(S, b, k)
+        state = ordering_module._GreedyState(S, b, EngineConfig(search_cap=cap))
+        for i, a in enumerate(run.elements):
+            try:
+                step = state.step(CANONICAL)
+            except SearchExhausted:
+                break
+            assert (step.element, step.value) == (a, run.exponents[i]), i
+            state.append(a)
+        else:
+            pytest.fail("the cap never stopped the run")
+        with pytest.raises(SearchExhausted):
+            b_ordering(S, b, k, config=EngineConfig(search_cap=cap))
+
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # every class mod 2^l with l <= 1500 that meets the set holds the
+        # whole prefix; the walk keeps its own stack
+        run = b_ordering(ArithmeticProgression(0, 2**1500), 2, 6)
+        assert run.all_certified
+        assert as_ints(run.exponents) == [1500 * i + alpha_Z(i, 2) for i in range(7)]
+        run = b_ordering(ArithmeticProgression(0, 2**1500), 2, 6, RandomTieBreak(3))
+        assert as_ints(run.exponents) == [1500 * i + alpha_Z(i, 2) for i in range(7)]
+
+    def test_far_negative_progression_is_canonical(self):
+        run = b_ordering(parse_set_spec("ap:-100000000,1"), 2, 4)
+        assert run.elements == [0, 1, -1, 2, -2]
+        assert as_ints(run.exponents) == [alpha_Z(i, 2) for i in range(5)]
