@@ -31,6 +31,9 @@ from .ordering import (
     ExponentSequence,
     RandomTieBreak,
     TestSequence,
+    WindowLimitedError,
+    alpha,
+    alphas,
     b_ordering,
     check_majorization,
     evaluate_multiplicative,
@@ -41,7 +44,6 @@ from .ordering import (
 )
 from .factored import BaseSet, BaseSetError, FactoredNumber, parse_base_spec
 from .factorials import (
-    WindowLimitedError,
     factorial,
     gen_binomial,
     gen_integer,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .factored import FactoredNumber
-from .numerics import digit_sum, floor_sum, omega, prime_factors, totient
+from .numerics import digit_sum, floor_sum, omega, prime_factors
 
 
 def alpha_Z(k: int, b: int) -> int:
@@ -54,10 +54,11 @@ def alpha_P(k: int, b: int) -> int:
         raise ValueError(f"alpha_P needs b >= 2, got {b}")
     if k < 0:
         raise ValueError(f"alpha_P needs k >= 0, got {k}")
-    n = k - omega(b)
+    factors = prime_factors(b)  # omega and totient both read this one factorization
+    n = k - len(factors)
     if n < 0:
         return 0
-    total, m = 0, totient(b)
+    total, m = 0, math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
     while m <= n:
         total += n // m
         m *= b

@@ -17,23 +17,11 @@ from .numerics import INF, ExtNat, cumulative_digit_sum, digit_sum, extnat_sum
 from .ordering import (
     DEFAULT_CONFIG,
     EngineConfig,
-    exponent_sequence,
+    WindowLimitedError,  # re-exported: factorials raise it
+    alpha,
+    alphas,
     pairwise_valuation_sum,
 )
-
-
-class WindowLimitedError(RuntimeError):
-    """A product would silently absorb uncertified (window-limited) exponents."""
-
-
-def _alpha_values(S: IntegerSet, b: int, k: int, config: EngineConfig) -> list[ExtNat]:
-    seq = exponent_sequence(S, b, k, config=config)
-    if seq.window_limited and not config.allow_uncertified:
-        raise WindowLimitedError(
-            f"exponents for (S={S.spec}, b={b}) are window-limited; "
-            "pass config=EngineConfig(allow_uncertified=True) to accept them"
-        )
-    return seq.values
 
 
 def factorial(
@@ -45,7 +33,7 @@ def factorial(
     """The k-th generalized factorial for (S, T) in factored form."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return FactoredNumber({b: _alpha_values(S, b, k, config)[k] for b in T.resolve(S, k)})
+    return FactoredNumber({b: alpha(S, b, k, config) for b in T.resolve(S, k)})
 
 
 def gen_integer(
@@ -73,8 +61,8 @@ def gen_integer(
         if b == 1:
             exps[1] = INF  # ratio of 1^inf factors is still the unit
             continue
-        values = _alpha_values(S, b, n, config)
-        exps[b] = values[n].minus(values[n - 1])
+        a_n, a_prev = alphas(S, b, (n, n - 1), config)
+        exps[b] = a_n.minus(a_prev)
     return FactoredNumber(exps)
 
 
@@ -100,9 +88,8 @@ def gen_binomial(
             if k >= 1:
                 exps[1] = INF
             continue
-        values = _alpha_values(S, b, k, config)
-        diff = values[k].minus(values[ell]).minus(values[k - ell])
-        exps[b] = diff
+        a_k, a_ell, a_rest = alphas(S, b, (k, ell, k - ell), config)
+        exps[b] = a_k.minus(a_ell).minus(a_rest)
     return FactoredNumber(exps)
 
 
@@ -122,7 +109,7 @@ def pairwise_multiple_check(
     if n < 0:
         raise ValueError("sequence must be nonempty")
     for b in T.resolve(S, n):
-        if pairwise_valuation_sum(elements, b) < extnat_sum(_alpha_values(S, b, n, config)):
+        if pairwise_valuation_sum(elements, b) < extnat_sum(alphas(S, b, range(n + 1), config)):
             return False
     return True
 

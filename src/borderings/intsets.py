@@ -207,10 +207,7 @@ class NonnegativeIntegers(IntegerSet):
         return ResidueStatus.infinite()
 
     def pick_in_class(self, r, m, cap=10**7):
-        r = _check_modulus(r, m)
-        if r > cap:
-            raise SearchExhausted(f"no element of N in class {r} mod {m} below cap {cap}")
-        return r
+        return _check_modulus(r, m)  # the least member, found with no search
 
 
 class _PrimeCache:

@@ -466,38 +466,81 @@ class ExponentSequence:
         return not self.certified
 
 
+class WindowLimitedError(RuntimeError):
+    """A point query would silently pass off uncertified (window-limited) exponents."""
+
+
+def _formula(S: IntegerSet, b: int, config: EngineConfig):
+    """(source, k -> alpha_k(S, b)) where a formula gives each index alone, else None.
+
+    Degenerate bases take O(1); Z, N and P take O(log_b k) closed forms
+    unless `force_greedy` asks for the greedy run.
+    """
+    if b == 0:
+        card = S.cardinality
+        return "degenerate-base", lambda i: ZERO if not card.is_finite or i < card.value else INF
+    if b == 1:
+        return "degenerate-base", lambda i: INF if i else ZERO
+    if not config.force_greedy:
+        from . import closedforms
+        from .intsets import AllIntegers, NonnegativeIntegers, Primes
+
+        if isinstance(S, (AllIntegers, NonnegativeIntegers)):
+            return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
+        if isinstance(S, Primes):
+            return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b))
+    return None
+
+
+def alphas(
+    S: IntegerSet,
+    b: int,
+    ks: Sequence[int],
+    config: EngineConfig = DEFAULT_CONFIG,
+) -> list[ExtNat]:
+    """alpha_k(S, b) for each k in ks (nonempty), computing only what they read.
+
+    A formula is evaluated at each k alone; any other set gets one greedy
+    run up to max(ks).  A run with an uncertified step raises
+    WindowLimitedError unless the config allows uncertified results.
+    """
+    if b < 0:
+        raise ValueError(f"base must be >= 0, got {b}")
+    if min(ks) < 0:
+        raise ValueError(f"k must be >= 0, got {min(ks)}")
+    form = _formula(S, b, config)
+    if form is not None:
+        _, at = form
+        return [at(k) for k in ks]
+    run = b_ordering(S, b, max(ks), CANONICAL, config=config)
+    if not run.all_certified and not config.allow_uncertified:
+        raise WindowLimitedError(
+            f"exponents for (S={S.spec}, b={b}) are window-limited; "
+            "pass config=EngineConfig(allow_uncertified=True) to accept them"
+        )
+    return [run.exponents[k] for k in ks]
+
+
+def alpha(S: IntegerSet, b: int, k: int, config: EngineConfig = DEFAULT_CONFIG) -> ExtNat:
+    """The point query alpha_k(S, b); see `alphas`."""
+    return alphas(S, b, (k,), config)[0]
+
+
 def exponent_sequence(
     S: IntegerSet,
     b: int,
     k: int,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> ExponentSequence:
-    """Invariant exponents for (S, b), via closed forms where available."""
+    """Invariant exponents alpha_0..alpha_k for (S, b), via formulas where available."""
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-
-    all_ok = [True] * (k + 1)
-    if b == 0:
-        card = S.cardinality
-        values = [ZERO if (not card.is_finite or i < card.value) else INF for i in range(k + 1)]
-        return ExponentSequence(S.spec, b, values, all_ok, "degenerate-base")
-    if b == 1:
-        values = [ZERO] + [INF] * k
-        return ExponentSequence(S.spec, b, values, all_ok, "degenerate-base")
-
-    if not config.force_greedy:
-        from . import closedforms
-        from .intsets import AllIntegers, NonnegativeIntegers, Primes
-
-        if isinstance(S, (AllIntegers, NonnegativeIntegers)):
-            values = [ExtNat(closedforms.alpha_Z(i, b)) for i in range(k + 1)]
-            return ExponentSequence(S.spec, b, values, all_ok, "closed-form")
-        if isinstance(S, Primes):
-            values = [ExtNat(closedforms.alpha_P(i, b)) for i in range(k + 1)]
-            return ExponentSequence(S.spec, b, values, all_ok, "closed-form")
-
+    form = _formula(S, b, config)
+    if form is not None:
+        source, at = form
+        return ExponentSequence(S.spec, b, [at(i) for i in range(k + 1)], [True] * (k + 1), source)
     run = b_ordering(S, b, k, CANONICAL, config=config)
     return ExponentSequence(S.spec, b, run.exponents, run.certified, "greedy")
 

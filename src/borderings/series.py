@@ -81,8 +81,17 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
+    def _exact(cls, cs: tuple) -> "TruncatedSeries":
+        """Wrap a nonempty tuple of Fractions as is: the internal ops' constructor."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", cs)
+        return f
+
+    @classmethod
     def zero(cls, cap: int) -> "TruncatedSeries":
-        return cls([Fraction(0)] * cap)
+        if cap < 1:
+            raise ValueError("a truncated series needs a positive cap")
+        return cls._exact((Fraction(0),) * cap)
 
     @classmethod
     def constant(cls, c, cap: int) -> "TruncatedSeries":
@@ -95,24 +104,21 @@ class TruncatedSeries:
     def truncate(self, cap: int) -> "TruncatedSeries":
         if cap > self.cap:
             raise ValueError(f"cannot extend cap {self.cap} to {cap}")
-        return TruncatedSeries(self.coeffs[:cap])
-
-    def _align(self, other: "TruncatedSeries") -> int:
-        return min(self.cap, other.cap)
+        if cap < 1:
+            raise ValueError("a truncated series needs a positive cap")
+        return TruncatedSeries._exact(self.coeffs[:cap])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._align(other)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return TruncatedSeries._exact(tuple(a + c for a, c in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._align(other)
-        return TruncatedSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return TruncatedSeries._exact(tuple(a - c for a, c in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._exact(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._align(other)
+        n = min(self.cap, other.cap)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs[:n]):
             if a == 0:
@@ -121,7 +127,7 @@ class TruncatedSeries:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries._exact(tuple(out))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -199,9 +205,10 @@ def build_qk(prefix: Sequence[TruncatedSeries], cap: Optional[int] = None) -> Se
     return SeriesPolynomial(tuple(coeffs))
 
 
-def eval_poly(p: SeriesPolynomial, f: TruncatedSeries) -> TruncatedSeries:
-    """Exact truncated evaluation by Horner's rule."""
-    cap = min(f.cap, min(c.cap for c in p.coeffs))
+def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None) -> TruncatedSeries:
+    """Exact truncated evaluation by Horner's rule, mod t^cap if a smaller cap is given."""
+    own = min(f.cap, min(c.cap for c in p.coeffs))
+    cap = own if cap is None else min(cap, own)
     f = f.truncate(cap)
     acc = TruncatedSeries.zero(cap)
     for c in reversed(p.coeffs):
@@ -222,6 +229,14 @@ class TOrdering:
     elements: list[TruncatedSeries]
     exponents: list[TOrderValue]
     strategy: str
+
+
+def _order_of_difference(f: TruncatedSeries, g: TruncatedSeries) -> TOrderValue:
+    """ord_t(f - g), read off the first coefficient where f and g differ."""
+    for i, (a, c) in enumerate(zip(f.coeffs, g.coeffs)):
+        if a != c:
+            return TOrderValue.of(i)
+    return TOrderValue.at_least(min(f.cap, g.cap))
 
 
 def t_ordering(
@@ -248,7 +263,7 @@ def t_ordering(
     sums = [TOrderValue.of(0)] * len(U)
     for _ in range(k):
         last = U[indices[-1]]
-        sums = [s + (f - last).ord_t() for s, f in zip(sums, U)]
+        sums = [s + _order_of_difference(f, last) for s, f in zip(sums, U)]
         exact_vals = [s.floor for s in sums if s.exact]
         if exact_vals:
             vmin = min(exact_vals)
@@ -309,10 +324,18 @@ class MaxMinReport:
 
 
 def _min_order_over(U: Sequence[TruncatedSeries], p: SeriesPolynomial) -> TOrderValue:
+    """The least ord_t(p(f)) over U; raises CapError if truncation leaves it ambiguous.
+
+    Once an exact minimum m is known, later members are evaluated mod t^m
+    only: an order below m is exact there, and one at or above m cannot
+    change the result (an unresolved floor >= m raises nothing either).
+    """
     best: Optional[TOrderValue] = None
     floors_unresolved: list[int] = []
     for f in U:
-        o = eval_poly(p, f).ord_t()
+        if best is not None and best.floor == 0:
+            return best  # nothing lies below order 0
+        o = eval_poly(p, f, None if best is None else best.floor).ord_t()
         if o.exact:
             if best is None or o.floor < best.floor:
                 best = o

@@ -159,8 +159,9 @@ class TestFactoredCommands:
         def no_work(*args, **kwargs):
             raise AssertionError("base resolution started work past the k limit")
 
-        monkeypatch.setattr(factored_module, "totient", no_work)
-        monkeypatch.setattr(factorials_module, "exponent_sequence", no_work)
+        monkeypatch.setattr(factored_module, "totients_and_omegas", no_work)
+        monkeypatch.setattr(factorials_module, "alpha", no_work)
+        monkeypatch.setattr(factorials_module, "alphas", no_work)
         code, out, err = run_cli(
             capsys, *query, str(limit + 1), "--set", spec, "--bases", "auto"
         )
@@ -171,7 +172,7 @@ class TestFactoredCommands:
         def no_work(*args, **kwargs):
             raise AssertionError("base resolution started work past the size limit")
 
-        monkeypatch.setattr(factorials_module, "exponent_sequence", no_work)
+        monkeypatch.setattr(factorials_module, "alpha", no_work)
         code, out, err = run_cli(
             capsys, "factorial", "--set", "Z", "--bases", f"upto:{BASE_SPEC_MAX + 1}", "--k", "3"
         )

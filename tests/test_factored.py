@@ -137,15 +137,23 @@ class TestBaseSets:
                 assert totient(b) + omega(b) > k
         assert BaseSet.auto().resolve(P, 3) == (2, 3, 4)
 
+    def test_auto_for_primes_sieve_matches_trial_division(self):
+        # the sieve gives the same bases as filtering with totient and omega
+        n = 2 * AUTO_K_MAX_P**2 + 1
+        weight = [0, 0] + [totient(b) + omega(b) for b in range(2, n + 1)]
+        for k in range(1, AUTO_K_MAX_P + 1):
+            want = tuple(b for b in range(2, 2 * k * k + 2) if weight[b] <= k)
+            assert BaseSet.auto().resolve(Primes(), k) == want, k
+
     @pytest.mark.parametrize(
         "S,limit",
         [(AllIntegers(), AUTO_K_MAX_Z), (NonnegativeIntegers(), AUTO_K_MAX_Z), (Primes(), AUTO_K_MAX_P)],
     )
     def test_auto_refuses_k_past_its_limit_before_any_work(self, monkeypatch, S, limit):
-        def no_work(b):
-            raise AssertionError("totient called past the k limit")
+        def no_work(n):
+            raise AssertionError("the totient sieve ran past the k limit")
 
-        monkeypatch.setattr(factored_module, "totient", no_work)
+        monkeypatch.setattr(factored_module, "totients_and_omegas", no_work)
         with pytest.raises(BaseSetError, match=f"k <= {limit}"):
             BaseSet.auto().resolve(S, limit + 1)
 

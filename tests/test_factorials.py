@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from borderings import closedforms
 from borderings.closedforms import alpha_Z, beta
 from borderings.factored import BaseSet, FactoredNumber
 from borderings.factorials import (
@@ -86,6 +88,22 @@ class TestGenInteger:
             g = gen_integer(Z, AUTO, n)
             for b in range(2, n + 1):
                 assert g.exponent(b) == ord_b(b, n)
+
+    def test_point_queries_read_two_indices_per_base(self, monkeypatch):
+        # each base asks the closed form for alpha_n and alpha_(n-1) only,
+        # never for the whole prefix alpha_0..alpha_n
+        calls = []
+
+        def counting(k, b):
+            calls.append(b)
+            return alpha_Z(k, b)
+
+        monkeypatch.setattr(closedforms, "alpha_Z", counting)
+        G = gen_integer(Z, AUTO, 60)
+        assert all(G.exponent(b) == ord_b(b, 60) for b in range(2, 61))
+        per_base = Counter(calls)
+        assert set(per_base) == set(range(2, 61))
+        assert max(per_base.values()) <= 2
 
     def test_telescoping(self):
         rng = random.Random(2)

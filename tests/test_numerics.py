@@ -20,6 +20,7 @@ from borderings.numerics import (
     prime_factors,
     primes_up_to,
     totient,
+    totients_and_omegas,
 )
 
 extnats = st.one_of(st.integers(min_value=0, max_value=10**6).map(ExtNat), st.just(INF))
@@ -206,6 +207,12 @@ class TestArithmeticFunctions:
         for b in range(2, 30):
             for n in range(1, 5):
                 assert totient(b**n) == b ** (n - 1) * totient(b)
+
+    def test_sieve_matches_trial_division(self):
+        phi, omegas = totients_and_omegas(3000)
+        assert len(phi) == len(omegas) == 3001
+        for b in range(2, 3001):
+            assert (phi[b], omegas[b]) == (totient(b), omega(b)), b
 
     def test_primes(self):
         assert is_prime(2)

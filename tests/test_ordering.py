@@ -24,6 +24,9 @@ from borderings.ordering import (
     EngineConfig,
     RandomTieBreak,
     TestSequence,
+    WindowLimitedError,
+    alpha,
+    alphas,
     b_ordering,
     check_majorization,
     evaluate_multiplicative,
@@ -281,6 +284,37 @@ class TestExponentSequence:
         assert [v.value for v in seq.values] == [20 * i + alpha_Z(i, 2) for i in range(21)]
 
 
+class TestPointQuery:
+    SETS = ["Z", "N", "P", "list:-7,0,3,4,12,20", "ap:1,4", "ap:-3,6", "ap:0,8"]
+
+    @pytest.mark.parametrize("spec", SETS)
+    @pytest.mark.parametrize("force_greedy", [False, True])
+    def test_alpha_is_the_sequence_entry(self, spec, force_greedy):
+        S, config = parse_set_spec(spec), EngineConfig(force_greedy=force_greedy)
+        for b in (0, 1, 2, 3, 6, 10):
+            seq = exponent_sequence(S, b, 14, config=config)
+            assert seq.certified
+            for k in (0, 1, 5, 9, 14):
+                assert alpha(S, b, k, config) == seq.values[k], (spec, b, k)
+            assert alphas(S, b, range(15), config) == seq.values
+            assert alphas(S, b, (9, 2, 9), config) == [seq.values[9], seq.values[2], seq.values[9]]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            alpha(AllIntegers(), -1, 3)
+        with pytest.raises(ValueError):
+            alpha(ExplicitFinite([1, 2]), 2, -1)
+        with pytest.raises(ValueError):
+            alphas(AllIntegers(), 2, (4, -1))
+
+    def test_window_limited_point_query_raises(self):
+        S = CustomPredicate(lambda a: a % 4 == 2, enumeration_cap=200, name="mod4")
+        with pytest.raises(WindowLimitedError):
+            alpha(S, 2, 4)
+        loose = EngineConfig(allow_uncertified=True)
+        assert alpha(S, 2, 4, loose) == exponent_sequence(S, 2, 4).values[4]
+
+
 class TestMajorization:
     def test_greedy_prefix_equality(self):
         S = ExplicitFinite([-9, -4, 0, 1, 7, 12])
@@ -453,9 +487,11 @@ class TestMemoizedFrontier:
             assert max(counts.values()) == 1, (name, counts.most_common(3))
 
     def test_tiny_search_cap_still_raises(self):
-        for S in (Primes(), NonnegativeIntegers()):
-            with pytest.raises(SearchExhausted):
-                b_ordering(S, 6, 40, config=EngineConfig(search_cap=20))
+        with pytest.raises(SearchExhausted):
+            b_ordering(Primes(), 6, 40, config=EngineConfig(search_cap=20))
+        # N's least class member is the residue itself, found with no search
+        small = b_ordering(NonnegativeIntegers(), 6, 40, config=EngineConfig(search_cap=20))
+        assert small == b_ordering(NonnegativeIntegers(), 6, 40)
         # a failed search is not remembered as an answer: the step raises again
         run = b_ordering(Primes(), 6, 40)
         state = ordering_module._GreedyState(Primes(), 6, EngineConfig(search_cap=20))
@@ -546,6 +582,10 @@ class TestPersistentFrontier:
         # witnesses are asked for every realized subclass of an opened class,
         # so a small cap may raise some steps before a tied witness needs it
         run = b_ordering(S, b, k)
+        if isinstance(S, NonnegativeIntegers):
+            # N needs no search: any cap gives the default-cap run
+            assert b_ordering(S, b, k, config=EngineConfig(search_cap=cap)) == run
+            return
         state = ordering_module._GreedyState(S, b, EngineConfig(search_cap=cap))
         for i, a in enumerate(run.elements):
             try:

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from borderings import series as series_module
 from borderings.intsets import ExplicitFinite
 from borderings.ordering import RandomTieBreak, exponent_sequence
 from borderings.series import (
@@ -238,3 +241,114 @@ class TestMaxMin:
                 else:
                     break
             assert ok
+
+
+# -- the kernels that read only an order ------------------------------------
+
+coeffs = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+@st.composite
+def near(draw, base=None, min_cap=1, max_cap=9):
+    """A series that shares a random prefix with `base`, so high orders are common."""
+    kept = list(base.coeffs[: draw(st.integers(0, base.cap))]) if base is not None else []
+    kept += [0] * draw(st.integers(0, 3))
+    cap = draw(st.integers(max(min_cap, len(kept)), max(max_cap, len(kept))))
+    tail = draw(st.lists(coeffs, min_size=cap - len(kept), max_size=cap - len(kept)))
+    return TruncatedSeries(kept[:cap] + tail)
+
+
+@st.composite
+def families(draw):
+    """A family U with mixed caps around one base series, and a polynomial p."""
+    base = draw(near(min_cap=6))
+    U = [draw(near(base, min_cap=4)) for _ in range(draw(st.integers(1, 6)))]
+    others = draw(st.lists(near(base, min_cap=4), min_size=1, max_size=3))
+    # short copies of roots vanish below their own cap: the unresolved members
+    for r in draw(st.lists(st.sampled_from(others), max_size=2)):
+        U.insert(draw(st.integers(0, len(U))), r.truncate(draw(st.integers(1, r.cap))))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:  # a product over members: vanishes on them
+        p = build_qk(U[: draw(st.integers(1, len(U)))])
+    else:  # a product over near series, or arbitrary coefficients
+        p = build_qk(others) if kind == 1 else SeriesPolynomial(tuple(others))
+    return U, p
+
+
+@st.composite
+def mixed_caps(draw):
+    """Members agreeing with a root r on a random prefix, and copies of r cut short.
+
+    With p = x - r a long member's order is exact, while a copy cut to cap c
+    leaves an order >= c unresolved: ambiguous when c lies below the minimum.
+    """
+    r = draw(near(min_cap=6))
+    U = [draw(near(r, min_cap=r.cap)) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(1, 2))):
+        U.insert(draw(st.integers(0, len(U))), r.truncate(draw(st.integers(1, r.cap))))
+    return U, build_qk([r])
+
+
+def full_min_order(U, p):
+    """_min_order_over as it was: every member evaluated at its own cap."""
+    best, unresolved = None, []
+    for f in U:
+        o = eval_poly(p, f).ord_t()
+        if not o.exact:
+            unresolved.append(o.floor)
+        elif best is None or o.floor < best.floor:
+            best = o
+    if best is None:
+        return TOrderValue.at_least(min(unresolved))
+    if any(fl < best.floor for fl in unresolved):
+        raise CapError("ambiguous")
+    return best
+
+
+class TestOrderKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_order_of_difference_reads_the_coefficients(self, data):
+        f = data.draw(near())
+        g = data.draw(near(f))
+        assert series_module._order_of_difference(f, g) == (f - g).ord_t()
+        assert series_module._order_of_difference(g, f) == (g - f).ord_t()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(families(), mixed_caps()))
+    def test_truncated_min_order_matches_full_evaluation(self, family):
+        U, p = family
+        try:
+            want = full_min_order(U, p)
+        except CapError:
+            with pytest.raises(CapError):
+                series_module._min_order_over(U, p)
+        else:
+            assert series_module._min_order_over(U, p) == want
+
+    def test_unresolved_member_below_the_exact_minimum_raises(self):
+        # p(f) = f: the cap-8 member has exact order 5, the cap-3 member
+        # vanishes below its cap, so its order may lie anywhere from 3 on
+        p = SeriesPolynomial((series(cap=8), series(1, cap=8)))
+        exact, short = series(0, 0, 0, 0, 0, 1, cap=8), series(cap=3)
+        for U in ([exact, short], [short, exact]):
+            with pytest.raises(CapError):
+                full_min_order(U, p)
+            with pytest.raises(CapError):
+                series_module._min_order_over(U, p)
+        # an unresolved member at or above the minimum leaves it exact
+        U = [exact, series(cap=6), series(0, 0, 0, 0, 0, 0, 2, cap=9)]
+        assert series_module._min_order_over(U, p) == full_min_order(U, p) == TOrderValue.of(5)
+
+    def test_internal_ops_keep_fraction_coefficients(self):
+        f, g = series(1, Fraction(1, 2), cap=4), series(3, cap=5)
+        for h in (f + g, f - g, -f, f * g, f.truncate(2), eval_poly(build_qk([g]), f)):
+            assert all(type(c) is Fraction for c in h.coeffs)
+        for cap in (0, -1):  # a negative cap must not slice coefficients off the end
+            with pytest.raises(ValueError):
+                f.truncate(cap)
+        with pytest.raises(ValueError):
+            TruncatedSeries.zero(0)
