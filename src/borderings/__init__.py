@@ -49,7 +49,6 @@ from .factorials import (
     gen_integer,
     nu_bar,
     pairwise_multiple_check,
-    partial_row_product,
     row_product,
 )
 from .series import (
@@ -60,9 +59,7 @@ from .series import (
     build_qk,
     congruence_check,
     eval_poly,
-    is_t_primitive,
     maxmin_check,
-    ord_t,
     phi_b,
     t_ordering,
 )

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields
 
 from . import __version__, tables, verify
 from .factored import BaseSetError, group_digits, parse_base_spec
-from .factorials import factorial, gen_binomial, gen_integer, partial_row_product, row_product
+from .factorials import factorial, gen_binomial, gen_integer, row_product
 from .intsets import SearchExhausted, SetSpecError, parse_set_spec
 from .numerics import ExtNat
 from .ordering import DEFAULT_CONFIG, EngineConfig, exponent_sequence
@@ -59,7 +59,7 @@ class _Emitter:
         out = out if out is not None else sys.stdout
         if self.fmt == "json":
             doc = {"version": __version__, "config": self.config, "results": self.rows}
-            print(json.dumps(doc, indent=2, sort_keys=False), file=out)
+            print(json.dumps(doc, indent=2), file=out)
             return
         print(self.header_line(), file=out)
         if self.fmt == "csv":
@@ -141,43 +141,28 @@ def cmd_factored(args) -> int:
 
 def cmd_tables(args) -> int:
     which = tables.TABLE_NAMES if args.which == "all" else (int(args.which),)
-    header = _header(args, which=args.which)
-    failed = False
-    if args.format == "json":
-        results = []
-        for w in which:
-            text = tables.generate(w)
-            diff = tables.compare(w, text)
-            results.append(
-                {
-                    "table": w,
-                    "matches_golden": diff.ok,
-                    "mismatches": diff.mismatches,
-                    "lines": text.splitlines(),
-                }
-            )
-            failed = failed or not diff.ok
-        doc = {"version": __version__, "config": header, "results": results}
-        print(json.dumps(doc, indent=2))
-    else:
-        em = _Emitter(args.format, header, [])
+    em = _Emitter(args.format, _header(args, which=args.which), [])
+    if args.format != "json":
         print(em.header_line())
-        for w in which:
-            text = tables.generate(w)
-            diff = tables.compare(w, text)
-            print(f"# table {w}: {'matches golden' if diff.ok else 'MISMATCH'}")
-            sys.stdout.write(text)
-            for m in diff.mismatches:
-                print(f"# diff: {m}")
-            failed = failed or not diff.ok
+    failed = False
+    for w in which:
+        text = tables.generate(w)
+        diff = tables.compare(w, text)
+        failed = failed or not diff.ok
+        if args.format == "json":
+            em.add(table=w, matches_golden=diff.ok, mismatches=diff.mismatches, lines=text.splitlines())
+            continue
+        print(f"# table {w}: {'matches golden' if diff.ok else 'MISMATCH'}")
+        sys.stdout.write(text)
+        for m in diff.mismatches:
+            print(f"# diff: {m}")
+    if args.format == "json":
+        em.emit()
     return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
 
 
 def cmd_rowproduct(args) -> int:
-    if args.x is not None:
-        value = partial_row_product(args.n, args.x)
-    else:
-        value = row_product(args.n)
+    value = row_product(args.n, args.x)
     header = _header(args, n=args.n, x=args.x if args.x is not None else "")
     em = _Emitter(args.format, header, ["n", "x", "decimal", "factored", "digits"])
     v = value.value()
@@ -200,34 +185,30 @@ def cmd_verify(args) -> int:
         verify.run_suite(name, seed=args.seed, scale=args.scale, config=config) for name in names
     ]
     all_passed = all(r.passed for r in reports)
-    if args.format == "json":
-        results = []
+    em = _Emitter(args.format, header, ["suite", "instance", "passed", "params", "detail"])
+    if args.format == "text":
+        print(em.header_line())
         for r in reports:
-            d = r.as_dict()
-            d.pop("elapsed_seconds")  # keep identical runs byte-identical
-            results.append(d)
-        doc = {"version": __version__, "config": header, "results": results}
-        print(json.dumps(doc, indent=2))
-    else:
-        em = _Emitter(args.format, header, ["suite", "instance", "passed", "params", "detail"])
-        if args.format == "csv":
-            for r in reports:
-                for inst in r.instances:
-                    em.add(
-                        suite=r.suite,
-                        instance=inst.name,
-                        passed=inst.passed,
-                        params=json.dumps(inst.params, sort_keys=True),
-                        detail=inst.detail,
-                    )
-            em.emit()
-        else:
-            print(em.header_line())
-            for r in reports:
-                tag = "PASS" if r.passed else "FAIL"
-                print(f"{tag} {r.suite}: {len(r.instances)} instances, {len(r.failures)} failed")
-                for inst in r.failures:
-                    print(f"  FAIL {inst.name} {json.dumps(inst.params, sort_keys=True)} {inst.detail}")
+            tag = "PASS" if r.passed else "FAIL"
+            print(f"{tag} {r.suite}: {len(r.instances)} instances, {len(r.failures)} failed")
+            for inst in r.failures:
+                print(f"  FAIL {inst.name} {json.dumps(inst.params, sort_keys=True)} {inst.detail}")
+        return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
+    for r in reports:
+        if args.format == "json":
+            row = r.as_dict()
+            row.pop("elapsed_seconds")  # keep identical runs byte-identical
+            em.add(**row)
+            continue
+        for inst in r.instances:
+            em.add(
+                suite=r.suite,
+                instance=inst.name,
+                passed=inst.passed,
+                params=json.dumps(inst.params, sort_keys=True),
+                detail=inst.detail,
+            )
+    em.emit()
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 
@@ -271,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_factored)
 
     p = sub.add_parser("tables", parents=[output], help="regenerate reference tables and diff against golden files")
-    p.add_argument("--which", choices=("1", "2", "3", "4", "all"), default="all")
+    p.add_argument("--which", choices=tuple(map(str, tables.TABLE_NAMES)) + ("all",), default="all")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("rowproduct", parents=[output], help="row product of generalized binomials for (Z, N)")

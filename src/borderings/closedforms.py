@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .factored import FactoredNumber
+from .intsets import Primes
 from .numerics import digit_sum, floor_sum, omega, prime_factors
 
 
@@ -65,20 +65,6 @@ def alpha_P(k: int, b: int) -> int:
     return total
 
 
-def factorial_P(k: int, bases) -> FactoredNumber:
-    """Generalized factorial over the primes for an explicit base list (0 excluded)."""
-    exps = {}
-    for b in bases:
-        if b == 0:
-            raise ValueError("base 0 is not allowed in the primes fast path")
-        if b == 1:
-            continue  # 1^anything contributes 1
-        e = alpha_P(k, b)
-        if e:
-            exps[b] = e
-    return FactoredNumber(exps)
-
-
 def lemma82_min(k: int, m: int) -> int:
     """Minimum of sum C(n_i, 2) over partitions of k into m nonnegative parts.
 
@@ -119,8 +105,6 @@ def prime_witness_sequence(b: int, e: int, search_cap: int = 10**7) -> list[int]
     """
     if b < 2 or e < 1:
         raise ValueError(f"need b >= 2 and e >= 1, got b={b}, e={e}")
-    from .intsets import Primes
-
     primes = Primes()
     seq = sorted(prime_factors(b))
     mod = b**e

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .intsets import AllIntegers, NonnegativeIntegers, Primes
 from .numerics import INF, ExtNat, is_prime, prime_factors, primes_up_to, totients_and_omegas
 
 
@@ -184,18 +185,16 @@ def group_digits(n: int) -> str:
 class BaseSet:
     """A finite set of allowed bases, or the `auto` marker resolved per (S, k).
 
-    Auto resolution uses the proven cutoffs: bases above k contribute
-    exponent 0 for S = Z, and bases with totient(b) + omega(b) > k
-    contribute 0 for S = P.  Other sets need an explicit cutoff, and k
-    above AUTO_K_MAX_Z (Z, N) or AUTO_K_MAX_P (P) is refused before any
-    base is built.
+    `spec` is the base-spec text that parses back to this set; `values` is
+    the ascending base list, or None for `auto`.  Auto resolution uses the
+    proven cutoffs: bases above k contribute exponent 0 for S = Z, and
+    bases with totient(b) + omega(b) > k contribute 0 for S = P.  Other
+    sets need an explicit cutoff, and k above AUTO_K_MAX_Z (Z, N) or
+    AUTO_K_MAX_P (P) is refused before any base is built.
     """
 
-    kind: str  # "explicit" | "range" | "primes_upto" | "bases_upto" | "auto"
-    values: tuple[int, ...] = ()
-    lo: int = 0
-    hi: int = 0
-    cutoff: int = 0
+    spec: str
+    values: tuple[int, ...] | None = None
 
     @classmethod
     def explicit(cls, values) -> "BaseSet":
@@ -203,28 +202,28 @@ class BaseSet:
         for v in vals:
             if v < 0:
                 raise BaseSetError(f"bases must be >= 0, got {v}")
-        return cls("explicit", values=vals)
+        return cls("list:" + ",".join(map(str, vals)), vals)
 
     @classmethod
     def range(cls, lo: int, hi: int) -> "BaseSet":
         if lo < 0 or hi < lo:
             raise BaseSetError(f"bad base range {lo}..{hi}")
         _check_size("base range width", hi - lo + 1)
-        return cls("range", lo=lo, hi=hi)
+        return cls(f"range:{lo}..{hi}", tuple(range(lo, hi + 1)))
 
     @classmethod
     def primes_up_to(cls, cutoff: int) -> "BaseSet":
         if cutoff < 2:
             raise BaseSetError(f"prime cutoff must be >= 2, got {cutoff}")
         _check_size("prime cutoff", cutoff)
-        return cls("primes_upto", cutoff=cutoff)
+        return cls(f"primes:{cutoff}", tuple(primes_up_to(cutoff)))
 
     @classmethod
     def all_up_to(cls, cutoff: int) -> "BaseSet":
         if cutoff < 2:
             raise BaseSetError(f"base cutoff must be >= 2, got {cutoff}")
         _check_size("base cutoff", cutoff)
-        return cls("bases_upto", cutoff=cutoff)
+        return cls(f"upto:{cutoff}", tuple(range(2, cutoff + 1)))
 
     @classmethod
     def auto(cls) -> "BaseSet":
@@ -232,43 +231,25 @@ class BaseSet:
 
     def resolve(self, S=None, k: int | None = None) -> tuple[int, ...]:
         """The concrete ascending list of bases."""
-        if self.kind == "explicit":
+        if self.values is not None:
             return self.values
-        if self.kind == "range":
-            return tuple(range(self.lo, self.hi + 1))
-        if self.kind == "primes_upto":
-            return tuple(primes_up_to(self.cutoff))
-        if self.kind == "bases_upto":
-            return tuple(range(2, self.cutoff + 1))
-        if self.kind == "auto":
-            from .intsets import AllIntegers, NonnegativeIntegers, Primes
-
-            if k is None:
-                raise BaseSetError("auto bases need the index k to resolve")
-            if isinstance(S, (AllIntegers, NonnegativeIntegers)):
-                _check_auto_k(k, AUTO_K_MAX_Z, S)
-                return tuple(range(2, k + 1))
-            if isinstance(S, Primes):
-                _check_auto_k(k, AUTO_K_MAX_P, S)
-                # totient(b) >= sqrt(b/2), so bases up to 2k^2 + 1 cover all
-                # that can still satisfy totient(b) + omega(b) <= k
-                phi, omega = totients_and_omegas(2 * k * k + 1)
-                return tuple(b for b in range(2, len(phi)) if phi[b] + omega[b] <= k)
-            raise BaseSetError(
-                "auto bases are only defined for S in {Z, N, P}; give an explicit cutoff"
-            )
-        raise BaseSetError(f"unknown base-set kind {self.kind!r}")
+        if k is None:
+            raise BaseSetError("auto bases need the index k to resolve")
+        if isinstance(S, (AllIntegers, NonnegativeIntegers)):
+            _check_auto_k(k, AUTO_K_MAX_Z, S)
+            return tuple(range(2, k + 1))
+        if isinstance(S, Primes):
+            _check_auto_k(k, AUTO_K_MAX_P, S)
+            # totient(b) >= sqrt(b/2), so bases up to 2k^2 + 1 cover all
+            # that can still satisfy totient(b) + omega(b) <= k
+            phi, omega = totients_and_omegas(2 * k * k + 1)
+            return tuple(b for b in range(2, len(phi)) if phi[b] + omega[b] <= k)
+        raise BaseSetError(
+            "auto bases are only defined for S in {Z, N, P}; give an explicit cutoff"
+        )
 
     def describe(self) -> str:
-        if self.kind == "explicit":
-            return "list:" + ",".join(map(str, self.values))
-        if self.kind == "range":
-            return f"range:{self.lo}..{self.hi}"
-        if self.kind == "primes_upto":
-            return f"primes:{self.cutoff}"
-        if self.kind == "bases_upto":
-            return f"upto:{self.cutoff}"
-        return "auto"
+        return self.spec
 
 
 def _check_size(what: str, n: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .factored import BaseSet, FactoredNumber
-from .intsets import IntegerSet
+from .intsets import AllIntegers, IntegerSet
 from .numerics import INF, ExtNat, cumulative_digit_sum, digit_sum, extnat_sum
 from .ordering import (
     DEFAULT_CONFIG,
@@ -130,26 +130,23 @@ def nu_bar(n: int, b: int) -> int:
     return num // (b - 1)
 
 
-def row_product(n: int) -> FactoredNumber:
-    """Product of the generalized binomial coefficients in row n for (Z, N)."""
+def row_product(n: int, x: int | None = None) -> FactoredNumber:
+    """Product of the generalized binomial coefficients in row n for (Z, N).
+
+    With x, the product is truncated to bases <= x.
+    """
+    if x is not None and not 2 <= x <= n:
+        raise ValueError(f"need 2 <= x <= n, got x={x}, n={n}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return FactoredNumber({b: nu_bar(n, b) for b in range(2, n + 1)})
+    return FactoredNumber({b: nu_bar(n, b) for b in range(2, (n if x is None else x) + 1)})
 
 
 def row_product_direct(n: int) -> FactoredNumber:
     """Oracle for row_product: multiply the row binomials directly."""
-    from .intsets import AllIntegers
-
     S = AllIntegers()
     out = FactoredNumber.one()
     for k in range(n + 1):
         out = out * gen_binomial(S, BaseSet.auto(), n, k)
     return out
 
-
-def partial_row_product(n: int, x: int) -> FactoredNumber:
-    """Truncation of the row product to bases <= x."""
-    if not 2 <= x <= n:
-        raise ValueError(f"need 2 <= x <= n, got x={x}, n={n}")
-    return FactoredNumber({b: nu_bar(n, b) for b in range(2, x + 1)})

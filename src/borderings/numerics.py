@@ -8,7 +8,6 @@ modelled by :class:`ExtNat`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import total_ordering
 
 
@@ -142,29 +141,7 @@ def ord_b(b: int, a: int) -> ExtNat:
     return _SMALL[k] if k < len(_SMALL) else ExtNat(k)
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """A finite prefix of the base-b digit expansion of an integer.
-
-    Negative integers have infinitely many nonzero digits; only the first
-    ``length`` are materialised.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-
-def digits(a: int, b: int, count: int) -> DigitExpansion:
+def digits(a: int, b: int, count: int) -> tuple[int, ...]:
     """First `count` base-b digits of a, via d_k = floor(a/b^k) - b*floor(a/b^(k+1)).
 
     Python's floor division makes the formula correct for negative a as
@@ -180,7 +157,7 @@ def digits(a: int, b: int, count: int) -> DigitExpansion:
         q_next = q // b
         out.append(q - b * q_next)
         q = q_next
-    return DigitExpansion(base=b, digits=tuple(out))
+    return tuple(out)
 
 
 def digit_sum(n: int, b: int) -> int:

@@ -23,9 +23,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import closedforms
 from .numerics import INF, ZERO, ExtNat, extnat_sum, ord_b
 from .intsets import (
+    AllIntegers,
     IntegerSet,
+    NonnegativeIntegers,
+    Primes,
     ResidueKind,
     canonical_key,
 )
@@ -425,6 +429,8 @@ def b_ordering(
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> BOrdering:
     """A b-ordering of S of length k+1 with exponents and step certificates."""
+    if b < 0:
+        raise ValueError(f"base must be >= 0, got {b}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     state = _GreedyState(S, b, config)
@@ -447,7 +453,7 @@ def b_ordering(
 class ExponentSequence:
     """The well-defined invariants alpha_0..alpha_k of (S, b).
 
-    `window_limited` flags values produced by an uncertified windowed
+    `certified` is false when some value came from an uncertified windowed
     scan; such values are never silently passed off as invariants.
     """
 
@@ -460,10 +466,6 @@ class ExponentSequence:
     @property
     def certified(self) -> bool:
         return all(self.certified_steps)
-
-    @property
-    def window_limited(self) -> bool:
-        return not self.certified
 
 
 class WindowLimitedError(RuntimeError):
@@ -482,9 +484,6 @@ def _formula(S: IntegerSet, b: int, config: EngineConfig):
     if b == 1:
         return "degenerate-base", lambda i: INF if i else ZERO
     if not config.force_greedy:
-        from . import closedforms
-        from .intsets import AllIntegers, NonnegativeIntegers, Primes
-
         if isinstance(S, (AllIntegers, NonnegativeIntegers)):
             return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
         if isinstance(S, Primes):
@@ -501,8 +500,10 @@ def alphas(
     """alpha_k(S, b) for each k in ks (nonempty), computing only what they read.
 
     A formula is evaluated at each k alone; any other set gets one greedy
-    run up to max(ks).  A run with an uncertified step raises
-    WindowLimitedError unless the config allows uncertified results.
+    run up to max(ks), or up to |S| - 1 for a finite S: every later step
+    repeats an element, so alpha_k is infinite for k >= |S|.  A run with
+    an uncertified step raises WindowLimitedError unless the config allows
+    uncertified results.
     """
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
@@ -512,13 +513,16 @@ def alphas(
     if form is not None:
         _, at = form
         return [at(k) for k in ks]
-    run = b_ordering(S, b, max(ks), CANONICAL, config=config)
+    top = max(ks)
+    if S.cardinality.is_finite:
+        top = min(top, S.cardinality.value - 1)
+    run = b_ordering(S, b, top, CANONICAL, config=config)
     if not run.all_certified and not config.allow_uncertified:
         raise WindowLimitedError(
             f"exponents for (S={S.spec}, b={b}) are window-limited; "
             "pass config=EngineConfig(allow_uncertified=True) to accept them"
         )
-    return [run.exponents[k] for k in ks]
+    return [run.exponents[k] if k <= top else INF for k in ks]
 
 
 def alpha(S: IntegerSet, b: int, k: int, config: EngineConfig = DEFAULT_CONFIG) -> ExtNat:
@@ -565,7 +569,6 @@ class MajorizationReport:
     invariant_values: list[ExtNat]
     equality_positions: list[int] = field(default_factory=list)
     violations: list[int] = field(default_factory=list)
-    window_limited: bool = False
 
     @property
     def ok(self) -> bool:
@@ -591,9 +594,7 @@ def check_majorization(
             raise ValueError(f"sequence element {a} is not in {S.spec}")
     seq_values = evaluate_test_sequence(elements, b)
     inv = exponent_sequence(S, b, max(len(elements) - 1, 0), config=config)
-    report = MajorizationReport(
-        S.spec, b, elements, seq_values, inv.values, window_limited=inv.window_limited
-    )
+    report = MajorizationReport(S.spec, b, elements, seq_values, inv.values)
     seq_sums = _partial_sums(seq_values)
     inv_sums = _partial_sums(inv.values)
     for m in range(len(elements)):

@@ -95,6 +95,8 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, cap: int) -> "TruncatedSeries":
+        if cap < 1:
+            raise ValueError("a truncated series needs a positive cap")
         return cls([c] + [Fraction(0)] * (cap - 1))
 
     @property
@@ -138,6 +140,7 @@ class TruncatedSeries:
         return hash(self.coeffs)
 
     def ord_t(self) -> TOrderValue:
+        """Index of the first nonzero coefficient, or an at-least-cap marker."""
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 return TOrderValue.of(i)
@@ -149,18 +152,13 @@ class TruncatedSeries:
         return f"TruncatedSeries({body}; cap={self.cap})"
 
 
-def ord_t(f: TruncatedSeries) -> TOrderValue:
-    """Index of the first nonzero coefficient, or an at-least-cap marker."""
-    return f.ord_t()
-
-
 def phi_b(a: int, b: int, cap: int) -> TruncatedSeries:
     """The base-b digit map: a -> sum of d_k t^k with d_k the digits of a.
 
     Preserves congruences: ord_t(phi_b(a1) - phi_b(a2)) = ord_b(a1 - a2).
     Not a ring map, but it carries b-orderings to t-orderings.
     """
-    return TruncatedSeries(base_digits(a, b, cap).digits)
+    return TruncatedSeries(base_digits(a, b, cap))
 
 
 def congruence_check(b: int, a1: int, a2: int, cap: int) -> bool:
@@ -186,6 +184,7 @@ class SeriesPolynomial:
         return 0
 
     def is_t_primitive(self) -> bool:
+        """True iff some x-coefficient has a nonzero constant term."""
         return any(c.ord_t() == TOrderValue.of(0) for c in self.coeffs)
 
 
@@ -214,11 +213,6 @@ def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None
     for c in reversed(p.coeffs):
         acc = acc * f + c.truncate(cap)
     return acc
-
-
-def is_t_primitive(p: SeriesPolynomial) -> bool:
-    """True iff some x-coefficient has a nonzero constant term."""
-    return p.is_t_primitive()
 
 
 @dataclass

@@ -16,8 +16,6 @@ from .factored import BaseSet, group_digits
 from .factorials import factorial, gen_binomial, gen_integer
 from .intsets import AllIntegers
 
-TABLE_NAMES = (1, 2, 3, 4)
-
 _Z = AllIntegers()
 _AUTO = BaseSet.auto()
 
@@ -64,6 +62,7 @@ def table4_lines() -> list[str]:
 
 
 _GENERATORS = {1: table1_lines, 2: table2_lines, 3: table3_lines, 4: table4_lines}
+TABLE_NAMES = tuple(_GENERATORS)
 
 
 def generate(which: int) -> str:

@@ -396,3 +396,31 @@ def test_verify_results_are_byte_identical(capsys):
     results = json.loads(out)["results"]
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == VERIFY_RESULTS_SHA256
+
+
+def _pinned_cli_argvs():
+    fmts = ("text", "csv", "json")
+    bases = ("auto", "upto:12", "primes:13", "list:0,1,2,3,6", "range:2..9")
+    sets = {"Z": bases, "P": bases, "list:-3,0,1,4,9,10,12,15": bases[1:]}
+    queries = {"factorial": ("--k", "6"), "integer": ("--n", "6"), "binomial": ("--k", "6", "--l", "2")}
+    for fmt in fmts:
+        yield ("rowproduct", "--n", "12", "--format", fmt)
+        yield ("rowproduct", "--n", "12", "--x", "5", "--format", fmt)
+        for command, numbers in queries.items():
+            for spec, specs in sets.items():
+                for T in specs:
+                    yield (command, "--set", spec, "--bases", T, *numbers, "--format", fmt)
+
+
+# sha256 over the outputs of every command in _pinned_cli_argvs, in order, each
+# preceded by its argv; pins rowproduct and the factored commands byte for byte
+CLI_OUTPUT_SHA256 = "5ab090c64921a4321307870c33c95d4313f2b0e05ba2c4dc80035c920521dffa"
+
+
+def test_cli_outputs_are_byte_identical(capsys):
+    h = hashlib.sha256()
+    for argv in _pinned_cli_argvs():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        h.update(" ".join(argv).encode() + b"\n" + out.encode())
+    assert h.hexdigest() == CLI_OUTPUT_SHA256

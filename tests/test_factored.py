@@ -199,7 +199,7 @@ class TestBaseSets:
             BaseSet.auto().resolve(AllIntegers(), None)
 
     def test_parse_base_spec(self):
-        assert parse_base_spec("auto").kind == "auto"
+        assert parse_base_spec("auto") == BaseSet.auto()
         assert parse_base_spec("upto:9").resolve() == tuple(range(2, 10))
         assert parse_base_spec("primes:7").resolve() == (2, 3, 5, 7)
         assert parse_base_spec("list:0,1,6").resolve() == (0, 1, 6)

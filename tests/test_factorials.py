@@ -18,7 +18,6 @@ from borderings.factorials import (
     gen_integer,
     nu_bar,
     pairwise_multiple_check,
-    partial_row_product,
     row_product,
     row_product_direct,
 )
@@ -199,17 +198,17 @@ class TestRowProducts:
 
     def test_partial_row_products(self):
         for n in (6, 11, 17):
-            assert partial_row_product(n, n) == row_product(n)
-            assert partial_row_product(n, 2).value() == 2 ** nu_bar(n, 2)
+            assert row_product(n, n) == row_product(n)
+            assert row_product(n, 2).value() == 2 ** nu_bar(n, 2)
             prev = 1
             for x in range(2, n + 1):
-                cur = partial_row_product(n, x).value()
+                cur = row_product(n, x).value()
                 assert cur >= prev  # nonnegative exponents only add factors
                 prev = cur
         with pytest.raises(ValueError):
-            partial_row_product(5, 6)
+            row_product(5, 6)
         with pytest.raises(ValueError):
-            partial_row_product(5, 1)
+            row_product(5, 1)
 
 
 class TestDivisibilityProperties:
@@ -238,10 +237,8 @@ class TestDivisibilityProperties:
             assert f_big.exponentwise_divides(f_small)
 
     def test_primes_factorials_against_closed_form(self):
-        from borderings.closedforms import factorial_P
-
         P = Primes()
+        greedy = EngineConfig(force_greedy=True)
         for k in (0, 1, 3, 5, 8):
-            T = BaseSet.auto()
-            assert factorial(P, T, k) == factorial_P(k, T.resolve(P, k))
+            assert factorial(P, AUTO, k) == factorial(P, AUTO, k, config=greedy)
         assert factorial(P, BaseSet.explicit([2, 3]), 3).value() == 24

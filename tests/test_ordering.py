@@ -205,6 +205,11 @@ class TestBOrdering:
         with pytest.raises(ValueError):
             b_ordering(S, 3, 3, start=2)
 
+    def test_negative_base_is_refused_before_step_zero(self):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="base must be >= 0"):
+                b_ordering(AllIntegers(), -3, k, start=5)
+
     def test_well_definedness_against_full_branch_oracle(self):
         rng = random.Random(17)
         for _ in range(25):
@@ -273,7 +278,7 @@ class TestExponentSequence:
     def test_window_limited_marker(self):
         S = CustomPredicate(lambda a: a % 4 == 2, enumeration_cap=200, name="mod4")
         seq = exponent_sequence(S, 2, 4)
-        assert seq.window_limited
+        assert not seq.certified
         assert not all(seq.certified_steps)
 
     def test_deep_progression_is_certified(self):
@@ -285,7 +290,7 @@ class TestExponentSequence:
 
 
 class TestPointQuery:
-    SETS = ["Z", "N", "P", "list:-7,0,3,4,12,20", "ap:1,4", "ap:-3,6", "ap:0,8"]
+    SETS = ["Z", "N", "P", "list:-7,0,3,4,12,20", "list:5", "range:-2..3", "ap:1,4", "ap:-3,6", "ap:0,8"]
 
     @pytest.mark.parametrize("spec", SETS)
     @pytest.mark.parametrize("force_greedy", [False, True])
@@ -298,6 +303,19 @@ class TestPointQuery:
                 assert alpha(S, b, k, config) == seq.values[k], (spec, b, k)
             assert alphas(S, b, range(15), config) == seq.values
             assert alphas(S, b, (9, 2, 9), config) == [seq.values[9], seq.values[2], seq.values[9]]
+
+    def test_finite_set_runs_only_up_to_its_size(self, monkeypatch):
+        S, steps = ExplicitFinite([1, 2, 3]), []
+        original = ordering_module.greedy_step
+
+        def counting_greedy_step(*args, **kwargs):
+            steps.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ordering_module, "greedy_step", counting_greedy_step)
+        assert alpha(S, 2, 10**9) == INF
+        assert len(steps) <= 3
+        assert alphas(S, 2, (2, 10**9)) == [ExtNat(1), INF]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -20,9 +20,7 @@ from borderings.series import (
     build_qk,
     congruence_check,
     eval_poly,
-    is_t_primitive,
     maxmin_check,
-    ord_t,
     phi_b,
     random_primitive_polynomial,
     t_ordering,
@@ -55,9 +53,9 @@ class TestTruncatedSeries:
         assert (f * g).cap == 4
 
     def test_ord_examples(self):
-        assert ord_t(series(0, 0, 1, 1)) == TOrderValue.of(2)
-        assert ord_t(series(3, -1)) == TOrderValue.of(0)
-        z = ord_t(TruncatedSeries.zero(8))
+        assert series(0, 0, 1, 1).ord_t() == TOrderValue.of(2)
+        assert series(3, -1).ord_t() == TOrderValue.of(0)
+        z = TruncatedSeries.zero(8).ord_t()
         assert not z.exact and z.floor == 8
 
     def test_order_value_comparisons(self):
@@ -110,9 +108,9 @@ class TestPolynomials:
 
     def test_primitivity(self):
         q = build_qk([phi_b(3, 2, 8), phi_b(5, 2, 8)])
-        assert is_t_primitive(q)  # monic
+        assert q.is_t_primitive()  # monic
         p = SeriesPolynomial((series(0, 1), series(0, 2)))  # t*x + ... all divisible by t
-        assert not is_t_primitive(p)
+        assert not p.is_t_primitive()
 
     def test_primitive_closed_under_product(self):
         rng = random.Random(4)
@@ -123,7 +121,7 @@ class TestPolynomials:
             for i, a in enumerate(p.coeffs):
                 for j, b in enumerate(q.coeffs):
                     prod_coeffs[i + j] = prod_coeffs[i + j] + a * b
-            assert is_t_primitive(SeriesPolynomial(tuple(prod_coeffs)))
+            assert SeriesPolynomial(tuple(prod_coeffs)).is_t_primitive()
 
 
 class TestTOrdering:
@@ -347,8 +345,10 @@ class TestOrderKernels:
         f, g = series(1, Fraction(1, 2), cap=4), series(3, cap=5)
         for h in (f + g, f - g, -f, f * g, f.truncate(2), eval_poly(build_qk([g]), f)):
             assert all(type(c) is Fraction for c in h.coeffs)
-        for cap in (0, -1):  # a negative cap must not slice coefficients off the end
+        for cap in (0, -1, -3):  # a negative cap must not slice coefficients off the end
             with pytest.raises(ValueError):
                 f.truncate(cap)
+            with pytest.raises(ValueError):
+                TruncatedSeries.constant(5, cap)
         with pytest.raises(ValueError):
             TruncatedSeries.zero(0)
