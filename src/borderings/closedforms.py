@@ -9,9 +9,10 @@ partition bound ties the P lower bound to the floor sums.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from .intsets import Primes
-from .numerics import digit_sum, floor_sum, omega, prime_factors
+from .numerics import digit_sum, floor_sum, omega, omega_totient, prime_factors
 
 
 def alpha_Z(k: int, b: int) -> int:
@@ -44,21 +45,22 @@ def beta_digit(k: int, ell: int, b: int) -> int:
     return num // (b - 1)
 
 
-def alpha_P(k: int, b: int) -> int:
+def alpha_P(k: int, b: int, shape: Optional[tuple[int, int]] = None) -> int:
     """Exponent of b in the k-th invariant for the primes.
 
     Zero whenever totient(b) + omega(b) > k; otherwise the floor sum of
     (k - omega(b)) over totient(b), b*totient(b), b^2*totient(b), ...
+    A caller asking many k at one base passes shape = omega_totient(b).
     """
     if b < 2:
         raise ValueError(f"alpha_P needs b >= 2, got {b}")
     if k < 0:
         raise ValueError(f"alpha_P needs k >= 0, got {k}")
-    factors = prime_factors(b)  # omega and totient both read this one factorization
-    n = k - len(factors)
+    w, m = omega_totient(b) if shape is None else shape
+    n = k - w
     if n < 0:
         return 0
-    total, m = 0, math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
+    total = 0
     while m <= n:
         total += n // m
         m *= b

@@ -233,6 +233,12 @@ def omega(b: int) -> int:
     return len(prime_factors(b))
 
 
+def omega_totient(b: int) -> tuple[int, int]:
+    """omega(b) and totient(b) for b >= 2, both read off one factorisation."""
+    factors = prime_factors(b)
+    return len(factors), math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
+
+
 def totients_and_omegas(n: int) -> tuple[list[int], list[int]]:
     """totient(b) and omega(b) for every 0 <= b <= n, from one sieve (entries 0, 1 unused)."""
     phi, omegas = list(range(n + 1)), [0] * (n + 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import closedforms
-from .numerics import INF, ZERO, ExtNat, extnat_sum, ord_b
+from .numerics import INF, ZERO, ExtNat, extnat_sum, omega_totient, ord_b
 from .intsets import (
     AllIntegers,
     IntegerSet,
@@ -487,8 +487,20 @@ def _formula(S: IntegerSet, b: int, config: EngineConfig):
         if isinstance(S, (AllIntegers, NonnegativeIntegers)):
             return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
         if isinstance(S, Primes):
-            return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b))
+            shape = omega_totient(b)
+            return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b, shape))
     return None
+
+
+def _greedy_run(S: IntegerSet, b: int, k: int, config: EngineConfig) -> BOrdering:
+    """The canonical greedy run up to k, or up to |S| - 1 for a finite S.
+
+    Every later step repeats an element, so callers read each index past
+    the run as a certified INF.
+    """
+    if S.cardinality.is_finite:
+        k = min(k, S.cardinality.value - 1)
+    return b_ordering(S, b, k, CANONICAL, config=config)
 
 
 def alphas(
@@ -500,9 +512,8 @@ def alphas(
     """alpha_k(S, b) for each k in ks (nonempty), computing only what they read.
 
     A formula is evaluated at each k alone; any other set gets one greedy
-    run up to max(ks), or up to |S| - 1 for a finite S: every later step
-    repeats an element, so alpha_k is infinite for k >= |S|.  A run with
-    an uncertified step raises WindowLimitedError unless the config allows
+    run up to max(ks), cut at |S| - 1 for a finite S.  A run with an
+    uncertified step raises WindowLimitedError unless the config allows
     uncertified results.
     """
     if b < 0:
@@ -513,16 +524,13 @@ def alphas(
     if form is not None:
         _, at = form
         return [at(k) for k in ks]
-    top = max(ks)
-    if S.cardinality.is_finite:
-        top = min(top, S.cardinality.value - 1)
-    run = b_ordering(S, b, top, CANONICAL, config=config)
+    run = _greedy_run(S, b, max(ks), config)
     if not run.all_certified and not config.allow_uncertified:
         raise WindowLimitedError(
             f"exponents for (S={S.spec}, b={b}) are window-limited; "
             "pass config=EngineConfig(allow_uncertified=True) to accept them"
         )
-    return [run.exponents[k] if k <= top else INF for k in ks]
+    return [run.exponents[k] if k < len(run.exponents) else INF for k in ks]
 
 
 def alpha(S: IntegerSet, b: int, k: int, config: EngineConfig = DEFAULT_CONFIG) -> ExtNat:
@@ -545,8 +553,10 @@ def exponent_sequence(
     if form is not None:
         source, at = form
         return ExponentSequence(S.spec, b, [at(i) for i in range(k + 1)], [True] * (k + 1), source)
-    run = b_ordering(S, b, k, CANONICAL, config=config)
-    return ExponentSequence(S.spec, b, run.exponents, run.certified, "greedy")
+    run = _greedy_run(S, b, k, config)
+    pad = k + 1 - len(run.exponents)
+    values, certified = run.exponents + [INF] * pad, run.certified + [True] * pad
+    return ExponentSequence(S.spec, b, values, certified, "greedy")
 
 
 def _partial_sums(values: Sequence[ExtNat]) -> list[ExtNat]:

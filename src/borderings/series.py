@@ -2,6 +2,8 @@
 
 Coefficients are given as int or Fraction and held as Fraction; anything
 else (a float, say) is refused rather than turned into a binary fraction.
+Products and polynomial evaluation run on integer numerators over one
+common denominator and return to Fraction once per output coefficient.
 
 Everything is truncated at a degree cap; a vanishing truncation never
 pretends to be exact.  Orders below the cap are reported exactly, orders
@@ -11,6 +13,7 @@ truncation cannot justify raises CapError instead of guessing.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,15 +124,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cap, other.cap)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries._exact(tuple(out))
+        (a, c), d = _scaled((self.coeffs, other.coeffs), n)
+        return TruncatedSeries._exact(_fractions(_convolve(a, c), d * d))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -150,6 +146,31 @@ class TruncatedSeries:
         terms = [f"{c}*t^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         body = " + ".join(terms) if terms else "0"
         return f"TruncatedSeries({body}; cap={self.cap})"
+
+
+def _scaled(seqs, n: int) -> tuple[list[list[int]], int]:
+    """Each coefficient sequence cut to n terms, as integer numerators over one denominator d."""
+    d = math.lcm(*(c.denominator for cs in seqs for c in cs[:n]))
+    return [[c.numerator * (d // c.denominator) for c in cs[:n]] for cs in seqs], d
+
+
+def _convolve(a: list[int], c: list[int]) -> list[int]:
+    """The product of two integer coefficient lists, truncated to the length of a."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(c[: n - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def _fractions(nums: list[int], d: int) -> tuple:
+    """The coefficients nums / d, each divided back once."""
+    if d == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(v, d) for v in nums)
 
 
 def phi_b(a: int, b: int, cap: int) -> TruncatedSeries:
@@ -204,15 +225,27 @@ def build_qk(prefix: Sequence[TruncatedSeries], cap: Optional[int] = None) -> Se
     return SeriesPolynomial(tuple(coeffs))
 
 
-def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None) -> TruncatedSeries:
-    """Exact truncated evaluation by Horner's rule, mod t^cap if a smaller cap is given."""
+def _horner(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int]) -> tuple[list[int], int]:
+    """p(f) mod t^cap (at most the operands' own cap) as integer numerators over a denominator.
+
+    With every coefficient scaled by one common D to integers F and C_i,
+    A_k = C_k and A_i = A_{i+1}*F + C_i*D^(k-i) give A_0 = D^(k+1) * p(f).
+    """
     own = min(f.cap, min(c.cap for c in p.coeffs))
     cap = own if cap is None else min(cap, own)
-    f = f.truncate(cap)
-    acc = TruncatedSeries.zero(cap)
-    for c in reversed(p.coeffs):
-        acc = acc * f + c.truncate(cap)
-    return acc
+    if cap < 1:
+        raise ValueError("a truncated series needs a positive cap")
+    (F, *cs), d = _scaled((f.coeffs,) + tuple(c.coeffs for c in p.coeffs), cap)
+    acc, scale = cs.pop(), d
+    for c in reversed(cs):
+        acc = [x + y * scale for x, y in zip(_convolve(acc, F), c)]
+        scale *= d
+    return acc, scale
+
+
+def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None) -> TruncatedSeries:
+    """Exact truncated evaluation by Horner's rule, mod t^cap if a smaller cap is given."""
+    return TruncatedSeries._exact(_fractions(*_horner(p, f, cap)))
 
 
 @dataclass
@@ -329,7 +362,9 @@ def _min_order_over(U: Sequence[TruncatedSeries], p: SeriesPolynomial) -> TOrder
     for f in U:
         if best is not None and best.floor == 0:
             return best  # nothing lies below order 0
-        o = eval_poly(p, f, None if best is None else best.floor).ord_t()
+        acc, _ = _horner(p, f, None if best is None else best.floor)
+        i = next((i for i, v in enumerate(acc) if v), None)
+        o = TOrderValue.at_least(len(acc)) if i is None else TOrderValue.of(i)
         if o.exact:
             if best is None or o.floor < best.floor:
                 best = o

@@ -6,9 +6,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import borderings
 import borderings.cli as cli_module
 import borderings.factored as factored_module
 import borderings.factorials as factorials_module
@@ -219,6 +224,18 @@ class TestTables:
         doc = json.loads(out)
         assert doc["results"][0]["matches_golden"] is True
         assert doc["results"][0]["lines"][-1].startswith("10|1|100|4,050")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # from a checkout, with the package found on PYTHONPATH only
+    src = str(pathlib.Path(borderings.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "borderings", "tables", "--which", "2"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("# table 2: matches golden\n", 1)[1] == tables.golden(2)
 
 
 class TestRowProduct:

@@ -288,6 +288,39 @@ class TestExponentSequence:
         assert seq.certified
         assert [v.value for v in seq.values] == [20 * i + alpha_Z(i, 2) for i in range(21)]
 
+    def test_finite_sequence_runs_only_up_to_its_size(self, monkeypatch):
+        S, steps = ExplicitFinite([1, 2, 3]), []
+        original = ordering_module.greedy_step
+        # the run past |S| is the reference for the padded tail
+        full = b_ordering(S, 2, 12)
+
+        def counting_greedy_step(*args, **kwargs):
+            steps.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ordering_module, "greedy_step", counting_greedy_step)
+        seq = exponent_sequence(S, 2, 100000)
+        assert len(steps) <= 3
+        assert seq.values[:13] == full.exponents and seq.values[13:] == [INF] * (100000 - 12)
+        assert seq.certified_steps == [True] * 100001 and seq.source == "greedy"
+
+    def test_primes_factor_the_base_once(self, monkeypatch):
+        import borderings.closedforms as closedforms_module
+        import borderings.numerics as numerics_module
+
+        calls = []
+        original = numerics_module.prime_factors
+
+        def counting_prime_factors(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(numerics_module, "prime_factors", counting_prime_factors)
+        monkeypatch.setattr(closedforms_module, "prime_factors", counting_prime_factors)
+        seq = exponent_sequence(Primes(), 6, 100)
+        assert calls == [6]
+        assert [v.value for v in seq.values] == [alpha_P(k, 6) for k in range(101)]
+
 
 class TestPointQuery:
     SETS = ["Z", "N", "P", "list:-7,0,3,4,12,20", "list:5", "range:-2..3", "ap:1,4", "ap:-3,6", "ap:0,8"]

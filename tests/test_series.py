@@ -249,22 +249,26 @@ coeffs = st.one_of(
 )
 
 
+# the integer series theory-mix sends: digit maps and small random integers
+integer_coeffs = st.integers(min_value=-3, max_value=3)
+
+
 @st.composite
-def near(draw, base=None, min_cap=1, max_cap=9):
+def near(draw, base=None, min_cap=1, max_cap=9, entries=coeffs):
     """A series that shares a random prefix with `base`, so high orders are common."""
     kept = list(base.coeffs[: draw(st.integers(0, base.cap))]) if base is not None else []
     kept += [0] * draw(st.integers(0, 3))
     cap = draw(st.integers(max(min_cap, len(kept)), max(max_cap, len(kept))))
-    tail = draw(st.lists(coeffs, min_size=cap - len(kept), max_size=cap - len(kept)))
+    tail = draw(st.lists(entries, min_size=cap - len(kept), max_size=cap - len(kept)))
     return TruncatedSeries(kept[:cap] + tail)
 
 
 @st.composite
-def families(draw):
+def families(draw, entries=coeffs):
     """A family U with mixed caps around one base series, and a polynomial p."""
-    base = draw(near(min_cap=6))
-    U = [draw(near(base, min_cap=4)) for _ in range(draw(st.integers(1, 6)))]
-    others = draw(st.lists(near(base, min_cap=4), min_size=1, max_size=3))
+    base = draw(near(min_cap=6, entries=entries))
+    U = [draw(near(base, min_cap=4, entries=entries)) for _ in range(draw(st.integers(1, 6)))]
+    others = draw(st.lists(near(base, min_cap=4, entries=entries), min_size=1, max_size=3))
     # short copies of roots vanish below their own cap: the unresolved members
     for r in draw(st.lists(st.sampled_from(others), max_size=2)):
         U.insert(draw(st.integers(0, len(U))), r.truncate(draw(st.integers(1, r.cap))))
@@ -277,14 +281,14 @@ def families(draw):
 
 
 @st.composite
-def mixed_caps(draw):
+def mixed_caps(draw, entries=coeffs):
     """Members agreeing with a root r on a random prefix, and copies of r cut short.
 
     With p = x - r a long member's order is exact, while a copy cut to cap c
     leaves an order >= c unresolved: ambiguous when c lies below the minimum.
     """
-    r = draw(near(min_cap=6))
-    U = [draw(near(r, min_cap=r.cap)) for _ in range(draw(st.integers(1, 4)))]
+    r = draw(near(min_cap=6, entries=entries))
+    U = [draw(near(r, min_cap=r.cap, entries=entries)) for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(1, 2))):
         U.insert(draw(st.integers(0, len(U))), r.truncate(draw(st.integers(1, r.cap))))
     return U, build_qk([r])
@@ -316,7 +320,14 @@ class TestOrderKernels:
         assert series_module._order_of_difference(g, f) == (g - f).ord_t()
 
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(families(), mixed_caps()))
+    @given(
+        st.one_of(
+            families(),
+            mixed_caps(),
+            families(entries=integer_coeffs),
+            mixed_caps(entries=integer_coeffs),
+        )
+    )
     def test_truncated_min_order_matches_full_evaluation(self, family):
         U, p = family
         try:
@@ -352,3 +363,109 @@ class TestOrderKernels:
                 TruncatedSeries.constant(5, cap)
         with pytest.raises(ValueError):
             TruncatedSeries.zero(0)
+
+
+# -- the integer kernels against the Fraction arithmetic they replace ---------
+
+
+def fraction_mul(f, g):
+    """TruncatedSeries.__mul__ as it was: the convolution on Fractions."""
+    n = min(f.cap, g.cap)
+    out = [Fraction(0)] * n
+    for i, a in enumerate(f.coeffs[:n]):
+        if a == 0:
+            continue
+        for j in range(n - i):
+            b = g.coeffs[j]
+            if b != 0:
+                out[i + j] += a * b
+    return TruncatedSeries(out)
+
+
+def fraction_eval(p, f, cap=None):
+    """eval_poly as it was: Horner's rule on Fraction series."""
+    own = min(f.cap, min(c.cap for c in p.coeffs))
+    cap = own if cap is None else min(cap, own)
+    f = f.truncate(cap)
+    acc = TruncatedSeries.zero(cap)
+    for c in reversed(p.coeffs):
+        acc = fraction_mul(acc, f) + c.truncate(cap)
+    return acc
+
+
+def fraction_qk(prefix, cap):
+    """build_qk with every product taken by fraction_mul."""
+    coeffs = [TruncatedSeries.constant(1, cap)]
+    for f in prefix:
+        f = f.truncate(cap)
+        nxt = [TruncatedSeries.zero(cap) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - fraction_mul(c, f)
+        coeffs = nxt
+    return coeffs
+
+
+# denominators up to 7, both signs, and zeros often enough to vanish whole terms
+rationals = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+@st.composite
+def operands(draw, entries=rationals):
+    """A series of cap 1..9; one draw in four is all zero."""
+    cap = draw(st.integers(1, 9))
+    if draw(st.integers(0, 3)) == 0:
+        return TruncatedSeries.zero(cap)
+    return TruncatedSeries(draw(st.lists(entries, min_size=cap, max_size=cap)))
+
+
+@st.composite
+def polynomials(draw, entries=rationals):
+    return SeriesPolynomial(tuple(draw(st.lists(operands(entries), min_size=1, max_size=5))))
+
+
+any_entries = st.sampled_from([rationals, integer_coeffs])
+
+
+def assert_same(h, want):
+    assert h.cap == want.cap
+    assert all(type(c) is Fraction for c in h.coeffs)
+    assert h.coeffs == want.coeffs
+
+
+class TestIntegerKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_product_matches_fraction_convolution(self, data):
+        entries = data.draw(any_entries)
+        f, g = data.draw(operands(entries)), data.draw(operands(entries))
+        assert_same(f * g, fraction_mul(f, g))
+        assert_same(g * f, fraction_mul(g, f))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_evaluation_matches_fraction_horner(self, data):
+        entries = data.draw(any_entries)
+        p, f = data.draw(polynomials(entries)), data.draw(operands(entries))
+        assert_same(eval_poly(p, f), fraction_eval(p, f))
+        cap = data.draw(st.integers(1, 10))
+        assert_same(eval_poly(p, f, cap), fraction_eval(p, f, cap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_qk_matches_fraction_product(self, data):
+        entries = data.draw(any_entries)
+        prefix = data.draw(st.lists(operands(entries), max_size=4))
+        cap = data.draw(st.integers(1, min((f.cap for f in prefix), default=8)))
+        for got, want in zip(build_qk(prefix, cap).coeffs, fraction_qk(prefix, cap), strict=True):
+            assert_same(got, want)
+
+    def test_evaluation_refuses_a_cap_below_one(self):
+        p = build_qk([series(1, 2)])
+        for cap in (0, -2):
+            with pytest.raises(ValueError):
+                eval_poly(p, series(3), cap)
