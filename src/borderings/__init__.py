@@ -14,7 +14,6 @@ from .numerics import INF, ExtNat, ord_b, digits, digit_sum, cumulative_digit_su
 from .intsets import (
     AllIntegers,
     ArithmeticProgression,
-    CustomPredicate,
     ExplicitFinite,
     IntegerSet,
     NonnegativeIntegers,
@@ -31,7 +30,6 @@ from .ordering import (
     ExponentSequence,
     RandomTieBreak,
     TestSequence,
-    WindowLimitedError,
     alpha,
     alphas,
     b_ordering,

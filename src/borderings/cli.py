@@ -107,9 +107,9 @@ def cmd_exponents(args) -> int:
     config = _config(args)
     seq = exponent_sequence(S, args.base, args.k, config=config)
     header = _header(args, config, set=S.spec, base=args.base, k=args.k, source=seq.source)
-    em = _Emitter(args.format, header, ["i", "alpha", "certified"])
-    for i, (v, cert) in enumerate(zip(seq.values, seq.certified_steps)):
-        em.add(i=i, alpha=_render_extnat(v, args.format), certified=cert)
+    em = _Emitter(args.format, header, ["i", "alpha"])
+    for i, v in enumerate(seq.values):
+        em.add(i=i, alpha=_render_extnat(v, args.format))
     em.emit()
     return EXIT_OK
 

@@ -9,7 +9,6 @@ partition bound ties the P lower bound to the floor sums.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .intsets import Primes
 from .numerics import digit_sum, floor_sum, omega, omega_totient, prime_factors
@@ -45,18 +44,17 @@ def beta_digit(k: int, ell: int, b: int) -> int:
     return num // (b - 1)
 
 
-def alpha_P(k: int, b: int, shape: Optional[tuple[int, int]] = None) -> int:
+def alpha_P(k: int, b: int) -> int:
     """Exponent of b in the k-th invariant for the primes.
 
     Zero whenever totient(b) + omega(b) > k; otherwise the floor sum of
     (k - omega(b)) over totient(b), b*totient(b), b^2*totient(b), ...
-    A caller asking many k at one base passes shape = omega_totient(b).
     """
     if b < 2:
         raise ValueError(f"alpha_P needs b >= 2, got {b}")
     if k < 0:
         raise ValueError(f"alpha_P needs k >= 0, got {k}")
-    w, m = omega_totient(b) if shape is None else shape
+    w, m = omega_totient(b)
     n = k - w
     if n < 0:
         return 0

@@ -17,7 +17,6 @@ from .numerics import INF, ExtNat, cumulative_digit_sum, digit_sum, extnat_sum
 from .ordering import (
     DEFAULT_CONFIG,
     EngineConfig,
-    WindowLimitedError,  # re-exported: factorials raise it
     alpha,
     alphas,
     pairwise_valuation_sum,

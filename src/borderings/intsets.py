@@ -1,9 +1,7 @@
 """Subsets of Z with membership, canonical enumeration and residue-class knowledge.
 
 The canonical element order used everywhere downstream is (|a|, nonnegative
-before negative).  Residue-class answers are exact for the built-in set
-variants; custom predicate sets answer Unknown and force windowed (and
-therefore uncertified) greedy searches.
+before negative).  Every set answers residue-class questions exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .numerics import INF, ExtNat, is_prime, primes_up_to
 
@@ -33,7 +31,6 @@ class ResidueKind(Enum):
     EMPTY = "empty"
     FINITE_ONLY = "finite_only"
     INFINITE = "infinite"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -56,13 +53,9 @@ class ResidueStatus:
     def infinite(cls) -> "ResidueStatus":
         return cls(ResidueKind.INFINITE)
 
-    @classmethod
-    def unknown(cls) -> "ResidueStatus":
-        return cls(ResidueKind.UNKNOWN)
-
     @property
     def nonempty(self) -> bool:
-        return self.kind in (ResidueKind.FINITE_ONLY, ResidueKind.INFINITE)
+        return self.kind is not ResidueKind.EMPTY
 
 
 class IntegerSet:
@@ -70,10 +63,7 @@ class IntegerSet:
 
     Subclasses provide exact membership, bounded enumeration in canonical
     order, residue-class status for any modulus m >= 2, and a smallest-
-    element search within a residue class.  An infinite set that answers
-    UNKNOWN to residue questions, as CustomPredicate does, must declare
-    `enumeration_cap`: greedy runs over it scan |a| <= enumeration_cap
-    and mark their values window-limited.
+    element search within a residue class.
     """
 
     spec: str  # the set-spec string this set round-trips to
@@ -327,55 +317,6 @@ class ArithmeticProgression(IntegerSet):
             return x
         # the canonically least member is the least one >= 0 or the one below it
         return min(x % d, x % d - d, key=canonical_key)
-
-
-class CustomPredicate(IntegerSet):
-    """A user-supplied membership test with a declared enumeration cap.
-
-    Residue-class structure is unknown, so greedy searches over this set
-    are window-limited and never certified.
-    """
-
-    def __init__(
-        self,
-        predicate: Callable[[int], bool],
-        enumeration_cap: int,
-        name: str = "custom",
-        cardinality: ExtNat = INF,
-    ):
-        self.predicate = predicate
-        self.enumeration_cap = enumeration_cap
-        self.spec = name
-        self._cardinality = cardinality
-
-    @property
-    def cardinality(self) -> ExtNat:
-        return self._cardinality
-
-    def contains(self, a: int) -> bool:
-        return bool(self.predicate(a))
-
-    def elements_up_to(self, bound: int) -> list[int]:
-        if bound > self.enumeration_cap:
-            raise SetSpecError(
-                f"bound {bound} exceeds declared enumeration cap {self.enumeration_cap}"
-            )
-        out = [a for a in range(-bound, bound + 1) if self.predicate(a)]
-        return sorted(out, key=canonical_key)
-
-    def iter_canonical(self) -> Iterator[int]:
-        yield from self.elements_up_to(self.enumeration_cap)
-
-    def residue_status(self, r: int, m: int) -> ResidueStatus:
-        _check_modulus(r, m)
-        return ResidueStatus.unknown()
-
-    def pick_in_class(self, r, m, cap=10**7):
-        r = _check_modulus(r, m)
-        for a in self.elements_up_to(self.enumeration_cap):
-            if a % m == r:
-                return a
-        return None
 
 
 RANGE_WIDTH_MAX = 10**5  # most members a range: spec may name; it is built in full

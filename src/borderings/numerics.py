@@ -8,7 +8,7 @@ modelled by :class:`ExtNat`.
 from __future__ import annotations
 
 import math
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 
 @total_ordering
@@ -74,21 +74,23 @@ class ExtNat:
             raise ValueError(f"ExtNat subtraction {self} - {o} would be negative")
         return ExtNat(self._v - o._v)
 
+    # A plain int is compared as it is: a negative one equals no ExtNat and
+    # lies below every one, and no ExtNat is built for it.
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._v == o._v
+        if isinstance(other, ExtNat):
+            return self._v == other._v
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self._v == other
+        return NotImplemented
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, ExtNat):
+            other = other._v
+        elif not isinstance(other, int) or isinstance(other, bool):
             return NotImplemented
         if self._v is None:
             return False
-        if o._v is None:
-            return True
-        return self._v < o._v
+        return other is None or self._v < other
 
     def __hash__(self) -> int:
         return hash(self._v)
@@ -233,8 +235,9 @@ def omega(b: int) -> int:
     return len(prime_factors(b))
 
 
+@lru_cache(maxsize=4096)
 def omega_totient(b: int) -> tuple[int, int]:
-    """omega(b) and totient(b) for b >= 2, both read off one factorisation."""
+    """omega(b) and totient(b) for b >= 2, both read off one factorisation, kept per b."""
     factors = prime_factors(b)
     return len(factors), math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
 

@@ -11,9 +11,7 @@ exactly.  The walk always ends: every opened subclass holds a prefix
 element, so its bound grows by at least one per level.  Each opened class
 keeps a summary of its best member between steps; an append changes the
 counts of the classes it lies in only, so only their summaries are
-recomputed.  Sets with unknown residue structure fall back to a scan of
-their declared window whose results are marked window-limited rather
-than certified.
+recomputed.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import closedforms
-from .numerics import INF, ZERO, ExtNat, extnat_sum, omega_totient, ord_b
+from .numerics import INF, ZERO, ExtNat, extnat_sum, ord_b
 from .intsets import (
     AllIntegers,
     IntegerSet,
@@ -42,9 +40,8 @@ class EngineConfig:
     Defaults suit desk-scale runs.
     """
 
-    search_cap: int = 10**7          # cap for in-class element searches
-    force_greedy: bool = False       # skip the closed forms for Z, N and P
-    allow_uncertified: bool = False  # accept window-limited results instead of refusing
+    search_cap: int = 10**7     # cap for in-class element searches
+    force_greedy: bool = False  # skip the closed forms for Z, N and P
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -102,22 +99,26 @@ class TestSequence:
 class StepResult:
     element: int
     value: ExtNat
-    certified: bool
 
 
 @dataclass
 class BOrdering:
-    """A computed b-ordering with its exponent sequence and certification."""
+    """A computed b-ordering with its exponent sequence."""
 
     base: int
     elements: list[int]
     exponents: list[ExtNat]
-    certified: list[bool]
     strategy: str
 
     @property
+    def certified(self) -> list[bool]:
+        """Always true per step: each is an exhaustive scan or a residue-walk proof."""
+        return [True] * len(self.elements)
+
+    @property
     def all_certified(self) -> bool:
-        return all(self.certified)
+        """Always true; see `certified`."""
+        return True
 
     def recomputed_exponents(self) -> list[ExtNat]:
         """Exponents recomputed from the element list alone."""
@@ -214,7 +215,7 @@ class _GreedyState:
         self.values: dict[int, Optional[int]] = {}
         self.levels: dict[int, Counter] = {}
         self.scan_list: Optional[list[int]] = None
-        self.children: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        self.children: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.witnesses: dict[int, tuple[int, tuple[int, int], int]] = {}
         self.summaries: defaultdict[int, dict] = defaultdict(dict)
 
@@ -241,12 +242,9 @@ class _GreedyState:
             self.levels[level] = Counter(a % self.b**level for a in self.prefix)
         return self.levels[level]
 
-    def subclasses(self, r: int, depth: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def subclasses(self, r: int, depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The residues mod b^(depth+1) of the infinite subclasses of r mod b^depth
         and the S-members of its finite ones, asked of S once per run.
-
-        None when S answers UNKNOWN, as a set without residue knowledge
-        does for every class.
         """
         key = self.b**depth + r
         if key not in self.children:
@@ -257,51 +255,35 @@ class _GreedyState:
             for i in range(b):
                 r1 = r + i * base_mod
                 status = S.residue_status(r1, mod1)
-                if status.kind is ResidueKind.UNKNOWN:
-                    self.children[key] = None
-                    break
                 if status.kind is ResidueKind.INFINITE:
                     infinite.append(r1)
                 else:
                     finite.extend(status.members)
-            else:
-                self.children[key] = (tuple(infinite), tuple(finite))
+            self.children[key] = (tuple(infinite), tuple(finite))
         return self.children[key]
 
     def step(self, policy: TieBreakPolicy) -> StepResult:
         S, b = self.S, self.b
         if not self.prefix:
-            return StepResult(_initial_element(S, policy), ZERO, True)
+            return StepResult(_initial_element(S, policy), ZERO)
         if b < 2:
             nxt = _first_unused(S, set(self.prefix)) if b == 0 else None
             if nxt is None:  # b = 1, or b = 0 with S used up
-                return StepResult(next(iter(S.iter_canonical())), INF, True)
-            return StepResult(nxt, ZERO, True)
+                return StepResult(next(iter(S.iter_canonical())), INF)
+            return StepResult(nxt, ZERO)
 
         if S.cardinality.is_finite:
-            return self._scan(policy, self._candidates(lambda: list(S.iter_canonical())), True)
-
-        if self.subclasses(0, 0) is None:
-            # no residue knowledge: scan the set's declared window; certified
-            # only on an exact zero
-            candidates = self._candidates(lambda: S.elements_up_to(S.enumeration_cap))
-            if not candidates:
-                raise ValueError(f"set {S.spec} has no elements within the scan window")
-            return self._scan(policy, candidates, False)
+            return self._scan(policy)
 
         return self._branch_and_bound(policy)
 
-    def _candidates(self, build) -> list[int]:
-        """The explicit candidate list of a scanning run, built and tracked once."""
+    def _scan(self, policy: TieBreakPolicy) -> StepResult:
+        """Exhaustive minimisation over a finite S, whose members are listed and tracked once."""
         if self.scan_list is None:
-            self.scan_list = build()
+            self.scan_list = list(self.S.iter_canonical())
             for a in self.scan_list:
                 self.value_of(a)
-        return self.scan_list
-
-    def _scan(self, policy: TieBreakPolicy, candidates: list[int], certified: bool) -> StepResult:
-        """Exhaustive minimisation over an explicit candidate list."""
-        values = self.values
+        candidates, values = self.scan_list, self.values
         best: Optional[int] = None
         minimizers: list[int] = []
         for a in candidates:
@@ -316,8 +298,8 @@ class _GreedyState:
             raise ValueError("no candidates to minimise over")
         if best is None:
             # set exhausted: by convention later elements repeat the canonical first
-            return StepResult(min(candidates, key=canonical_key), INF, certified)
-        return StepResult(policy.choose(minimizers), ExtNat(best), certified or best == 0)
+            return StepResult(min(candidates, key=canonical_key), INF)
+        return StepResult(policy.choose(minimizers), ExtNat(best))
 
     def _branch_and_bound(self, policy: TieBreakPolicy) -> StepResult:
         """Certified minimum of sum_j ord_b(a' - a_j) over infinite structured S.
@@ -341,7 +323,7 @@ class _GreedyState:
                     if c <= target and c + below[r1][0] == target
                 )
             element = policy.choose(pool)
-        return StepResult(element, ExtNat(value), True)
+        return StepResult(element, ExtNat(value))
 
     def _summarize(self) -> tuple:
         """The root summary, after summarizing every class it needs.
@@ -405,7 +387,7 @@ def greedy_step(
     policy: TieBreakPolicy = CANONICAL,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> StepResult:
-    """One greedy extension step; certified means provably minimal over all of S.
+    """One greedy extension step: an element of provably minimal value over all of S.
 
     A plain prefix is replayed into a fresh state; `b_ordering` passes its
     running state instead, so each of its steps costs O(|S|), not O(|S|*k).
@@ -428,48 +410,43 @@ def b_ordering(
     start: Optional[int] = None,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> BOrdering:
-    """A b-ordering of S of length k+1 with exponents and step certificates."""
+    """A b-ordering of S of length k+1 with its exponents."""
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     state = _GreedyState(S, b, config)
     exponents: list[ExtNat] = []
-    certified: list[bool] = []
     for i in range(k + 1):
         if i == 0 and start is not None:
             if not S.contains(start):
                 raise ValueError(f"start element {start} is not in {S.spec}")
-            step = StepResult(start, ZERO, True)
+            step = StepResult(start, ZERO)
         else:
             step = greedy_step(state, b, S, policy, config)
         state.append(step.element)
         exponents.append(step.value)
-        certified.append(step.certified)
-    return BOrdering(b, state.prefix, exponents, certified, policy.name)
+    return BOrdering(b, state.prefix, exponents, policy.name)
 
 
 @dataclass
 class ExponentSequence:
-    """The well-defined invariants alpha_0..alpha_k of (S, b).
-
-    `certified` is false when some value came from an uncertified windowed
-    scan; such values are never silently passed off as invariants.
-    """
+    """The well-defined invariants alpha_0..alpha_k of (S, b)."""
 
     set_spec: str
     base: int
     values: list[ExtNat]
-    certified_steps: list[bool]
     source: str
 
     @property
+    def certified_steps(self) -> list[bool]:
+        """Always true per index: each value is a formula, an exhaustive scan or a walk proof."""
+        return [True] * len(self.values)
+
+    @property
     def certified(self) -> bool:
-        return all(self.certified_steps)
-
-
-class WindowLimitedError(RuntimeError):
-    """A point query would silently pass off uncertified (window-limited) exponents."""
+        """Always true; see `certified_steps`."""
+        return True
 
 
 def _formula(S: IntegerSet, b: int, config: EngineConfig):
@@ -487,8 +464,7 @@ def _formula(S: IntegerSet, b: int, config: EngineConfig):
         if isinstance(S, (AllIntegers, NonnegativeIntegers)):
             return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
         if isinstance(S, Primes):
-            shape = omega_totient(b)
-            return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b, shape))
+            return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b))
     return None
 
 
@@ -512,9 +488,7 @@ def alphas(
     """alpha_k(S, b) for each k in ks (nonempty), computing only what they read.
 
     A formula is evaluated at each k alone; any other set gets one greedy
-    run up to max(ks), cut at |S| - 1 for a finite S.  A run with an
-    uncertified step raises WindowLimitedError unless the config allows
-    uncertified results.
+    run up to max(ks), cut at |S| - 1 for a finite S.
     """
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
@@ -525,11 +499,6 @@ def alphas(
         _, at = form
         return [at(k) for k in ks]
     run = _greedy_run(S, b, max(ks), config)
-    if not run.all_certified and not config.allow_uncertified:
-        raise WindowLimitedError(
-            f"exponents for (S={S.spec}, b={b}) are window-limited; "
-            "pass config=EngineConfig(allow_uncertified=True) to accept them"
-        )
     return [run.exponents[k] if k < len(run.exponents) else INF for k in ks]
 
 
@@ -552,11 +521,10 @@ def exponent_sequence(
     form = _formula(S, b, config)
     if form is not None:
         source, at = form
-        return ExponentSequence(S.spec, b, [at(i) for i in range(k + 1)], [True] * (k + 1), source)
+        return ExponentSequence(S.spec, b, [at(i) for i in range(k + 1)], source)
     run = _greedy_run(S, b, k, config)
     pad = k + 1 - len(run.exponents)
-    values, certified = run.exponents + [INF] * pad, run.certified + [True] * pad
-    return ExponentSequence(S.spec, b, values, certified, "greedy")
+    return ExponentSequence(S.spec, b, run.exponents + [INF] * pad, "greedy")
 
 
 def _partial_sums(values: Sequence[ExtNat]) -> list[ExtNat]:

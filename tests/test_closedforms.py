@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import borderings.numerics as numerics_module
 from borderings.closedforms import (
     alpha_P,
     alpha_Z,
@@ -67,6 +68,19 @@ class TestAlphaP:
         for b in range(2, 30):
             for k in range(totient(b) + omega(b)):
                 assert alpha_P(k, b) == 0
+
+    def test_base_is_factored_once(self, monkeypatch):
+        calls = []
+        original = numerics_module.prime_factors
+
+        def counting_prime_factors(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(numerics_module, "prime_factors", counting_prime_factors)
+        values = [alpha_P(k, 6) for k in range(100)]
+        assert values[99] == 97 // 2 + 97 // 12 + 97 // 72  # omega(6) = totient(6) = 2
+        assert calls.count(6) <= 1
 
     def test_matches_greedy(self):
         P = Primes()

@@ -12,7 +12,6 @@ from borderings import closedforms
 from borderings.closedforms import alpha_Z, beta
 from borderings.factored import BaseSet, FactoredNumber
 from borderings.factorials import (
-    WindowLimitedError,
     factorial,
     gen_binomial,
     gen_integer,
@@ -24,7 +23,6 @@ from borderings.factorials import (
 from borderings.intsets import (
     AllIntegers,
     ArithmeticProgression,
-    CustomPredicate,
     ExplicitFinite,
     Primes,
 )
@@ -65,13 +63,6 @@ class TestFactorial:
         F = factorial(S, BaseSet.all_up_to(8), 1)
         assert F.exponent(2) == 2 and F.exponent(4) == 1
         assert F.value() == 16  # gcd of differences is 4, so 1!_{S,T} > 1
-
-    def test_window_limited_propagation(self):
-        S = CustomPredicate(lambda a: a % 4 == 2, enumeration_cap=300, name="mod4")
-        with pytest.raises(WindowLimitedError):
-            factorial(S, BaseSet.explicit([2, 3]), 3)
-        F = factorial(S, BaseSet.explicit([2, 3]), 3, config=EngineConfig(allow_uncertified=True))
-        assert F.value() >= 1
 
 
 class TestGenInteger:

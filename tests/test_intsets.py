@@ -12,7 +12,6 @@ from borderings.intsets import (
     RANGE_WIDTH_MAX,
     AllIntegers,
     ArithmeticProgression,
-    CustomPredicate,
     ExplicitFinite,
     NonnegativeIntegers,
     Primes,
@@ -115,16 +114,6 @@ class TestResidueStatus:
         assert st.kind is ResidueKind.FINITE_ONLY and st.members == (2,)
         st = P.residue_status(3, 9)
         assert st.kind is ResidueKind.FINITE_ONLY and st.members == (3,)
-
-    def test_custom_predicate_unknown(self):
-        S = CustomPredicate(lambda a: a % 7 == 1, enumeration_cap=500, name="custom7")
-        assert S.residue_status(1, 7).kind is ResidueKind.UNKNOWN
-
-    def test_custom_predicate_refuses_bounds_above_cap(self):
-        S = CustomPredicate(lambda a: a % 7 == 1, enumeration_cap=500, name="custom7")
-        assert 1 in S.elements_up_to(500)
-        with pytest.raises(SetSpecError):
-            S.elements_up_to(501)
 
     def test_consistency_with_scan(self):
         scan_bound = 10**4

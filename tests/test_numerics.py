@@ -76,6 +76,12 @@ class TestExtNat:
         assert extnat_sum([ExtNat(1), 2, INF]) == INF
         assert extnat_sum([]) == 0
 
+    @given(extnats, st.integers(max_value=-1))
+    def test_negative_ints_lie_below_every_value(self, a, n):
+        assert a != n and not a == n and n != a
+        assert n < a and a > n and not a < n and not a <= n
+        assert n not in [a]
+
 
 class TestOrdB:
     def test_examples(self):
