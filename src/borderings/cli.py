@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import __version__, tables, verify
-from .factored import BaseSetError, group_digits, parse_base_spec
+from .factored import BaseSetError, FactoredNumber, group_digits, parse_base_spec
 from .factorials import factorial, gen_binomial, gen_integer, row_product
 from .intsets import SearchExhausted, SetSpecError, parse_set_spec
 from .numerics import ExtNat
@@ -31,6 +31,40 @@ from .ordering import DEFAULT_CONFIG, EngineConfig, exponent_sequence
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
+
+# Largest value, in bits, the CLI prints as a decimal.  Python's int to
+# decimal conversion is quadratic: on a 2-vCPU Xeon under Python 3.11 a
+# 2^19-bit value (about 158,000 digits) takes about 1 s, 2^20 bits 2 s and
+# 2^22 bits 32 s.
+DECIMAL_BITS_MAX = 2**19
+
+# Largest n for `rowproduct`.  Its exponents cost O(n^2 log n) before any
+# value exists; on the same machine row_product(300) has 327,039 bits (the
+# exponent bound says 355,987) and takes about 0.3 s from exponents to
+# decimal, and n = 500 (977,099 bits) about 2.4 s.
+ROWPRODUCT_N_MAX = 300
+
+
+def _decimal(value: FactoredNumber) -> str:
+    """value in grouped decimal, refused before value() when it may exceed DECIMAL_BITS_MAX bits.
+
+    sum e * b.bit_length() over the bases bounds the bit length from above.
+    """
+    if not value.is_zero:
+        bits = sum(e.value * b.bit_length() for b, e in value.items() if b != 1)
+        if bits > DECIMAL_BITS_MAX:
+            raise ValueError(
+                f"the value may have up to {bits} bits; decimal output is limited to "
+                f"{DECIMAL_BITS_MAX} bits"
+            )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit to lift
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return group_digits(value.value())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _render_extnat(v: ExtNat, fmt: str) -> str:
@@ -131,7 +165,7 @@ def cmd_factored(args) -> int:
     header = _header(args, config, set=S.spec, bases=T.describe(), **numbers)
     em = _Emitter(args.format, header, ["decimal", "factored", "factored_bases"])
     em.add(
-        decimal=group_digits(value.value()),
+        decimal=_decimal(value),
         factored=value.refine_to_primes().format_factored(),
         factored_bases=value.format_factored(),
     )
@@ -162,16 +196,18 @@ def cmd_tables(args) -> int:
 
 
 def cmd_rowproduct(args) -> int:
+    if args.n > ROWPRODUCT_N_MAX:
+        raise ValueError(f"rowproduct is limited to n <= {ROWPRODUCT_N_MAX}, got n = {args.n}")
     value = row_product(args.n, args.x)
     header = _header(args, n=args.n, x=args.x if args.x is not None else "")
     em = _Emitter(args.format, header, ["n", "x", "decimal", "factored", "digits"])
-    v = value.value()
+    decimal = _decimal(value)
     em.add(
         n=args.n,
         x=args.x if args.x is not None else args.n,
-        decimal=group_digits(v),
+        decimal=decimal,
         factored=value.refine_to_primes().format_factored(),
-        digits=len(str(v)),
+        digits=len(decimal.replace(",", "")),
     )
     em.emit()
     return EXIT_OK
@@ -267,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
-    p.add_argument("--scale", type=float, default=1.0, help="instance-count multiplier")
+    p.add_argument(
+        "--scale", type=float, default=1.0, help=f"instance-count multiplier, 0 < scale <= {verify.SCALE_MAX}"
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

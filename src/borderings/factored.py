@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intsets import AllIntegers, NonnegativeIntegers, Primes
-from .numerics import INF, ExtNat, is_prime, prime_factors, primes_up_to, totients_and_omegas
+from .numerics import INF, ZERO, ExtNat, prime_factors, primes_up_to, totients_and_omegas
 
 
 class BaseSetError(ValueError):
@@ -69,7 +69,7 @@ class FactoredNumber:
         return sorted(self._exp)
 
     def exponent(self, b: int) -> ExtNat:
-        return self._exp.get(b, ExtNat(0))
+        return self._exp.get(b, ZERO)
 
     def items(self):
         return ((b, self._exp[b]) for b in sorted(self._exp))
@@ -90,23 +90,19 @@ class FactoredNumber:
             return FactoredNumber.zero()
         merged = dict(self._exp)
         for b, e in other._exp.items():
-            merged[b] = merged.get(b, ExtNat(0)) + e
+            merged[b] = merged.get(b, ZERO) + e
         return FactoredNumber(merged)
 
     def refine_to_primes(self) -> "FactoredNumber":
         """Value-preserving rewrite onto prime bases only."""
         if self.is_zero:
             return FactoredNumber.zero()
-        out: dict[int, ExtNat] = {}
+        out: dict[int, int] = {}
         for b, e in self._exp.items():
             if b == 1:
-                continue
-            if is_prime(b):
-                out[b] = out.get(b, ExtNat(0)) + e
-                continue
+                continue  # 1^e = 1; b^inf for b >= 2 made the number zero
             for p, f in prime_factors(b).items():
-                add = INF if not e.is_finite else ExtNat(f * e.value)
-                out[p] = out.get(p, ExtNat(0)) + add
+                out[p] = out.get(p, 0) + f * e.value
         return FactoredNumber(out)
 
     def exponentwise_divides(self, other: "FactoredNumber") -> bool:

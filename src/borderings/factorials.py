@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .factored import BaseSet, FactoredNumber
 from .intsets import AllIntegers, IntegerSet
-from .numerics import INF, ExtNat, cumulative_digit_sum, digit_sum, extnat_sum
+from .numerics import INF, ZERO, ExtNat, cumulative_digit_sum, digit_sum
 from .ordering import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -53,7 +53,7 @@ def gen_integer(
         if set(bases) == {1}:
             return FactoredNumber({1: INF})
         return FactoredNumber.zero()
-    exps: dict[int, ExtNat] = {}
+    exps: dict[int, ExtNat | int] = {}
     for b in bases:
         if b == 0:
             continue  # alpha stays 0 below |S|
@@ -61,7 +61,7 @@ def gen_integer(
             exps[1] = INF  # ratio of 1^inf factors is still the unit
             continue
         a_n, a_prev = alphas(S, b, (n, n - 1), config)
-        exps[b] = a_n.minus(a_prev)
+        exps[b] = a_n.value - a_prev.value
     return FactoredNumber(exps)
 
 
@@ -79,7 +79,7 @@ def gen_binomial(
     if card.is_finite and k >= card.value:
         raise ValueError(f"k = {k} is not below |S| = {card.value}")
     bases = T.resolve(S, k)
-    exps: dict[int, ExtNat] = {}
+    exps: dict[int, ExtNat | int] = {}
     for b in bases:
         if b == 0:
             continue
@@ -88,7 +88,7 @@ def gen_binomial(
                 exps[1] = INF
             continue
         a_k, a_ell, a_rest = alphas(S, b, (k, ell, k - ell), config)
-        exps[b] = a_k.minus(a_ell).minus(a_rest)
+        exps[b] = a_k.value - a_ell.value - a_rest.value
     return FactoredNumber(exps)
 
 
@@ -108,7 +108,7 @@ def pairwise_multiple_check(
     if n < 0:
         raise ValueError("sequence must be nonempty")
     for b in T.resolve(S, n):
-        if pairwise_valuation_sum(elements, b) < extnat_sum(alphas(S, b, range(n + 1), config)):
+        if pairwise_valuation_sum(elements, b) < sum(alphas(S, b, range(n + 1), config), ZERO):
             return False
     return True
 

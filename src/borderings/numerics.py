@@ -1,8 +1,9 @@
 """Extended naturals, base-b valuations, digit expansions and small arithmetic functions.
 
 Everything here is exact integer arithmetic on Python's unbounded ints; no
-floating point is used anywhere.  Valuations take values in N ∪ {+inf},
-modelled by :class:`ExtNat`.
+floating point is used anywhere.  Valuations take values in N ∪ {+inf}:
+inside the library a plain int, with None for +inf, and :class:`ExtNat`
+where a value leaves it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from functools import lru_cache, total_ordering
 class ExtNat:
     """A nonnegative integer or +infinity, with saturating addition.
 
-    Comparison is the total order with infinity maximal.  Subtraction is
-    only defined when the result stays a nonnegative integer; anything
-    else raises instead of guessing.
+    Comparison is the total order with infinity maximal.
     """
 
     __slots__ = ("_v",)
@@ -30,10 +29,6 @@ class ExtNat:
                 raise ValueError(f"ExtNat value must be nonnegative, got {value}")
         self._v = value
 
-    @classmethod
-    def infinity(cls) -> "ExtNat":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self._v is not None
@@ -45,34 +40,16 @@ class ExtNat:
             raise ValueError("infinite ExtNat has no integer value")
         return self._v
 
-    @staticmethod
-    def _coerce(other) -> "ExtNat":
-        if isinstance(other, ExtNat):
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return ExtNat(other)
-        return NotImplemented
-
     def __add__(self, other) -> "ExtNat":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, ExtNat):
+            other = other._v
+        elif not isinstance(other, int) or isinstance(other, bool):
             return NotImplemented
-        if self._v is None or o._v is None:
-            return ExtNat(None)
-        return ExtNat(self._v + o._v)
+        if self._v is None or other is None:
+            return INF
+        return ExtNat(self._v + other)
 
     __radd__ = __add__
-
-    def minus(self, other) -> "ExtNat":
-        """self - other, defined only for finite self with other <= self."""
-        o = self._coerce(other)
-        if o is NotImplemented:
-            raise TypeError(f"cannot subtract {other!r} from ExtNat")
-        if self._v is None:
-            raise ValueError("cannot subtract from an infinite ExtNat")
-        if o._v is None or o._v > self._v:
-            raise ValueError(f"ExtNat subtraction {self} - {o} would be negative")
-        return ExtNat(self._v - o._v)
 
     # A plain int is compared as it is: a negative one equals no ExtNat and
     # lies below every one, and no ExtNat is built for it.
@@ -102,26 +79,12 @@ class ExtNat:
         return "inf" if self._v is None else str(self._v)
 
 
-INF = ExtNat.infinity()
+INF = ExtNat(None)
 ZERO = ExtNat(0)
-_SMALL = tuple(ExtNat(k) for k in range(64))  # ExtNat is immutable, so ord_b shares these
 
 
-def extnat_sum(values) -> ExtNat:
-    """Saturating sum of an iterable of ExtNat/int values."""
-    total = 0
-    for v in values:
-        if isinstance(v, ExtNat):
-            if not v.is_finite:
-                return INF
-            total += v.value
-        else:
-            total += v
-    return ExtNat(total)
-
-
-def ord_b(b: int, a: int) -> ExtNat:
-    """Largest k with a*Z contained in b^k*Z.
+def ord_b(b: int, a: int) -> int | None:
+    """Largest k with a*Z contained in b^k*Z, as a plain int (None for inf).
 
     For b >= 2 this is the usual base-b valuation sup{k : b^k | a}, with
     ord_b(0) = inf.  The degenerate bases follow the ideal-theoretic
@@ -131,16 +94,14 @@ def ord_b(b: int, a: int) -> ExtNat:
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
     if b == 0:
-        return INF if a == 0 else ZERO
-    if b == 1:
-        return INF
-    if a == 0:
-        return INF
+        return None if a == 0 else 0
+    if b == 1 or a == 0:
+        return None
     k = 0
     while a % b == 0:
         a //= b
         k += 1
-    return _SMALL[k] if k < len(_SMALL) else ExtNat(k)
+    return k
 
 
 def digits(a: int, b: int, count: int) -> tuple[int, ...]:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import closedforms
-from .numerics import INF, ZERO, ExtNat, extnat_sum, ord_b
+from .numerics import INF, ZERO, ExtNat, ord_b
 from .intsets import (
     AllIntegers,
     IntegerSet,
@@ -129,13 +130,21 @@ def _elems(seq) -> Sequence[int]:
     return seq.elements if isinstance(seq, TestSequence) else seq
 
 
+def _valuation_sum(b: int, a: int, others) -> Optional[int]:
+    """sum of ord_b(a - c) over c in others, as a plain int (None for inf)."""
+    total = 0
+    for c in others:
+        v = ord_b(b, a - c)
+        if v is None:
+            return None
+        total += v
+    return total
+
+
 def evaluate_test_sequence(seq, b: int) -> list[ExtNat]:
     """Additive exponent values of a test sequence: a_i -> sum_j ord_b(a_i - a_j)."""
     elements = _elems(seq)
-    out = []
-    for i, a in enumerate(elements):
-        out.append(extnat_sum(ord_b(b, a - elements[j]) for j in range(i)))
-    return out
+    return [ExtNat(_valuation_sum(b, a, elements[:i])) for i, a in enumerate(elements)]
 
 
 def evaluate_multiplicative(seq, b: int) -> list[ExtNat]:
@@ -152,18 +161,15 @@ def evaluate_multiplicative(seq, b: int) -> list[ExtNat]:
         prod = 1
         for j in range(i):
             prod *= a - elements[j]
-        out.append(ord_b(b, prod) if i else ZERO)
+        out.append(ExtNat(ord_b(b, prod)) if i else ZERO)
     return out
 
 
 def pairwise_valuation_sum(seq, b: int) -> ExtNat:
-    """Sum of ord_b over all pairwise differences; equals the sum of the exponents."""
-    elements = _elems(seq)
-    return extnat_sum(
-        ord_b(b, elements[j] - elements[i])
-        for i in range(len(elements))
-        for j in range(i + 1, len(elements))
-    )
+    """Sum of ord_b over all pairwise differences; equals the sum of the exponents,
+    since ord_b(-x) = ord_b(x).
+    """
+    return sum(evaluate_test_sequence(seq, b), ZERO)
 
 
 START_POOL = 32  # candidate pool size for randomised starts
@@ -224,7 +230,7 @@ class _GreedyState:
         for c, total in values.items():
             if total is not None:
                 v = ord_b(b, c - a)
-                values[c] = total + v.value if v.is_finite else None
+                values[c] = None if v is None else total + v
         for level, counts in self.levels.items():
             counts[a % b**level] += 1
         for depth, found in self.summaries.items():
@@ -233,8 +239,7 @@ class _GreedyState:
 
     def value_of(self, a: int) -> Optional[int]:
         if a not in self.values:
-            v = extnat_sum(ord_b(self.b, a - p) for p in self.prefix)
-            self.values[a] = v.value if v.is_finite else None
+            self.values[a] = _valuation_sum(self.b, a, self.prefix)
         return self.values[a]
 
     def counts(self, level: int) -> Counter:
@@ -527,15 +532,6 @@ def exponent_sequence(
     return ExponentSequence(S.spec, b, run.exponents + [INF] * pad, "greedy")
 
 
-def _partial_sums(values: Sequence[ExtNat]) -> list[ExtNat]:
-    sums: list[ExtNat] = []
-    acc: ExtNat = ZERO
-    for v in values:
-        acc = acc + v
-        sums.append(acc)
-    return sums
-
-
 @dataclass
 class MajorizationReport:
     """Prefix-sum dominance of a test sequence over the set invariants."""
@@ -573,8 +569,8 @@ def check_majorization(
     seq_values = evaluate_test_sequence(elements, b)
     inv = exponent_sequence(S, b, max(len(elements) - 1, 0), config=config)
     report = MajorizationReport(S.spec, b, elements, seq_values, inv.values)
-    seq_sums = _partial_sums(seq_values)
-    inv_sums = _partial_sums(inv.values)
+    seq_sums = list(accumulate(seq_values))
+    inv_sums = list(accumulate(inv.values))
     for m in range(len(elements)):
         if seq_sums[m] == inv_sums[m]:
             report.equality_positions.append(m)

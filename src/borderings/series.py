@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import ExtNat, ord_b
+from .numerics import ord_b
 from .numerics import digits as base_digits
 from .ordering import CANONICAL, TieBreakPolicy
 
@@ -185,10 +185,10 @@ def phi_b(a: int, b: int, cap: int) -> TruncatedSeries:
 def congruence_check(b: int, a1: int, a2: int, cap: int) -> bool:
     """Verify ord_t(phi_b(a1) - phi_b(a2)) == ord_b(a1 - a2) at this cap."""
     lhs = (phi_b(a1, b, cap) - phi_b(a2, b, cap)).ord_t()
-    rhs: ExtNat = ord_b(b, a1 - a2)
-    if not rhs.is_finite or rhs.value >= cap:
+    rhs = ord_b(b, a1 - a2)
+    if rhs is None or rhs >= cap:
         return not lhs.exact  # both sides capped-infinite
-    return lhs.exact and lhs.floor == rhs.value
+    return lhs.exact and lhs.floor == rhs
 
 
 @dataclass(frozen=True)

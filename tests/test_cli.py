@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -18,8 +19,9 @@ import borderings.cli as cli_module
 import borderings.factored as factored_module
 import borderings.factorials as factorials_module
 import borderings.ordering as ordering_module
+import borderings.verify as verify_module
 from borderings import tables
-from borderings.cli import build_parser, main
+from borderings.cli import DECIMAL_BITS_MAX, ROWPRODUCT_N_MAX, build_parser, main
 from borderings.factored import AUTO_K_MAX_P, AUTO_K_MAX_Z, BASE_SPEC_MAX, FactoredNumber
 from borderings.ordering import EngineConfig
 
@@ -182,6 +184,29 @@ class TestFactoredCommands:
         assert code == 2 and out == ""
         assert "limit" in err
 
+    def test_auto_bases_print_up_to_the_k_limit(self, capsys):
+        # 1000!_Z has 32,363 bits, past Python's default str-digit limit
+        code, out, err = run_cli(
+            capsys, "factorial", "--set", "Z", "--bases", "auto", "--k", str(AUTO_K_MAX_Z),
+            "--format", "json",
+        )
+        assert code == 0, err
+        assert len(json.loads(out)["results"][0]["decimal"].replace(",", "")) > 4300
+
+    def test_oversized_decimal_exits_2_before_value(self, capsys, monkeypatch):
+        # alpha_100000000(Z, 3) is about 5 * 10^7, so 3^alpha has about 8 * 10^7 bits
+        def no_value(self):
+            raise AssertionError("value() called past the decimal bound")
+
+        monkeypatch.setattr(FactoredNumber, "value", no_value)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "factorial", "--set", "Z", "--bases", "list:3", "--k", "100000000"
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert str(DECIMAL_BITS_MAX) in err
+
     def test_prime_cutoff_below_two_exits_2(self, capsys):
         for cutoff in ("-3", "0", "1"):
             code, out, err = run_cli(
@@ -252,6 +277,24 @@ class TestRowProduct:
         row = json.loads(out)["results"][0]
         assert code == 0 and row["digits"] == len(row["decimal"].replace(",", ""))
 
+    def test_decimals_past_the_str_digit_limit(self, capsys):
+        # row 75 has 4,341 digits, past Python's default limit of 4,300
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "rowproduct", "--n", "75", "--format", "json")
+        assert code == 0, err
+        row = json.loads(out)["results"][0]
+        assert row["digits"] == len(row["decimal"].replace(",", "")) == 4341
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_n_over_the_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("rowproduct started work past the n cap")
+
+        monkeypatch.setattr(cli_module, "row_product", no_work)
+        code, out, err = run_cli(capsys, "rowproduct", "--n", str(ROWPRODUCT_N_MAX + 1))
+        assert code == 2 and out == ""
+        assert f"n <= {ROWPRODUCT_N_MAX}" in err
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -272,6 +315,17 @@ class TestVerify:
         doc = json.loads(out1)
         assert doc["results"][0]["passed"] is True
         assert doc["results"][0]["checked"] > 0
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "1e9", "0", "-3"])
+    def test_scale_out_of_range_exits_2_before_any_suite(self, capsys, monkeypatch, scale):
+        def no_suite(*args):
+            raise AssertionError("a suite ran with an out-of-range scale")
+
+        for name in verify_module.SUITE_NAMES:
+            monkeypatch.setitem(verify_module._SUITES, name, no_suite)
+        code, out, err = run_cli(capsys, "verify", "--scale", scale)
+        assert code == 2 and out == ""
+        assert "scale" in err and str(verify_module.SCALE_MAX) in err
 
 
 class TestHeader:
@@ -439,3 +493,28 @@ def test_cli_outputs_are_byte_identical(capsys):
         assert code == 0, argv
         h.update(" ".join(argv).encode() + b"\n" + out.encode())
     assert h.hexdigest() == CLI_OUTPUT_SHA256
+
+
+def _pinned_exponents_argvs():
+    sets = ("Z", "N", "P", "ap:3,7", "ap:0,6", "list:-3,0,1,4,9,10,12,15", "range:-4..5")
+    for fmt in ("text", "csv", "json"):
+        for greedy in ((), ("--force-greedy",)):
+            for spec in sets:
+                for b in ("0", "1", "2", "6", "12"):
+                    for k in ("0", "9"):
+                        yield ("exponents", "--set", spec, "--base", b, "--k", k, "--format", fmt, *greedy)
+
+
+# sha256 over the outputs of every command in _pinned_exponents_argvs, in order,
+# each preceded by its argv; pins every value `exponents` prints, k = 9 running
+# past |S| - 1 for the list set
+EXPONENTS_OUTPUT_SHA256 = "99aa14d68b60a9d4bc1506c8da367cc52f0c477a8593a67f1f957f611dc1ab17"
+
+
+def test_exponents_outputs_are_byte_identical(capsys):
+    h = hashlib.sha256()
+    for argv in _pinned_exponents_argvs():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        h.update(" ".join(argv).encode() + b"\n" + out.encode())
+    assert h.hexdigest() == EXPONENTS_OUTPUT_SHA256

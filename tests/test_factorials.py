@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from borderings import closedforms
+from borderings import factorials as factorials_module
 from borderings.closedforms import alpha_Z, beta
 from borderings.factored import BaseSet, FactoredNumber
 from borderings.factorials import (
@@ -26,7 +27,7 @@ from borderings.intsets import (
     ExplicitFinite,
     Primes,
 )
-from borderings.numerics import INF, ord_b
+from borderings.numerics import INF, ExtNat, ord_b
 from borderings.ordering import EngineConfig
 
 Z = AllIntegers()
@@ -140,6 +141,19 @@ class TestGenBinomial:
             k = rng.randint(0, len(values) - 1)
             ell = rng.randint(0, k)
             assert gen_binomial(S, T, k, ell).value() >= 1
+
+    def test_decreasing_alphas_are_refused(self, monkeypatch):
+        # the theory makes every exponent difference nonnegative; if the
+        # invariants ever decreased, the factored result must refuse the
+        # negative exponent instead of printing it
+        def decreasing(S, b, ks, config=None):
+            return [ExtNat(100 - k) for k in ks]
+
+        monkeypatch.setattr(factorials_module, "alphas", decreasing)
+        with pytest.raises(ValueError):
+            gen_integer(Z, BaseSet.explicit([2]), 5)
+        with pytest.raises(ValueError):
+            gen_binomial(Z, BaseSet.explicit([2]), 6, 2)
 
 
 class TestPairwiseMultiple:

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from borderings.verify import SUITE_NAMES, run_all, run_suite
+from borderings.verify import SCALE_MAX, SUITE_NAMES, run_all, run_suite
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def test_scale_bound_is_inclusive():
+    # the CLI tests cover inf, nan, 1e9, 0 and -3
+    assert run_suite("tables", scale=SCALE_MAX).passed
+    with pytest.raises(ValueError, match="scale"):
+        run_suite("tables", scale=SCALE_MAX * 1.01)
 
 
 def test_reports_are_deterministic_per_seed():
