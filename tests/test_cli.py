@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -518,3 +519,40 @@ def test_exponents_outputs_are_byte_identical(capsys):
         assert code == 0, argv
         h.update(" ".join(argv).encode() + b"\n" + out.encode())
     assert h.hexdigest() == EXPONENTS_OUTPUT_SHA256
+
+
+def _pinned_edge_argvs():
+    """factorial, integer and binomial at the edges the pinned digests above miss.
+
+    Degenerate bases 0 and 1 alone and mixed in, N, an ap: set and a small
+    list set, with and without --force-greedy, and indices at 0 or 1, at
+    |S| - 1 and at |S|; the formats take turns so each query meets all three.
+    """
+    size = 3  # |S| of the list set; the infinite sets run over the same indices
+    sets = {"N": ("auto",), "ap:3,7": (), "list:5,9,12": ()}
+    fmts = itertools.cycle(("text", "csv", "json"))
+    for greedy in ((), ("--force-greedy",)):
+        for spec, extra in sets.items():
+            finite = spec.startswith("list:")
+            for T in ("list:0", "list:1", "list:0,1", "list:0,1,2,6", *extra):
+                numbers = [("factorial", "--k", str(k)) for k in (0, size - 1, size)]
+                numbers += [("integer", "--n", str(n)) for n in (1, size - 1, size)]
+                for k, ell in ((1, 0), (1, 1), (size - 1, 1), (size, 1), (size, size)):
+                    if not (finite and k >= size):
+                        numbers.append(("binomial", "--k", str(k), "--l", str(ell)))
+                for command, *args in numbers:
+                    yield (command, "--set", spec, "--bases", T, *args, "--format", next(fmts), *greedy)
+
+
+# sha256 over the outputs of every command in _pinned_edge_argvs, in order, each
+# preceded by its argv
+EDGE_OUTPUT_SHA256 = "aecf3f310d5953e456a5f58faed014659ecab860cacbcb153abd4ee103b77411"
+
+
+def test_edge_outputs_are_byte_identical(capsys):
+    h = hashlib.sha256()
+    for argv in _pinned_edge_argvs():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        h.update(" ".join(argv).encode() + b"\n" + out.encode())
+    assert h.hexdigest() == EDGE_OUTPUT_SHA256
