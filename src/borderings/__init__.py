@@ -29,8 +29,6 @@ from .ordering import (
     EngineConfig,
     ExponentSequence,
     RandomTieBreak,
-    TestSequence,
-    alpha,
     alphas,
     b_ordering,
     check_majorization,

@@ -162,7 +162,7 @@ def cmd_factored(args) -> int:
     numbers = {name: getattr(args, name) for name in names}
     config = _config(args)
     value = compute(S, T, *numbers.values(), config=config)
-    header = _header(args, config, set=S.spec, bases=T.describe(), **numbers)
+    header = _header(args, config, set=S.spec, bases=T.spec, **numbers)
     em = _Emitter(args.format, header, ["decimal", "factored", "factored_bases"])
     em.add(
         decimal=_decimal(value),

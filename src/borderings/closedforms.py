@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .intsets import Primes
+from .intsets import SEARCH_CAP, Primes
 from .numerics import digit_sum, floor_sum, omega, omega_totient, prime_factors
 
 
@@ -95,7 +95,7 @@ def p_test_lower_bound(k: int, b: int) -> int:
     return sum(alpha_P(j, b) for j in range(w, k + 1))
 
 
-def prime_witness_sequence(b: int, e: int, search_cap: int = 10**7) -> list[int]:
+def prime_witness_sequence(b: int, e: int, search_cap: int = SEARCH_CAP) -> list[int]:
     """An explicit initial b-ordering of the primes, independent of the greedy engine.
 
     Starts with the distinct prime divisors of b in increasing order, then

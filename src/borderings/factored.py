@@ -244,9 +244,6 @@ class BaseSet:
             "auto bases are only defined for S in {Z, N, P}; give an explicit cutoff"
         )
 
-    def describe(self) -> str:
-        return self.spec
-
 
 def _check_size(what: str, n: int) -> None:
     if n > BASE_SPEC_MAX:

@@ -14,13 +14,7 @@ from typing import Sequence
 from .factored import BaseSet, FactoredNumber
 from .intsets import AllIntegers, IntegerSet
 from .numerics import INF, ZERO, ExtNat, cumulative_digit_sum, digit_sum
-from .ordering import (
-    DEFAULT_CONFIG,
-    EngineConfig,
-    alpha,
-    alphas,
-    pairwise_valuation_sum,
-)
+from .ordering import DEFAULT_CONFIG, EngineConfig, alphas, pairwise_valuation_sum
 
 
 def factorial(
@@ -32,7 +26,32 @@ def factorial(
     """The k-th generalized factorial for (S, T) in factored form."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return FactoredNumber({b: alpha(S, b, k, config) for b in T.resolve(S, k)})
+    return FactoredNumber({b: alphas(S, b, (k,), config)[0] for b in T.resolve(S, k)})
+
+
+def _quotient(
+    S: IntegerSet,
+    bases: Sequence[int],
+    ks: Sequence[int],
+    config: EngineConfig,
+) -> FactoredNumber:
+    """The product over bases b of b^(alpha_{ks[0]} - the other alpha_k(S, b)).
+
+    Callers reach a base b >= 2 only with every k below |S|, where each
+    alpha is a plain int.  A base 1 gives the unit 1^inf once ks[0] >= 1,
+    and a base 0 adds nothing, as alpha_k(S, 0) = 0 below |S|.
+    """
+    exps: dict[int, ExtNat | int] = {}
+    for b in bases:
+        if b >= 2:
+            values = alphas(S, b, ks, config)
+            e = values[0].value
+            for a in values[1:]:
+                e -= a.value
+            exps[b] = e
+        elif b == 1 and ks[0] >= 1:
+            exps[1] = INF
+    return FactoredNumber(exps)
 
 
 def gen_integer(
@@ -43,26 +62,16 @@ def gen_integer(
 ) -> FactoredNumber:
     """The n-th generalized integer: the exponentwise ratio of consecutive factorials.
 
-    Zero for n >= |S| (except for T = {1}, where every factorial is 1).
+    Zero for n >= |S|, unless every base is 1 (or there is none), where
+    every factorial is 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     bases = T.resolve(S, n)
     card = S.cardinality
-    if card.is_finite and n >= card.value:
-        if set(bases) == {1}:
-            return FactoredNumber({1: INF})
+    if card.is_finite and n >= card.value and any(b != 1 for b in bases):
         return FactoredNumber.zero()
-    exps: dict[int, ExtNat | int] = {}
-    for b in bases:
-        if b == 0:
-            continue  # alpha stays 0 below |S|
-        if b == 1:
-            exps[1] = INF  # ratio of 1^inf factors is still the unit
-            continue
-        a_n, a_prev = alphas(S, b, (n, n - 1), config)
-        exps[b] = a_n.value - a_prev.value
-    return FactoredNumber(exps)
+    return _quotient(S, bases, (n, n - 1), config)
 
 
 def gen_binomial(
@@ -78,18 +87,7 @@ def gen_binomial(
     card = S.cardinality
     if card.is_finite and k >= card.value:
         raise ValueError(f"k = {k} is not below |S| = {card.value}")
-    bases = T.resolve(S, k)
-    exps: dict[int, ExtNat | int] = {}
-    for b in bases:
-        if b == 0:
-            continue
-        if b == 1:
-            if k >= 1:
-                exps[1] = INF
-            continue
-        a_k, a_ell, a_rest = alphas(S, b, (k, ell, k - ell), config)
-        exps[b] = a_k.value - a_ell.value - a_rest.value
-    return FactoredNumber(exps)
+    return _quotient(S, T.resolve(S, k), (k, ell, k - ell), config)
 
 
 def pairwise_multiple_check(
@@ -103,7 +101,7 @@ def pairwise_multiple_check(
     Per base this is exactly prefix-sum dominance of the sequence's
     exponent values over the invariants, checked exponentwise.
     """
-    elements = list(seq.elements) if hasattr(seq, "elements") else list(seq)
+    elements = list(seq)
     n = len(elements) - 1
     if n < 0:
         raise ValueError("sequence must be nonempty")

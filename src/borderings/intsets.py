@@ -6,12 +6,16 @@ before negative).  Every set answers residue-class questions exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
 from .numerics import INF, ExtNat, is_prime, primes_up_to
+
+
+SEARCH_CAP = 10**7  # default cap for in-class element searches
 
 
 class SetSpecError(ValueError):
@@ -94,7 +98,7 @@ class IntegerSet:
     def residue_status(self, r: int, m: int) -> ResidueStatus:
         raise NotImplementedError
 
-    def pick_in_class(self, r: int, m: int, cap: int = 10**7) -> Optional[int]:
+    def pick_in_class(self, r: int, m: int, cap: int = SEARCH_CAP) -> Optional[int]:
         """Smallest member (canonical order) congruent to r mod m.
 
         Returns None when the class is provably exhausted; raises
@@ -139,7 +143,7 @@ class ExplicitFinite(IntegerSet):
         r = _check_modulus(r, m)
         return ResidueStatus.finite(a for a in self.values if a % m == r)
 
-    def pick_in_class(self, r, m, cap=10**7):
+    def pick_in_class(self, r, m, cap=SEARCH_CAP):
         r = _check_modulus(r, m)
         for a in self._canonical:
             if a % m == r:
@@ -171,33 +175,10 @@ class AllIntegers(IntegerSet):
         _check_modulus(r, m)
         return ResidueStatus.infinite()
 
-    def pick_in_class(self, r, m, cap=10**7):
+    def pick_in_class(self, r, m, cap=SEARCH_CAP):
         r = _check_modulus(r, m)
         neg = r - m  # the class's least-|a| members are r and r - m
         return r if canonical_key(r) <= canonical_key(neg) else neg
-
-
-class NonnegativeIntegers(IntegerSet):
-    spec = "N"
-
-    def contains(self, a: int) -> bool:
-        return a >= 0
-
-    def elements_up_to(self, bound: int) -> list[int]:
-        return list(range(0, bound + 1))
-
-    def iter_canonical(self) -> Iterator[int]:
-        n = 0
-        while True:
-            yield n
-            n += 1
-
-    def residue_status(self, r: int, m: int) -> ResidueStatus:
-        _check_modulus(r, m)
-        return ResidueStatus.infinite()
-
-    def pick_in_class(self, r, m, cap=10**7):
-        return _check_modulus(r, m)  # the least member, found with no search
 
 
 class _PrimeCache:
@@ -233,14 +214,7 @@ class Primes(IntegerSet):
             return []
         self._cache.extend_to(bound)
         ps = self._cache.primes
-        lo, hi = 0, len(ps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ps[mid] <= bound:
-                lo = mid + 1
-            else:
-                hi = mid
-        return ps[:lo]
+        return ps[: bisect.bisect_right(ps, bound)]
 
     def iter_canonical(self) -> Iterator[int]:
         return self._cache.iter_primes()
@@ -256,7 +230,7 @@ class Primes(IntegerSet):
             return ResidueStatus.finite([g])
         return ResidueStatus.empty()
 
-    def pick_in_class(self, r, m, cap=10**7):
+    def pick_in_class(self, r, m, cap=SEARCH_CAP):
         r = _check_modulus(r, m)
         status = self.residue_status(r, m)
         if status.kind is ResidueKind.EMPTY:
@@ -303,7 +277,7 @@ class ArithmeticProgression(IntegerSet):
         g = math.gcd(self.step, m)
         return ResidueStatus.infinite() if (r - self.first) % g == 0 else ResidueStatus.empty()
 
-    def pick_in_class(self, r, m, cap=10**7):
+    def pick_in_class(self, r, m, cap=SEARCH_CAP):
         r = _check_modulus(r, m)
         g = math.gcd(self.step, m)
         if (r - self.first) % g != 0:
@@ -317,6 +291,14 @@ class ArithmeticProgression(IntegerSet):
             return x
         # the canonically least member is the least one >= 0 or the one below it
         return min(x % d, x % d - d, key=canonical_key)
+
+
+class NonnegativeIntegers(ArithmeticProgression):
+    """N = 0, 1, 2, ...: the progression ap:0,1 under its own spec."""
+
+    def __init__(self):
+        super().__init__(0, 1)
+        self.spec = "N"
 
 
 RANGE_WIDTH_MAX = 10**5  # most members a range: spec may name; it is built in full

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from . import closedforms
 from .numerics import INF, ZERO, ExtNat, ord_b
 from .intsets import (
+    SEARCH_CAP,
     AllIntegers,
     IntegerSet,
     NonnegativeIntegers,
@@ -41,7 +42,7 @@ class EngineConfig:
     Defaults suit desk-scale runs.
     """
 
-    search_cap: int = 10**7     # cap for in-class element searches
+    search_cap: int = SEARCH_CAP  # cap for in-class element searches
     force_greedy: bool = False  # skip the closed forms for Z, N and P
 
 
@@ -79,24 +80,6 @@ CANONICAL = CanonicalTieBreak()
 
 
 @dataclass(frozen=True)
-class TestSequence:
-    """A finite sequence of elements drawn from S (repetitions allowed)."""
-
-    __test__ = False  # domain type, despite the pytest-like name
-
-    elements: tuple[int, ...]
-    source_set: IntegerSet
-
-    def __post_init__(self):
-        for a in self.elements:
-            if not self.source_set.contains(a):
-                raise ValueError(f"{a} is not an element of {self.source_set.spec}")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
 class StepResult:
     element: int
     value: ExtNat
@@ -121,14 +104,6 @@ class BOrdering:
         """Always true; see `certified`."""
         return True
 
-    def recomputed_exponents(self) -> list[ExtNat]:
-        """Exponents recomputed from the element list alone."""
-        return evaluate_test_sequence(self.elements, self.base)
-
-
-def _elems(seq) -> Sequence[int]:
-    return seq.elements if isinstance(seq, TestSequence) else seq
-
 
 def _valuation_sum(b: int, a: int, others) -> Optional[int]:
     """sum of ord_b(a - c) over c in others, as a plain int (None for inf)."""
@@ -141,13 +116,12 @@ def _valuation_sum(b: int, a: int, others) -> Optional[int]:
     return total
 
 
-def evaluate_test_sequence(seq, b: int) -> list[ExtNat]:
+def evaluate_test_sequence(seq: Sequence[int], b: int) -> list[ExtNat]:
     """Additive exponent values of a test sequence: a_i -> sum_j ord_b(a_i - a_j)."""
-    elements = _elems(seq)
-    return [ExtNat(_valuation_sum(b, a, elements[:i])) for i, a in enumerate(elements)]
+    return [ExtNat(_valuation_sum(b, a, seq[:i])) for i, a in enumerate(seq)]
 
 
-def evaluate_multiplicative(seq, b: int) -> list[ExtNat]:
+def evaluate_multiplicative(seq: Sequence[int], b: int) -> list[ExtNat]:
     """Multiplicative variant: ord_b of the product of differences.
 
     Always >= the additive value, with equality for prime b; the gap is
@@ -155,17 +129,16 @@ def evaluate_multiplicative(seq, b: int) -> list[ExtNat]:
     """
     if b < 2:
         raise ValueError(f"multiplicative evaluation needs b >= 2, got {b}")
-    elements = _elems(seq)
     out = []
-    for i, a in enumerate(elements):
+    for i, a in enumerate(seq):
         prod = 1
         for j in range(i):
-            prod *= a - elements[j]
+            prod *= a - seq[j]
         out.append(ExtNat(ord_b(b, prod)) if i else ZERO)
     return out
 
 
-def pairwise_valuation_sum(seq, b: int) -> ExtNat:
+def pairwise_valuation_sum(seq: Sequence[int], b: int) -> ExtNat:
     """Sum of ord_b over all pairwise differences; equals the sum of the exponents,
     since ord_b(-x) = ord_b(x).
     """
@@ -402,7 +375,7 @@ def greedy_step(
     state = prefix
     if not isinstance(state, _GreedyState):
         state = _GreedyState(S, b, config)
-        for a in _elems(prefix):
+        for a in prefix:
             state.append(a)
     return state.step(policy)
 
@@ -473,15 +446,31 @@ def _formula(S: IntegerSet, b: int, config: EngineConfig):
     return None
 
 
-def _greedy_run(S: IntegerSet, b: int, k: int, config: EngineConfig) -> BOrdering:
-    """The canonical greedy run up to k, or up to |S| - 1 for a finite S.
+def _invariants(
+    S: IntegerSet,
+    b: int,
+    ks: Sequence[int],
+    config: EngineConfig,
+) -> tuple[str, list[ExtNat]]:
+    """(source, [alpha_k(S, b) for k in ks]): the one route from (S, b, k) to alpha_k.
 
-    Every later step repeats an element, so callers read each index past
-    the run as a certified INF.
+    A formula gives each k alone.  Any other set gets one canonical greedy
+    run up to max(ks), cut at |S| - 1 for a finite S: every later step
+    repeats an element, so each index past the run reads as a certified INF.
     """
+    if b < 0:
+        raise ValueError(f"base must be >= 0, got {b}")
+    if min(ks) < 0:
+        raise ValueError(f"k must be >= 0, got {min(ks)}")
+    form = _formula(S, b, config)
+    if form is not None:
+        source, at = form
+        return source, [at(k) for k in ks]
+    top = max(ks)
     if S.cardinality.is_finite:
-        k = min(k, S.cardinality.value - 1)
-    return b_ordering(S, b, k, CANONICAL, config=config)
+        top = min(top, S.cardinality.value - 1)
+    run = b_ordering(S, b, top, CANONICAL, config=config).exponents
+    return "greedy", [run[k] if k < len(run) else INF for k in ks]
 
 
 def alphas(
@@ -490,26 +479,8 @@ def alphas(
     ks: Sequence[int],
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[ExtNat]:
-    """alpha_k(S, b) for each k in ks (nonempty), computing only what they read.
-
-    A formula is evaluated at each k alone; any other set gets one greedy
-    run up to max(ks), cut at |S| - 1 for a finite S.
-    """
-    if b < 0:
-        raise ValueError(f"base must be >= 0, got {b}")
-    if min(ks) < 0:
-        raise ValueError(f"k must be >= 0, got {min(ks)}")
-    form = _formula(S, b, config)
-    if form is not None:
-        _, at = form
-        return [at(k) for k in ks]
-    run = _greedy_run(S, b, max(ks), config)
-    return [run.exponents[k] if k < len(run.exponents) else INF for k in ks]
-
-
-def alpha(S: IntegerSet, b: int, k: int, config: EngineConfig = DEFAULT_CONFIG) -> ExtNat:
-    """The point query alpha_k(S, b); see `alphas`."""
-    return alphas(S, b, (k,), config)[0]
+    """alpha_k(S, b) for each k in ks (nonempty), computing only what they read."""
+    return _invariants(S, b, ks, config)[1]
 
 
 def exponent_sequence(
@@ -518,18 +489,10 @@ def exponent_sequence(
     k: int,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> ExponentSequence:
-    """Invariant exponents alpha_0..alpha_k for (S, b), via formulas where available."""
-    if b < 0:
-        raise ValueError(f"base must be >= 0, got {b}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    form = _formula(S, b, config)
-    if form is not None:
-        source, at = form
-        return ExponentSequence(S.spec, b, [at(i) for i in range(k + 1)], source)
-    run = _greedy_run(S, b, k, config)
-    pad = k + 1 - len(run.exponents)
-    return ExponentSequence(S.spec, b, run.exponents + [INF] * pad, "greedy")
+    """alphas over 0..k, listed with the route that gave them."""
+    # a negative k reaches the check as itself, not as an empty range
+    source, values = _invariants(S, b, range(min(k, 0), k + 1), config)
+    return ExponentSequence(S.spec, b, values, source)
 
 
 @dataclass
@@ -552,7 +515,7 @@ class MajorizationReport:
 def check_majorization(
     S: IntegerSet,
     b: int,
-    seq,
+    seq: Sequence[int],
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> MajorizationReport:
     """Check that prefix sums of seq's exponents dominate the invariants'.
@@ -562,7 +525,7 @@ def check_majorization(
     """
     if b < 2:
         raise ValueError(f"majorization check needs b >= 2, got {b}")
-    elements = tuple(_elems(seq))
+    elements = tuple(seq)
     for a in elements:
         if not S.contains(a):
             raise ValueError(f"sequence element {a} is not in {S.spec}")

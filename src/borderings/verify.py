@@ -298,7 +298,7 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConf
         ok = ok and not bn.is_zero and bn.value() >= 1
         rep.add(
             "integrality",
-            {"set": _values_str(values), "bases": T.describe(), "n": n, "l": ell},
+            {"set": _values_str(values), "bases": T.spec, "n": n, "l": ell},
             ok,
         )
     # telescoping: the factorial is the product of the generalized integers
@@ -311,7 +311,7 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConf
         for j in range(1, n + 1):
             prod = prod * gen_integer(S, T, j, config=config)
         ok = prod == factorial(S, T, n, config=config)
-        rep.add("telescoping", {"set": _values_str(values), "bases": T.describe(), "n": n}, ok)
+        rep.add("telescoping", {"set": _values_str(values), "bases": T.spec, "n": n}, ok)
     # base-set monotone and set-antitone factorial divisibility
     for i in range(_count(40, rep.scale)):
         values = _random_finite_set(rng)
@@ -344,7 +344,7 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConf
         ok = pairwise_multiple_check(S, T, seq, config=config)
         rep.add(
             "pairwise-multiple",
-            {"set": _values_str(values), "bases": T.describe(), "seq": _values_str(seq)},
+            {"set": _values_str(values), "bases": T.spec, "seq": _values_str(seq)},
             ok,
         )
     # the classical counterexample: gcd'ing generalized integers misbehaves...

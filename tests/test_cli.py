@@ -99,6 +99,14 @@ class TestFactoredCommands:
         )
         assert code == 0 and "54,432" in out
 
+    def test_integer_over_no_bases_is_one(self, capsys):
+        # over T = {} every factorial is the empty product, past |S| too
+        for n in ("1", "2", "5"):
+            code, out, _ = run_cli(
+                capsys, "integer", "--set", "list:1,2", "--bases", "list:", "--n", n, "--format", "csv"
+            )
+            assert code == 0 and out.splitlines()[2:] == ["1,1,1"], n
+
     def test_json_factored_round_trip(self, capsys):
         for args in (
             ["factorial", "--set", "Z", "--bases", "auto", "--k", "14"],
@@ -166,7 +174,6 @@ class TestFactoredCommands:
             raise AssertionError("base resolution started work past the k limit")
 
         monkeypatch.setattr(factored_module, "totients_and_omegas", no_work)
-        monkeypatch.setattr(factorials_module, "alpha", no_work)
         monkeypatch.setattr(factorials_module, "alphas", no_work)
         code, out, err = run_cli(
             capsys, *query, str(limit + 1), "--set", spec, "--bases", "auto"
@@ -178,7 +185,7 @@ class TestFactoredCommands:
         def no_work(*args, **kwargs):
             raise AssertionError("base resolution started work past the size limit")
 
-        monkeypatch.setattr(factorials_module, "alpha", no_work)
+        monkeypatch.setattr(factorials_module, "alphas", no_work)
         code, out, err = run_cli(
             capsys, "factorial", "--set", "Z", "--bases", f"upto:{BASE_SPEC_MAX + 1}", "--k", "3"
         )

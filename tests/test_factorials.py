@@ -112,7 +112,8 @@ class TestGenInteger:
         S = ExplicitFinite([4, 7, 9])
         assert gen_integer(S, BaseSet.range(2, 6), 3).is_zero
         assert gen_integer(S, BaseSet.range(2, 6), 5).is_zero
-        assert gen_integer(S, BaseSet.explicit([1]), 7).value() == 1  # T = {1} exception
+        for T in (BaseSet.explicit([1]), BaseSet.explicit([])):  # T within {1}: every factorial is 1
+            assert gen_integer(S, T, 7).value() == 1
         with pytest.raises(ValueError):
             gen_integer(S, BaseSet.range(2, 6), 0)
 

@@ -22,8 +22,6 @@ from borderings.ordering import (
     CANONICAL,
     EngineConfig,
     RandomTieBreak,
-    TestSequence,
-    alpha,
     alphas,
     b_ordering,
     check_majorization,
@@ -65,13 +63,6 @@ class TestEvaluation:
                 assert all(a <= m for a, m in zip(add, mult))
                 if b in (2, 3, 5, 7, 11):
                     assert add == mult
-
-    def test_test_sequence_validation(self):
-        S = ExplicitFinite(range(6))
-        ts = TestSequence((0, 1, 5), S)
-        assert len(ts) == 3
-        with pytest.raises(ValueError):
-            TestSequence((0, 9), S)
 
     def test_pairwise_sum(self):
         assert pairwise_valuation_sum([0, 1, 2], 2) == 1
@@ -163,7 +154,7 @@ class TestBOrdering:
         run = b_ordering(AllIntegers(), 2, 20)
         assert run.all_certified
         assert [v.value for v in run.exponents] == [alpha_Z(k, 2) for k in range(21)]
-        assert run.recomputed_exponents() == run.exponents
+        assert evaluate_test_sequence(run.elements, run.base) == run.exponents
 
     def test_finite_set_exhaustion(self):
         S = ExplicitFinite(range(6))
@@ -311,7 +302,7 @@ class TestPointQuery:
             seq = exponent_sequence(S, b, 14, config=config)
             assert seq.certified
             for k in (0, 1, 5, 9, 14):
-                assert alpha(S, b, k, config) == seq.values[k], (spec, b, k)
+                assert alphas(S, b, (k,), config) == [seq.values[k]], (spec, b, k)
             assert alphas(S, b, range(15), config) == seq.values
             assert alphas(S, b, (9, 2, 9), config) == [seq.values[9], seq.values[2], seq.values[9]]
 
@@ -324,15 +315,15 @@ class TestPointQuery:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ordering_module, "greedy_step", counting_greedy_step)
-        assert alpha(S, 2, 10**9) == INF
+        assert alphas(S, 2, (10**9,)) == [INF]
         assert len(steps) <= 3
         assert alphas(S, 2, (2, 10**9)) == [ExtNat(1), INF]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            alpha(AllIntegers(), -1, 3)
+            alphas(AllIntegers(), -1, (3,))
         with pytest.raises(ValueError):
-            alpha(ExplicitFinite([1, 2]), 2, -1)
+            alphas(ExplicitFinite([1, 2]), 2, (-1,))
         with pytest.raises(ValueError):
             alphas(AllIntegers(), 2, (4, -1))
 
@@ -391,7 +382,7 @@ class TestIncrementalKernel:
     def test_random_tie_break_runs_are_reproduced(self, spec, b, k, seed, expected):
         run = b_ordering(parse_set_spec(spec), b, k, RandomTieBreak(seed))
         assert run.elements == expected
-        assert run.exponents == run.recomputed_exponents()
+        assert run.exponents == evaluate_test_sequence(run.elements, run.base)
 
     @pytest.mark.parametrize(
         "S,b,k,config",

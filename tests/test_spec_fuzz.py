@@ -61,8 +61,8 @@ def test_set_spec_round_trip(text):
 @given(base_specs)
 def test_base_spec_round_trip(text):
     B = parse_base_spec(text)
-    assert parse_base_spec(B.describe()).describe() == B.describe()
-    assert parse_base_spec(B.describe()) == B
+    assert parse_base_spec(B.spec).spec == B.spec
+    assert parse_base_spec(B.spec) == B
 
 
 @settings(max_examples=300)
@@ -82,7 +82,7 @@ def test_base_spec_parses_or_raises_base_set_error(text):
         B = parse_base_spec(text)
     except BaseSetError:
         return
-    assert parse_base_spec(B.describe()).describe() == B.describe()
+    assert parse_base_spec(B.spec).spec == B.spec
 
 
 # factored text: bases and exponents joined by the format's own symbols, plus
