@@ -1,9 +1,10 @@
-"""Closed-form exponent formulas for S = Z and S = P, with their combinatorial backing.
+"""Closed-form exponent formulas for S = Z, progressions and P, with their combinatorial backing.
 
 These serve both as fast paths and as independent oracles against the
-greedy engine: the Z formula is the geometric floor sum, the P formula
-is driven by Euler's totient and the distinct-prime count, and the
-partition bound ties the P lower bound to the floor sums.
+greedy engine: the Z formula is the geometric floor sum, the progression
+formula its gcd-reduced form, the P formula is driven by Euler's totient
+and the distinct-prime count, and the partition bound ties the P lower
+bound to the floor sums.
 """
 
 from __future__ import annotations
@@ -14,17 +15,36 @@ from .intsets import SEARCH_CAP, Primes
 from .numerics import digit_sum, floor_sum, omega, omega_totient, prime_factors
 
 
-def alpha_Z(k: int, b: int) -> int:
-    """Exponent of b in the k-th invariant for the integers: sum of floor(k/b^i)."""
+def alpha_AP(k: int, b: int, d: int = 1) -> int:
+    """Exponent of b in the k-th invariant for a progression with step d.
+
+    The sum of floor(k/m_l) over l >= 1, with m_l = b^l / gcd(b^l, d):
+    ord_b(d*x) counts the levels l with m_l | x, the first k members leave
+    at least floor(k/m_l) of them in each class of x mod m_l, and x = k
+    attains all these bounds at once.  With e = d / gcd(b^(l-1), d) coprime
+    to m_(l-1), m_l = m_(l-1) * b / gcd(b, e) never decreases, so the sum
+    stops at the first m_l > k.
+    """
     if b < 2:
-        raise ValueError(f"alpha_Z needs b >= 2, got {b}")
+        raise ValueError(f"alpha_AP needs b >= 2, got {b}")
     if k < 0:
-        raise ValueError(f"alpha_Z needs k >= 0, got {k}")
+        raise ValueError(f"alpha_AP needs k >= 0, got {k}")
+    if d < 1:
+        raise ValueError(f"alpha_AP needs d >= 1, got {d}")
     total, m = 0, b
-    while m <= k:
+    while True:
+        if d > 1:
+            g = math.gcd(b, d)
+            m, d = m // g, d // g
+        if m > k:
+            return total
         total += k // m
         m *= b
-    return total
+
+
+def alpha_Z(k: int, b: int) -> int:
+    """Exponent of b in the k-th invariant for the integers: sum of floor(k/b^l), the case d = 1."""
+    return alpha_AP(k, b)
 
 
 def beta(k: int, ell: int, b: int) -> int:

@@ -117,10 +117,16 @@ def _check_modulus(r: int, m: int) -> int:
 
 
 class ExplicitFinite(IntegerSet):
+    """A finite set; `step` is the common difference of its sorted members, or None
+    when they are not equally spaced (1 for a single member).
+    """
+
     def __init__(self, values, spec: str | None = None):
         vals = sorted(set(int(v) for v in values))
         if not vals:
             raise SetSpecError("explicit set must be nonempty")
+        step = vals[1] - vals[0] if len(vals) > 1 else 1
+        self.step = step if vals == list(range(vals[0], vals[-1] + 1, step)) else None
         self.values = tuple(vals)
         self._members = frozenset(vals)
         self._canonical = tuple(sorted(vals, key=canonical_key))

@@ -27,8 +27,9 @@ from .numerics import INF, ZERO, ExtNat, ord_b
 from .intsets import (
     SEARCH_CAP,
     AllIntegers,
+    ArithmeticProgression,
+    ExplicitFinite,
     IntegerSet,
-    NonnegativeIntegers,
     Primes,
     ResidueKind,
     canonical_key,
@@ -43,7 +44,7 @@ class EngineConfig:
     """
 
     search_cap: int = SEARCH_CAP  # cap for in-class element searches
-    force_greedy: bool = False  # skip the closed forms for Z, N and P
+    force_greedy: bool = False  # skip the closed forms for Z, P, ap: sets and finite progressions
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -430,8 +431,12 @@ class ExponentSequence:
 def _formula(S: IntegerSet, b: int, config: EngineConfig):
     """(source, k -> alpha_k(S, b)) where a formula gives each index alone, else None.
 
-    Degenerate bases take O(1); Z, N and P take O(log_b k) closed forms
-    unless `force_greedy` asks for the greedy run.
+    Degenerate bases take O(1).  Unless `force_greedy` asks for the greedy
+    run, Z, P, every ap: set and every finite set whose sorted members are
+    equally spaced take O(log_b k) closed forms.  A finite progression
+    a, a+d, ..., a+(n-1)d in its natural order is a b-ordering: a candidate
+    a+xd with x >= k has value sum_l #{j < k : m_l | x-j} >= sum_l floor(k/m_l),
+    and x = k attains it (see `closedforms.alpha_AP`); indices from n on are INF.
     """
     if b == 0:
         card = S.cardinality
@@ -439,10 +444,15 @@ def _formula(S: IntegerSet, b: int, config: EngineConfig):
     if b == 1:
         return "degenerate-base", lambda i: INF if i else ZERO
     if not config.force_greedy:
-        if isinstance(S, (AllIntegers, NonnegativeIntegers)):
+        if isinstance(S, AllIntegers):
             return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
         if isinstance(S, Primes):
             return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b))
+        if isinstance(S, ArithmeticProgression):
+            return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step))
+        if isinstance(S, ExplicitFinite) and S.step is not None:
+            n = len(S.values)
+            return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step)) if i < n else INF
     return None
 
 

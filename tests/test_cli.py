@@ -74,6 +74,40 @@ class TestExponents:
         assert [r[1] for r in rows] == ["0", "12", "25", "37"]
 
 
+    @pytest.mark.parametrize("spec", ["range:-4..5", "ap:3,12", "list:14,2,8,20"])
+    def test_progressions_take_the_closed_form_unless_forced(self, capsys, spec):
+        argv = ("exponents", "--set", spec, "--base", "6", "--k", "12", "--format", "json")
+        fast, slow = (json.loads(run_cli(capsys, *argv, *greedy)[1]) for greedy in ((), ("--force-greedy",)))
+        assert (fast["config"]["source"], slow["config"]["source"]) == ("closed-form", "greedy")
+        assert fast["results"] == slow["results"]
+
+
+class TestParserReuse:
+    ARGVS = (
+        ("exponents", "--set", "ap:3,12", "--base", "6", "--k", "5", "--force-greedy", "--format", "json"),
+        ("exponents", "--set", "range:-4..5", "--base", "6", "--k", "5"),
+        ("factorial", "--set", "N", "--bases", "list:0,1,2,6", "--k", "3", "--search-cap", "999", "--format", "csv"),
+        ("binomial", "--set", "list:1,5,9,14", "--bases", "list:2,3", "--k", "3", "--l", "1", "--force-greedy"),
+        ("rowproduct", "--n", "6", "--x", "4"),
+        ("rowproduct", "--n", "6"),
+        ("tables", "--which", "3", "--format", "csv"),
+        ("verify", "--suite", "tables", "--seed", "3", "--scale", "0.2"),
+        ("exponents", "--set", "Z", "--base", "2"),  # no --k: usage error
+        ("--version",),
+    )
+
+    def test_reused_parser_gives_the_bytes_of_a_fresh_one(self, capsys):
+        fresh = {}
+        for argv in self.ARGVS:
+            cli_module._parser.cache_clear()
+            fresh[argv] = run_cli(capsys, *argv)
+        for order in (self.ARGVS, self.ARGVS[::-1]):
+            cli_module._parser.cache_clear()
+            for argv in order:
+                assert run_cli(capsys, *argv) == fresh[argv], argv
+            assert cli_module._parser.cache_info().misses == 1
+
+
 class TestFactoredCommands:
     def test_factorial_table_row(self, capsys):
         code, out, _ = run_cli(
@@ -515,8 +549,9 @@ def _pinned_exponents_argvs():
 
 # sha256 over the outputs of every command in _pinned_exponents_argvs, in order,
 # each preceded by its argv; pins every value `exponents` prints, k = 9 running
-# past |S| - 1 for the list set
-EXPONENTS_OUTPUT_SHA256 = "99aa14d68b60a9d4bc1506c8da367cc52f0c477a8593a67f1f957f611dc1ab17"
+# past |S| - 1 for the list set, and the route: ap: and range: sets print
+# source=closed-form unless --force-greedy
+EXPONENTS_OUTPUT_SHA256 = "e6e76398520afcc82aa7c0799adb362f918f80e68d15be2b356bdbcbb742fcb4"
 
 
 def test_exponents_outputs_are_byte_identical(capsys):

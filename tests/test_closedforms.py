@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import borderings.numerics as numerics_module
 from borderings.closedforms import (
+    alpha_AP,
     alpha_P,
     alpha_Z,
     beta,
@@ -38,6 +41,36 @@ class TestAlphaZ:
         for b in (2, 5, 9):
             run = b_ordering(AllIntegers(), b, 45)
             assert [v.value for v in run.exponents] == [alpha_Z(k, b) for k in range(46)]
+
+
+class TestAlphaAP:
+    def test_matches_the_defining_sum(self):
+        # sum over l of floor(k / m_l), m_l = b^l / gcd(b^l, d), every level summed
+        for b in range(2, 13):
+            for d in list(range(1, 41)) + [b**9, 2**60, 6**20 * 7]:
+                mods = [b**l // math.gcd(b**l, d) for l in range(1, 70)]
+                for k in range(0, 60, 3):
+                    assert alpha_AP(k, b, d) == sum(k // m for m in mods), (k, b, d)
+
+    def test_integers_are_the_case_d_one(self):
+        for b in range(2, 13):
+            for k in range(200):
+                assert alpha_Z(k, b) == alpha_AP(k, b) == alpha_AP(k, b, 1)
+
+    def test_step_coprime_to_b_times_a_power_of_b(self):
+        # d = b^e * u with gcd(u, b) = 1 adds e to every valuation
+        for b, e, u in ((2, 0, 3), (2, 5, 9), (6, 3, 35), (10, 1, 7)):
+            for k in range(40):
+                assert alpha_AP(k, b, b**e * u) == e * k + alpha_Z(k, b)
+
+    def test_step_sharing_part_of_b(self):
+        # ap:0,2 at b = 4: m_l = 2, 8, 32, ...
+        assert [alpha_AP(k, 4, 2) for k in range(10)] == [k // 2 + k // 8 for k in range(10)]
+
+    def test_rejects_bad_arguments(self):
+        for args in ((3, 1, 1), (-1, 2, 1), (3, 2, 0)):
+            with pytest.raises(ValueError):
+                alpha_AP(*args)
 
 
 class TestBeta:

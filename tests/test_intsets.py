@@ -104,6 +104,16 @@ class TestEnumeration:
         assert ExplicitFinite(range(6)).cardinality == 6
         assert AllIntegers().cardinality == INF
 
+    def test_progression_step(self):
+        assert ExplicitFinite(range(-4, 6)).step == 1
+        assert ExplicitFinite([9, 1, 5]).step == 4
+        assert ExplicitFinite([1, 1, 3]).step == 2
+        assert ExplicitFinite([7]).step == 1
+        assert parse_set_spec("list:3,-1").step == 4
+        assert ExplicitFinite([1, 2, 4]).step is None
+        # span 3 * 2 and first gap 2, yet not equally spaced
+        assert ExplicitFinite([0, 2, 3, 6]).step is None
+
 
 class TestResidueStatus:
     def test_primes_examples(self):

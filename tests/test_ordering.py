@@ -257,7 +257,7 @@ class TestExponentSequence:
         assert [v.value for v in seq.values] == [20 * i + alpha_Z(i, 2) for i in range(21)]
 
     def test_finite_sequence_runs_only_up_to_its_size(self, monkeypatch):
-        S, steps = ExplicitFinite([1, 2, 3]), []
+        S, steps = ExplicitFinite([1, 2, 4]), []  # not a progression: the greedy serves it
         original = ordering_module.greedy_step
         # the run past |S| is the reference for the padded tail
         full = b_ordering(S, 2, 12)
@@ -307,7 +307,7 @@ class TestPointQuery:
             assert alphas(S, b, (9, 2, 9), config) == [seq.values[9], seq.values[2], seq.values[9]]
 
     def test_finite_set_runs_only_up_to_its_size(self, monkeypatch):
-        S, steps = ExplicitFinite([1, 2, 3]), []
+        S, steps = ExplicitFinite([1, 2, 4]), []  # not a progression: the greedy serves it
         original = ordering_module.greedy_step
 
         def counting_greedy_step(*args, **kwargs):
@@ -326,6 +326,63 @@ class TestPointQuery:
             alphas(ExplicitFinite([1, 2]), 2, (-1,))
         with pytest.raises(ValueError):
             alphas(AllIntegers(), 2, (4, -1))
+
+
+GREEDY = EngineConfig(force_greedy=True)
+
+
+class TestProgressionFormula:
+    """Progressions, finite or not, take alpha_AP; the certified greedy is the reference."""
+
+    def test_finite_progressions_match_the_greedy(self):
+        # k = n + 1 reads two indices of the INF tail
+        for n in range(1, 14):
+            for d in range(1, 25):
+                for first in (0, 1, -7):
+                    S = ExplicitFinite(range(first, first + n * d, d))
+                    for b in range(2, 13):
+                        seq = exponent_sequence(S, b, n + 1)
+                        assert seq.source == "closed-form"
+                        assert seq.values == exponent_sequence(S, b, n + 1, GREEDY).values, (n, d, first, b)
+
+    def test_progressions_match_the_greedy(self):
+        # steps sharing a factor with b included
+        for d in range(1, 25):
+            for first in (3, -5):
+                S = ArithmeticProgression(first, d)
+                for b in range(2, 13):
+                    seq = exponent_sequence(S, b, 20)
+                    assert seq.source == "closed-form"
+                    assert seq.values == exponent_sequence(S, b, 20, GREEDY).values, (first, d, b)
+
+    def test_deep_step(self):
+        d = 2**60
+        for S, expected in (
+            (ArithmeticProgression(0, d), [60 * i + alpha_Z(i, 2) for i in range(9)]),
+            (ExplicitFinite([0, d, 2 * d]), [0, 60, 121] + [None] * 6),
+        ):
+            seq = exponent_sequence(S, 2, 8)
+            assert seq.source == "closed-form" and as_ints(seq.values) == expected
+            assert seq.values == exponent_sequence(S, 2, 8, GREEDY).values
+
+    @pytest.mark.parametrize("spec", ["list:9,1,5", "list:1,1,3", "list:5,-1", "list:4"])
+    def test_unsorted_and_duplicated_lists(self, spec):
+        S = parse_set_spec(spec)
+        for b in range(2, 13):
+            seq = exponent_sequence(S, b, 5)
+            assert seq.source == "closed-form"
+            assert seq.values == exponent_sequence(S, b, 5, GREEDY).values
+
+    @pytest.mark.parametrize("spec", ["list:1,5,9,14", "list:0,2,3,6", "list:-3,0,3,6,10"])
+    def test_one_element_off_a_progression_stays_greedy(self, spec):
+        assert exponent_sequence(parse_set_spec(spec), 6, 6).source == "greedy"
+
+    @pytest.mark.parametrize("spec", ["Z", "N", "P", "ap:3,12", "range:-4..5", "list:2,8,14,20"])
+    def test_force_greedy_bypasses_every_formula(self, spec):
+        S = parse_set_spec(spec)
+        for b in (2, 6, 12):
+            assert exponent_sequence(S, b, 9).source == "closed-form"
+            assert exponent_sequence(S, b, 9, GREEDY).source == "greedy"
 
 
 class TestMajorization:
