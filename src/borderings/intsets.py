@@ -126,7 +126,7 @@ class ExplicitFinite(IntegerSet):
         if not vals:
             raise SetSpecError("explicit set must be nonempty")
         step = vals[1] - vals[0] if len(vals) > 1 else 1
-        self.step = step if vals == list(range(vals[0], vals[-1] + 1, step)) else None
+        self.step = step if all(y - x == step for x, y in zip(vals, vals[1:])) else None
         self.values = tuple(vals)
         self._members = frozenset(vals)
         self._canonical = tuple(sorted(vals, key=canonical_key))

@@ -67,12 +67,19 @@ class TestExponents:
 
     def test_deep_progression_is_certified(self, capsys):
         # every class mod 2^l with l <= 12 that meets the set holds the whole
-        # prefix, so the walk goes deeper than 12 levels
-        code, out, _ = run_cli(capsys, "exponents", "--set", "ap:0,4096", "--base", "2", "--k", "3")
-        assert code == 0
+        # prefix, so the forced walk goes deeper than 12 levels
+        argv = ("exponents", "--set", "ap:0,4096", "--base", "2", "--k", "3", "--force-greedy")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "source=greedy" in out.splitlines()[0]
         rows = [line.split() for line in out.splitlines()[2:]]
         assert [r[1] for r in rows] == ["0", "12", "25", "37"]
 
+
+    def test_wide_list_is_parsed_without_listing_its_span(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "exponents", "--set", "list:0,1,10000000000", "--base", "2", "--k", "2")
+        assert code == 0 and "source=greedy" in out.splitlines()[0]
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("spec", ["range:-4..5", "ap:3,12", "list:14,2,8,20"])
     def test_progressions_take_the_closed_form_unless_forced(self, capsys, spec):

@@ -113,6 +113,11 @@ class TestEnumeration:
         assert ExplicitFinite([1, 2, 4]).step is None
         # span 3 * 2 and first gap 2, yet not equally spaced
         assert ExplicitFinite([0, 2, 3, 6]).step is None
+        # a small first gap and a huge span: the check compares neighbours and
+        # never lists the span
+        assert ExplicitFinite([0, 1, 10**20]).step is None
+        assert ExplicitFinite([0, 1, 3 * 10**9]).step is None
+        assert ExplicitFinite([-(10**30), 0, 10**30]).step == 10**30
 
 
 class TestResidueStatus:

@@ -250,10 +250,11 @@ class TestExponentSequence:
             assert all(low[i] <= mid[i] <= high[i] for i in range(k + 1))
 
     def test_deep_progression_is_certified(self):
-        # step 2^20: every valuation gains 20, so the walk descends past
-        # depth 20 and alpha_i = 20*i + alpha_Z(i, 2)
-        seq = exponent_sequence(parse_set_spec("ap:0,1048576"), 2, 20)
-        assert seq.certified
+        # step 2^20: every valuation gains 20, so the forced walk descends
+        # past depth 20 and alpha_i = 20*i + alpha_Z(i, 2)
+        S, config = parse_set_spec("ap:0,1048576"), EngineConfig(force_greedy=True)
+        seq = exponent_sequence(S, 2, 20, config=config)
+        assert seq.certified and seq.source == "greedy"
         assert [v.value for v in seq.values] == [20 * i + alpha_Z(i, 2) for i in range(21)]
 
     def test_finite_sequence_runs_only_up_to_its_size(self, monkeypatch):
