@@ -18,8 +18,6 @@ from .intsets import (
     IntegerSet,
     NonnegativeIntegers,
     Primes,
-    ResidueKind,
-    ResidueStatus,
     SetSpecError,
     parse_set_spec,
 )

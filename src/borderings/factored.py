@@ -258,33 +258,30 @@ def _check_auto_k(k: int, limit: int, S) -> None:
         )
 
 
+def _base_range(body: str) -> BaseSet:
+    if ".." not in body:
+        raise ValueError("expected range:lo..hi")
+    lo_s, hi_s = body.split("..", 1)
+    return BaseSet.range(int(lo_s), int(hi_s))
+
+
+_BASE_SPEC_KINDS = {
+    "upto:": lambda body: BaseSet.all_up_to(int(body)),
+    "primes:": lambda body: BaseSet.primes_up_to(int(body)),
+    "list:": lambda body: BaseSet.explicit(int(t) for t in body.split(",") if t.strip()),
+    "range:": _base_range,
+}
+
+
 def parse_base_spec(spec: str) -> BaseSet:
     """Parse the base-set grammar: auto | upto:<n> | primes:<n> | list:... | range:lo..hi."""
     spec = spec.strip()
     if spec == "auto":
         return BaseSet.auto()
-    if spec.startswith("upto:"):
-        try:
-            return BaseSet.all_up_to(int(spec[5:]))
-        except ValueError as e:
-            raise BaseSetError(f"bad base spec {spec!r}: {e}") from None
-    if spec.startswith("primes:"):
-        try:
-            return BaseSet.primes_up_to(int(spec[7:]))
-        except ValueError as e:
-            raise BaseSetError(f"bad base spec {spec!r}: {e}") from None
-    if spec.startswith("list:"):
-        try:
-            return BaseSet.explicit(int(t) for t in spec[5:].split(",") if t.strip())
-        except ValueError as e:
-            raise BaseSetError(f"bad base spec {spec!r}: {e}") from None
-    if spec.startswith("range:"):
-        body = spec[6:]
-        if ".." not in body:
-            raise BaseSetError(f"bad base spec {spec!r}: expected range:lo..hi")
-        lo_s, hi_s = body.split("..", 1)
-        try:
-            return BaseSet.range(int(lo_s), int(hi_s))
-        except ValueError as e:
-            raise BaseSetError(f"bad base spec {spec!r}: {e}") from None
+    for prefix, build in _BASE_SPEC_KINDS.items():
+        if spec.startswith(prefix):
+            try:
+                return build(spec[len(prefix):])
+            except ValueError as e:
+                raise BaseSetError(f"bad base spec {spec!r}: {e}") from None
     raise BaseSetError(f"unrecognised base spec {spec!r}")

@@ -6,10 +6,9 @@ before negative).  Every set answers residue-class questions exactly.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
-from dataclasses import dataclass
-from enum import Enum
+from itertools import count
 from typing import Iterator, Optional
 
 from .numerics import INF, ExtNat, is_prime, primes_up_to
@@ -31,43 +30,12 @@ def canonical_key(a: int) -> tuple[int, int]:
     return (abs(a), 0 if a >= 0 else 1)
 
 
-class ResidueKind(Enum):
-    EMPTY = "empty"
-    FINITE_ONLY = "finite_only"
-    INFINITE = "infinite"
-
-
-@dataclass(frozen=True)
-class ResidueStatus:
-    """What a set knows about its intersection with a residue class r mod m."""
-
-    kind: ResidueKind
-    members: tuple[int, ...] = ()
-
-    @classmethod
-    def empty(cls) -> "ResidueStatus":
-        return cls(ResidueKind.EMPTY)
-
-    @classmethod
-    def finite(cls, members) -> "ResidueStatus":
-        members = tuple(sorted(members, key=canonical_key))
-        return cls(ResidueKind.FINITE_ONLY, members) if members else cls(ResidueKind.EMPTY)
-
-    @classmethod
-    def infinite(cls) -> "ResidueStatus":
-        return cls(ResidueKind.INFINITE)
-
-    @property
-    def nonempty(self) -> bool:
-        return self.kind is not ResidueKind.EMPTY
-
-
 class IntegerSet:
     """Base class for subsets of Z.
 
-    Subclasses provide exact membership, bounded enumeration in canonical
-    order, residue-class status for any modulus m >= 2, and a smallest-
-    element search within a residue class.
+    Subclasses provide exact membership, enumeration in canonical order,
+    residue-class members for any modulus m >= 2, and a smallest-element
+    search within a residue class.
     """
 
     spec: str  # the set-spec string this set round-trips to
@@ -79,23 +47,14 @@ class IntegerSet:
     def contains(self, a: int) -> bool:
         raise NotImplementedError
 
-    def elements_up_to(self, bound: int) -> list[int]:
-        """All members with |a| <= bound, in canonical order."""
-        raise NotImplementedError
-
     def iter_canonical(self) -> Iterator[int]:
         """Members in canonical order; unbounded for infinite sets."""
-        bound, seen = 16, 0
-        while True:
-            elems = self.elements_up_to(bound)
-            yield from elems[seen:]
-            if not self.cardinality.is_finite or len(elems) < int(self.cardinality.value):
-                seen = len(elems)
-                bound *= 2
-            else:
-                return
+        raise NotImplementedError
 
-    def residue_status(self, r: int, m: int) -> ResidueStatus:
+    def residue_status(self, r: int, m: int) -> Optional[tuple[int, ...]]:
+        """The members congruent to r mod m in canonical order, () when there
+        are none, or None when there are infinitely many.
+        """
         raise NotImplementedError
 
     def pick_in_class(self, r: int, m: int, cap: int = SEARCH_CAP) -> Optional[int]:
@@ -139,22 +98,16 @@ class ExplicitFinite(IntegerSet):
     def contains(self, a: int) -> bool:
         return a in self._members
 
-    def elements_up_to(self, bound: int) -> list[int]:
-        return [a for a in self._canonical if abs(a) <= bound]
-
     def iter_canonical(self) -> Iterator[int]:
         return iter(self._canonical)
 
-    def residue_status(self, r: int, m: int) -> ResidueStatus:
+    def residue_status(self, r: int, m: int) -> tuple[int, ...]:
         r = _check_modulus(r, m)
-        return ResidueStatus.finite(a for a in self.values if a % m == r)
+        return tuple(a for a in self._canonical if a % m == r)
 
     def pick_in_class(self, r, m, cap=SEARCH_CAP):
-        r = _check_modulus(r, m)
-        for a in self._canonical:
-            if a % m == r:
-                return a
-        return None
+        members = self.residue_status(r, m)
+        return members[0] if members else None
 
 
 class AllIntegers(IntegerSet):
@@ -162,12 +115,6 @@ class AllIntegers(IntegerSet):
 
     def contains(self, a: int) -> bool:
         return True
-
-    def elements_up_to(self, bound: int) -> list[int]:
-        out = [0]
-        for n in range(1, bound + 1):
-            out.extend((n, -n))
-        return out if bound >= 0 else []
 
     def iter_canonical(self) -> Iterator[int]:
         yield 0
@@ -177,9 +124,9 @@ class AllIntegers(IntegerSet):
             yield -n
             n += 1
 
-    def residue_status(self, r: int, m: int) -> ResidueStatus:
+    def residue_status(self, r: int, m: int) -> None:
         _check_modulus(r, m)
-        return ResidueStatus.infinite()
+        return None
 
     def pick_in_class(self, r, m, cap=SEARCH_CAP):
         r = _check_modulus(r, m)
@@ -194,16 +141,12 @@ class _PrimeCache:
         self.limit = 1 << 10
         self.primes = primes_up_to(self.limit)
 
-    def extend_to(self, limit: int) -> None:
-        if limit > self.limit:
-            self.limit = max(limit, self.limit * 2)
-            self.primes = primes_up_to(self.limit)
-
     def iter_primes(self) -> Iterator[int]:
         i = 0
         while True:
             if i >= len(self.primes):
-                self.extend_to(self.limit * 2)
+                self.limit *= 2
+                self.primes = primes_up_to(self.limit)
             yield self.primes[i]
             i += 1
 
@@ -215,34 +158,23 @@ class Primes(IntegerSet):
     def contains(self, a: int) -> bool:
         return is_prime(a)
 
-    def elements_up_to(self, bound: int) -> list[int]:
-        if bound < 2:
-            return []
-        self._cache.extend_to(bound)
-        ps = self._cache.primes
-        return ps[: bisect.bisect_right(ps, bound)]
-
     def iter_canonical(self) -> Iterator[int]:
         return self._cache.iter_primes()
 
-    def residue_status(self, r: int, m: int) -> ResidueStatus:
+    def residue_status(self, r: int, m: int) -> Optional[tuple[int, ...]]:
         r = _check_modulus(r, m)
         g = math.gcd(r, m)
         if g == 1:
             # Dirichlet: infinitely many primes in every class coprime to m
-            return ResidueStatus.infinite()
+            return None
         # a prime p = r (mod m) must divide g, hence equal g
-        if is_prime(g) and g % m == r:
-            return ResidueStatus.finite([g])
-        return ResidueStatus.empty()
+        return (g,) if is_prime(g) and g % m == r else ()
 
     def pick_in_class(self, r, m, cap=SEARCH_CAP):
         r = _check_modulus(r, m)
-        status = self.residue_status(r, m)
-        if status.kind is ResidueKind.EMPTY:
-            return None
-        if status.kind is ResidueKind.FINITE_ONLY:
-            return status.members[0]
+        members = self.residue_status(r, m)
+        if members is not None:
+            return members[0] if members else None
         x = r if r > 1 else r + m
         while x <= cap:
             if is_prime(x):
@@ -264,24 +196,18 @@ class ArithmeticProgression(IntegerSet):
     def contains(self, a: int) -> bool:
         return a >= self.first and (a - self.first) % self.step == 0
 
-    def elements_up_to(self, bound: int) -> list[int]:
-        # start at the first member >= -bound
-        start = self.first + max(0, -((bound + self.first) // self.step)) * self.step
-        return sorted(range(start, bound + 1, self.step), key=canonical_key)
-
     def iter_canonical(self) -> Iterator[int]:
         if self.first >= 0:
-            x = self.first
-            while True:
-                yield x
-                x += self.step
-        else:
-            yield from super().iter_canonical()
+            return count(self.first, self.step)
+        # the members >= 0 rise from first % step; those below 0 fall to first
+        low = self.first % self.step
+        below = range(low - self.step, self.first - 1, -self.step)
+        return heapq.merge(count(low, self.step), below, key=canonical_key)
 
-    def residue_status(self, r: int, m: int) -> ResidueStatus:
+    def residue_status(self, r: int, m: int) -> Optional[tuple[int, ...]]:
         r = _check_modulus(r, m)
         g = math.gcd(self.step, m)
-        return ResidueStatus.infinite() if (r - self.first) % g == 0 else ResidueStatus.empty()
+        return None if (r - self.first) % g == 0 else ()
 
     def pick_in_class(self, r, m, cap=SEARCH_CAP):
         r = _check_modulus(r, m)

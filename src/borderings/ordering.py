@@ -31,7 +31,6 @@ from .intsets import (
     ExplicitFinite,
     IntegerSet,
     Primes,
-    ResidueKind,
     canonical_key,
 )
 
@@ -233,11 +232,11 @@ class _GreedyState:
             finite: list[int] = []
             for i in range(b):
                 r1 = r + i * base_mod
-                status = S.residue_status(r1, mod1)
-                if status.kind is ResidueKind.INFINITE:
+                members = S.residue_status(r1, mod1)
+                if members is None:
                     infinite.append(r1)
                 else:
-                    finite.extend(status.members)
+                    finite.extend(members)
             self.children[key] = (tuple(infinite), tuple(finite))
         return self.children[key]
 

@@ -12,7 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 
 from . import closedforms, tables
 from .factored import BaseSet, FactoredNumber
@@ -161,7 +161,7 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random, config: EngineConf
             S = ExplicitFinite(values)
             pool = values
         else:
-            pool = S.elements_up_to(60)
+            pool = list(takewhile(lambda a: abs(a) <= 60, S.iter_canonical()))
         b = rng.randint(2, 12)
         length = rng.randint(2, 8)
         seq = [rng.choice(pool) for _ in range(length)]

@@ -7,9 +7,14 @@ scans, and orderings by exploring every greedy branch.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 
 INFINITY = None  # oracle-side marker for an infinite valuation
+
+
+def up_to(S, bound):
+    """The members of S with |a| <= bound, in canonical order."""
+    return list(takewhile(lambda a: abs(a) <= bound, S.iter_canonical()))
 
 
 def ord_oracle(b: int, a: int):

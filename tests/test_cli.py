@@ -115,6 +115,28 @@ class TestParserReuse:
             assert cli_module._parser.cache_info().misses == 1
 
 
+# stderr after "error: " for base specs that must exit 2
+BAD_BASE_SPECS = {
+    "upto:1": "bad base spec 'upto:1': base cutoff must be >= 2, got 1",
+    "upto:x": "bad base spec 'upto:x': invalid literal for int() with base 10: 'x'",
+    "upto:": "bad base spec 'upto:': invalid literal for int() with base 10: ''",
+    "upto:10001": "bad base spec 'upto:10001': base cutoff 10001 is over the limit 10000",
+    "primes:-3": "bad base spec 'primes:-3': prime cutoff must be >= 2, got -3",
+    "primes:1.5": "bad base spec 'primes:1.5': invalid literal for int() with base 10: '1.5'",
+    "primes:10001": "bad base spec 'primes:10001': prime cutoff 10001 is over the limit 10000",
+    "list:a": "bad base spec 'list:a': invalid literal for int() with base 10: 'a'",
+    "list:-1": "bad base spec 'list:-1': bases must be >= 0, got -1",
+    "list:2,,x": "bad base spec 'list:2,,x': invalid literal for int() with base 10: 'x'",
+    "range:5": "bad base spec 'range:5': expected range:lo..hi",
+    "range:5..1": "bad base spec 'range:5..1': bad base range 5..1",
+    "range:a..b": "bad base spec 'range:a..b': invalid literal for int() with base 10: 'a'",
+    "range:-1..3": "bad base spec 'range:-1..3': bad base range -1..3",
+    "range:0..10001": "bad base spec 'range:0..10001': base range width 10002 is over the limit 10000",
+    "nope": "unrecognised base spec 'nope'",
+    "": "unrecognised base spec ''",
+}
+
+
 class TestFactoredCommands:
     def test_factorial_table_row(self, capsys):
         code, out, _ = run_cli(
@@ -263,6 +285,12 @@ class TestFactoredCommands:
             )
             assert code == 2 and out == "", cutoff
             assert "prime cutoff" in err
+
+    @pytest.mark.parametrize("spec", sorted(BAD_BASE_SPECS))
+    def test_bad_base_spec_messages(self, capsys, spec):
+        # each message carries the spec once, whichever check refused it
+        code, out, err = run_cli(capsys, "factorial", "--set", "Z", "--k", "3", "--bases", spec)
+        assert (code, out, err) == (2, "", f"error: {BAD_BASE_SPECS[spec]}\n")
 
 
 class TestTables:

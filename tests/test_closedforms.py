@@ -24,7 +24,7 @@ from borderings.intsets import Primes
 from borderings.numerics import digit_sum, floor_sum, omega, totient
 from borderings.ordering import b_ordering, evaluate_test_sequence
 
-from oracle import partition_minimum
+from oracle import partition_minimum, up_to
 
 
 class TestAlphaZ:
@@ -193,7 +193,7 @@ class TestPTestBound:
         import random
 
         P = Primes()
-        pool = P.elements_up_to(200)
+        pool = up_to(P, 200)
         rng = random.Random(6)
         for _ in range(40):
             b = rng.randint(2, 12)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -15,12 +16,13 @@ from borderings.intsets import (
     ExplicitFinite,
     NonnegativeIntegers,
     Primes,
-    ResidueKind,
     SetSpecError,
     canonical_key,
     parse_set_spec,
 )
 from borderings.numerics import INF
+
+from oracle import up_to
 
 
 class TestParsing:
@@ -64,33 +66,32 @@ class TestParsing:
 
 class TestEnumeration:
     def test_canonical_order_examples(self):
-        assert AllIntegers().elements_up_to(2) == [0, 1, -1, 2, -2]
-        assert Primes().elements_up_to(10) == [2, 3, 5, 7]
-        assert ExplicitFinite(range(6)).elements_up_to(100) == [0, 1, 2, 3, 4, 5]
-        assert NonnegativeIntegers().elements_up_to(3) == [0, 1, 2, 3]
-        assert ExplicitFinite([-2, 2, 1]).elements_up_to(2) == [1, 2, -2]
-
-    def test_prefix_closure(self):
-        sets = [
-            AllIntegers(),
-            NonnegativeIntegers(),
-            Primes(),
-            ArithmeticProgression(-7, 3),
-            ExplicitFinite([-9, -2, 0, 4, 11]),
-        ]
-        for S in sets:
-            for b1, b2 in ((0, 5), (5, 17), (17, 60)):
-                small = S.elements_up_to(b1)
-                big = S.elements_up_to(b2)
-                assert big[: len(small)] == small
+        assert up_to(AllIntegers(), 2) == [0, 1, -1, 2, -2]
+        assert up_to(Primes(), 10) == [2, 3, 5, 7]
+        assert up_to(ExplicitFinite(range(6)), 100) == [0, 1, 2, 3, 4, 5]
+        assert up_to(NonnegativeIntegers(), 3) == [0, 1, 2, 3]
+        assert up_to(ExplicitFinite([-2, 2, 1]), 2) == [1, 2, -2]
 
     def test_iter_canonical_matches_bounded(self):
         for S in (AllIntegers(), Primes(), ArithmeticProgression(1, 4)):
-            from itertools import islice
-
             head = list(islice(S.iter_canonical(), 12))
             assert sorted(head, key=canonical_key) == head
             assert all(S.contains(a) for a in head)
+
+    def test_progression_enumeration_matches_a_brute_force_oracle(self):
+        # the first n members in canonical order, for every n <= 40: the 40
+        # smallest nonnegative members all lie within reach, so every member
+        # past it comes later
+        n = 40
+        for first in range(-120, 121):
+            for step in range(1, 13):
+                reach = abs(first) + n * step
+                members = [
+                    x for x in range(-reach, reach + 1) if x >= first and (x - first) % step == 0
+                ]
+                want = sorted(members, key=canonical_key)[:n]
+                got = list(islice(ArithmeticProgression(first, step).iter_canonical(), n))
+                assert got == want, (first, step)
 
     def test_membership(self):
         assert Primes().contains(97)
@@ -123,39 +124,38 @@ class TestEnumeration:
 class TestResidueStatus:
     def test_primes_examples(self):
         P = Primes()
-        assert P.residue_status(3, 4).kind is ResidueKind.INFINITE
-        assert P.residue_status(0, 4).kind is ResidueKind.EMPTY
-        st = P.residue_status(2, 4)
-        assert st.kind is ResidueKind.FINITE_ONLY and st.members == (2,)
-        st = P.residue_status(3, 9)
-        assert st.kind is ResidueKind.FINITE_ONLY and st.members == (3,)
+        assert P.residue_status(3, 4) is None
+        assert P.residue_status(0, 4) == ()
+        assert P.residue_status(2, 4) == (2,)
+        assert P.residue_status(3, 9) == (3,)
 
     def test_consistency_with_scan(self):
-        scan_bound = 10**4
+        # a class is infinite exactly when it holds members in every shell
+        # bounds[i-1] < |a| <= bounds[i]; a finite answer lists the scan's
+        # members of the class in canonical order, and pick_in_class reads
+        # its first one
+        bounds = (0, 10**2, 10**3, 10**4)
         sets = [
             AllIntegers(),
             NonnegativeIntegers(),
             Primes(),
-            ArithmeticProgression(2, 6),
-            ArithmeticProgression(-5, 4),
-            ExplicitFinite([-50, -3, 0, 9, 14, 27]),
+            parse_set_spec("ap:2,6"),
+            parse_set_spec("ap:-5,4"),
+            parse_set_spec("list:-50,-3,0,9,14,27"),
         ]
         for S in sets:
-            scan = S.elements_up_to(scan_bound)
+            scan = up_to(S, bounds[-1])
             for m in (2, 3, 4, 5, 8, 9, 12):
-                by_class: dict[int, list[int]] = {r: [] for r in range(m)}
-                for a in scan:
-                    by_class[a % m].append(a)
                 for r in range(m):
-                    st = S.residue_status(r, m)
-                    members = by_class[r]
-                    if st.kind is ResidueKind.EMPTY:
-                        assert not members, (S.spec, r, m)
-                    elif st.kind is ResidueKind.FINITE_ONLY:
-                        assert sorted(st.members) == sorted(members), (S.spec, r, m)
-                    else:
-                        assert st.kind is ResidueKind.INFINITE
-                        assert members, (S.spec, r, m)
+                    in_class = [a for a in scan if a % m == r]
+                    every_shell = all(
+                        any(lo < abs(a) <= hi for a in in_class) for lo, hi in zip(bounds, bounds[1:])
+                    )
+                    members = S.residue_status(r, m)
+                    assert (members is None) == every_shell, (S.spec, r, m)
+                    if members is not None:
+                        assert members == tuple(in_class), (S.spec, r, m)
+                        assert S.pick_in_class(r, m) == (members[0] if members else None)
 
 
 class TestPickInClass:
@@ -176,14 +176,13 @@ class TestPickInClass:
         for S in sets:
             for m in (2, 3, 5, 9):
                 for r in range(m):
-                    st = S.residue_status(r, m)
-                    if not st.nonempty:
+                    if S.residue_status(r, m) == ():
                         continue
                     a = S.pick_in_class(r, m)
                     assert a is not None
                     assert S.contains(a) and a % m == r
                     # nothing smaller in canonical order sits in the class
-                    for x in S.elements_up_to(abs(a)):
+                    for x in up_to(S, abs(a)):
                         if canonical_key(x) < canonical_key(a):
                             assert x % m != r
 
@@ -192,25 +191,21 @@ class TestPickInClass:
         rng = random.Random(20000)
         for _ in range(5000):
             first, step = rng.randint(-120, 120), rng.randint(1, 12)
-            m, bound, cap = rng.randint(2, 24), rng.randint(-3, 150), rng.randint(0, 40)
+            m, cap = rng.randint(2, 24), rng.randint(0, 40)
             r = rng.randrange(m)
             S = ArithmeticProgression(first, step)
-            case = (first, step, r, m, bound, cap)
+            case = (first, step, r, m, cap)
             reach = abs(first) + math.lcm(step, m)  # the class's least member is within reach
-            want = next(
-                (x for x in AllIntegers().elements_up_to(reach) if S.contains(x) and x % m == r), None
-            )
+            want = next((x for x in up_to(AllIntegers(), reach) if S.contains(x) and x % m == r), None)
             assert S.pick_in_class(r, m, cap=cap) == want, case
-            assert S.elements_up_to(bound) == [
-                x for x in AllIntegers().elements_up_to(bound) if S.contains(x)
-            ], case
 
     def test_far_negative_progression(self):
-        S = ArithmeticProgression(-100_000_000, 1)
+        # neither the witnesses nor the enumeration list the span down to first
+        S = ArithmeticProgression(-(10**12), 1)
         assert S.pick_in_class(0, 2) == 0
         assert S.pick_in_class(1, 2) == 1
-        assert S.elements_up_to(2) == [0, 1, -1, 2, -2]
-        assert S.elements_up_to(-1) == []
+        assert list(islice(S.iter_canonical(), 5)) == [0, 1, -1, 2, -2]
+        assert up_to(S, -1) == []
 
     def test_negative_first_progression(self):
         S = ArithmeticProgression(-10, 3)

@@ -34,7 +34,7 @@ from borderings.ordering import (
 from borderings.closedforms import alpha_P, alpha_Z
 import borderings.ordering as ordering_module
 
-from oracle import all_greedy_exponent_tuples, windowed_min
+from oracle import all_greedy_exponent_tuples, up_to, windowed_min
 
 
 def as_ints(values):
@@ -98,7 +98,7 @@ class TestGreedyStep:
     def test_primes_step_matches_window_oracle(self):
         P = Primes()
         res = greedy_step([2, 3, 5, 7], 2, P)
-        best, minimizers = windowed_min([2, 3, 5, 7], 2, P.elements_up_to(2000))
+        best, minimizers = windowed_min([2, 3, 5, 7], 2, up_to(P, 2000))
         assert res.value == best == 4
         assert res.element == minimizers[0] == 17
 
@@ -111,7 +111,7 @@ class TestGreedyStep:
             k = rng.randint(1, 7)
             prefix = b_ordering(S, b, k - 1).elements
             res = greedy_step(prefix, b, S)
-            best, minimizers = windowed_min(prefix, b, S.elements_up_to(3000))
+            best, minimizers = windowed_min(prefix, b, up_to(S, 3000))
             assert res.value == best, (S.spec, b, prefix)
             assert res.element in minimizers
 
@@ -129,10 +129,10 @@ class TestGreedyStep:
         for _ in range(120):
             S = rng.choice(sets)
             b = rng.randint(2, 13)
-            pool = S.elements_up_to(120)
+            pool = up_to(S, 120)
             prefix = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
             res = greedy_step(prefix, b, S)
-            best, minimizers = windowed_min(prefix, b, S.elements_up_to(5000))
+            best, minimizers = windowed_min(prefix, b, up_to(S, 5000))
             assert res.value == best, (S.spec, b, prefix)
             assert res.element in minimizers
 
@@ -145,7 +145,7 @@ class TestGreedyStep:
             base = rng.randint(10**6, 10**7)
             prefix = [base + rng.randint(0, 50) for _ in range(rng.randint(2, 6))]
             res = greedy_step(prefix, b, AllIntegers())
-            best, _ = windowed_min(prefix, b, AllIntegers().elements_up_to(60))
+            best, _ = windowed_min(prefix, b, up_to(AllIntegers(), 60))
             assert res.value <= best
 
 
