@@ -24,7 +24,6 @@ from .intsets import (
 from .ordering import (
     CANONICAL,
     BOrdering,
-    EngineConfig,
     ExponentSequence,
     RandomTieBreak,
     alphas,

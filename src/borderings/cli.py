@@ -1,18 +1,18 @@
 """Command-line interface: computations, table reproduction, verification harness.
 
-Every run prints a reproducibility header: the command, its parameters,
-its output options and, for engine commands, the resolved EngineConfig
-that ran.  Each subcommand takes only the flags that change its
-computation; identical (config, seed) runs produce byte-identical
-output.  Infinity renders as the symbol in text mode and as the literal
-string "inf" in CSV and JSON.
+Every run prints a reproducibility header: the command, its parameters
+and its output format, with the seed for `verify` and the route that ran
+for `exponents`.  Each subcommand takes only the flags that change its
+computation; identical runs produce byte-identical output.  Infinity
+renders as the symbol in text mode and as the literal string "inf" in
+CSV and JSON.
 
 Every value the CLI prints is certified: a closed form proven for its
-set, or the greedy engine, which scans finite sets in full and walks the
-residue classes of Z, N, P and ap: sets.
+set, which serves Z, N, P, ap: sets and equally spaced finite sets, or
+the greedy engine, which scans every other finite set in full.
 
 Exit codes: 0 success, 1 property or table-comparison failure,
-2 usage/spec error.
+2 usage/spec error or an input over one of the limits below.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, fields
 
 from . import __version__, tables, verify
-from .factored import BaseSetError, FactoredNumber, group_digits, parse_base_spec
+from .factored import FactoredNumber, group_digits, parse_base_spec
 from .factorials import factorial, gen_binomial, gen_integer, row_product
-from .intsets import SearchExhausted, SetSpecError, parse_set_spec
+from .intsets import SearchExhausted, parse_set_spec
 from .numerics import ExtNat
-from .ordering import DEFAULT_CONFIG, EngineConfig, exponent_sequence
+from .ordering import exponent_sequence
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -45,6 +44,11 @@ DECIMAL_BITS_MAX = 2**19
 # exponent bound says 355,987) and takes about 0.3 s from exponents to
 # decimal, and n = 500 (977,099 bits) about 2.4 s.
 ROWPRODUCT_N_MAX = 300
+
+# Largest k for `exponents`, which lists k + 1 values whatever the set.  On
+# the same machine `exponents --set ap:0,1 --base 2` takes 1.3 s at 56 MiB
+# peak for k = 10^5 and 10.2 s at 401 MiB for k = 10^6.
+EXPONENTS_K_MAX = 10**5
 
 
 def _decimal(value: FactoredNumber) -> str:
@@ -122,27 +126,20 @@ def _csv_cell(v) -> str:
     return s
 
 
-def _config(args) -> EngineConfig:
-    """The EngineConfig that the command's flags resolve to."""
-    names = {f.name for f in fields(EngineConfig)}
-    return EngineConfig(**{k: v for k, v in vars(args).items() if k in names})
-
-
-def _header(args, config: EngineConfig | None = None, **params) -> dict:
-    """command + parameters + format (+ seed) + the EngineConfig that ran, if any."""
+def _header(args, **params) -> dict:
+    """command + parameters + format (+ seed)."""
     header = {"command": args.command, **params, "format": args.format}
     if hasattr(args, "seed"):
         header["seed"] = args.seed
-    if config is not None:
-        header.update(asdict(config))
     return header
 
 
 def cmd_exponents(args) -> int:
+    if args.k > EXPONENTS_K_MAX:
+        raise ValueError(f"exponents is limited to k <= {EXPONENTS_K_MAX}, got k = {args.k}")
     S = parse_set_spec(args.set)
-    config = _config(args)
-    seq = exponent_sequence(S, args.base, args.k, config=config)
-    header = _header(args, config, set=S.spec, base=args.base, k=args.k, source=seq.source)
+    seq = exponent_sequence(S, args.base, args.k)
+    header = _header(args, set=S.spec, base=args.base, k=args.k, source=seq.source)
     em = _Emitter(args.format, header, ["i", "alpha"])
     for i, v in enumerate(seq.values):
         em.add(i=i, alpha=_render_extnat(v, args.format))
@@ -162,9 +159,8 @@ def cmd_factored(args) -> int:
     T = parse_base_spec(args.bases)
     compute, names, _ = _FACTORED[args.command]
     numbers = {name: getattr(args, name) for name in names}
-    config = _config(args)
-    value = compute(S, T, *numbers.values(), config=config)
-    header = _header(args, config, set=S.spec, bases=T.spec, **numbers)
+    value = compute(S, T, *numbers.values())
+    header = _header(args, set=S.spec, bases=T.spec, **numbers)
     em = _Emitter(args.format, header, ["decimal", "factored", "factored_bases"])
     em.add(
         decimal=_decimal(value),
@@ -216,12 +212,9 @@ def cmd_rowproduct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _config(args)
-    header = _header(args, config, suite=args.suite, scale=args.scale)
+    header = _header(args, suite=args.suite, scale=args.scale)
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = [
-        verify.run_suite(name, seed=args.seed, scale=args.scale, config=config) for name in names
-    ]
+    reports = [verify.run_suite(name, seed=args.seed, scale=args.scale) for name in names]
     all_passed = all(r.passed for r in reports)
     em = _Emitter(args.format, header, ["suite", "instance", "passed", "params", "detail"])
     if args.format == "text":
@@ -257,32 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"borderings {__version__}")
 
-    # each subcommand takes only the flags that change what it computes;
-    # engine defaults come from DEFAULT_CONFIG
+    # each subcommand takes only the flags that change what it computes
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    engine = argparse.ArgumentParser(add_help=False, parents=[output])
-    engine.add_argument(
-        "--search-cap", type=int, default=DEFAULT_CONFIG.search_cap, help="in-class search cap"
-    )
-    compute = argparse.ArgumentParser(add_help=False, parents=[engine])
-    compute.add_argument(
-        "--force-greedy",
-        action="store_true",
-        default=DEFAULT_CONFIG.force_greedy,
-        help="skip closed-form dispatch",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exponents", parents=[compute], help="exponent invariants of (S, b)")
+    p = sub.add_parser("exponents", parents=[output], help="exponent invariants of (S, b)")
     p.add_argument("--set", required=True, help="set spec: Z | N | P | ap:f,s | list:... | file:path | range:lo..hi")
     p.add_argument("--base", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"0 <= k <= {EXPONENTS_K_MAX}")
     p.set_defaults(func=cmd_exponents)
 
     for command, (_, names, help_) in _FACTORED.items():
-        p = sub.add_parser(command, parents=[compute], help=help_)
+        p = sub.add_parser(command, parents=[output], help=help_)
         p.add_argument("--set", required=True)
         p.add_argument("--bases", required=True, help="base spec: auto | upto:n | primes:n | list:... | range:lo..hi")
         for name in names:
@@ -298,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=None, help="truncate the product to bases <= x")
     p.set_defaults(func=cmd_rowproduct)
 
-    p = sub.add_parser("verify", parents=[engine], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[output], help="run a verification suite")
     p.add_argument(
         "--suite",
         choices=verify.SUITE_NAMES + ("all",),
@@ -327,11 +308,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (SetSpecError, BaseSetError, ValueError) as e:
+    except (ValueError, SearchExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SearchExhausted as e:
-        print(f"error: {e} (raise --search-cap)", file=sys.stderr)
         return EXIT_USAGE
 
 

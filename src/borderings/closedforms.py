@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .intsets import SEARCH_CAP, Primes
+from .intsets import Primes
 from .numerics import digit_sum, floor_sum, omega, omega_totient, prime_factors
 
 
@@ -115,7 +115,7 @@ def p_test_lower_bound(k: int, b: int) -> int:
     return sum(alpha_P(j, b) for j in range(w, k + 1))
 
 
-def prime_witness_sequence(b: int, e: int, search_cap: int = SEARCH_CAP) -> list[int]:
+def prime_witness_sequence(b: int, e: int) -> list[int]:
     """An explicit initial b-ordering of the primes, independent of the greedy engine.
 
     Starts with the distinct prime divisors of b in increasing order, then
@@ -130,6 +130,6 @@ def prime_witness_sequence(b: int, e: int, search_cap: int = SEARCH_CAP) -> list
     mod = b**e
     for r in range(1, mod):
         if math.gcd(r, b) == 1:
-            p = primes.pick_in_class(r, mod, cap=search_cap)
+            p = primes.pick_in_class(r, mod)
             seq.append(p)
     return seq

@@ -124,7 +124,7 @@ class FactoredNumber:
     def __hash__(self) -> int:
         return hash(tuple(sorted((b, e) for b, e in self._exp.items())))
 
-    def format_factored(self, infinity: str = "inf") -> str:
+    def format_factored(self) -> str:
         """Canonical factored-form text: bases ascending, exponent 1 elided.
 
         A lone base 1 keeps its exponent: bare `1` is the empty product.
@@ -141,7 +141,7 @@ class FactoredNumber:
             elif e.is_finite:
                 parts.append(f"{b}^{e.value}")
             else:
-                parts.append(f"{b}^{infinity}")
+                parts.append(f"{b}^inf")
         return " * ".join(parts)
 
     @classmethod

@@ -14,27 +14,17 @@ from typing import Sequence
 from .factored import BaseSet, FactoredNumber
 from .intsets import AllIntegers, IntegerSet
 from .numerics import INF, ZERO, ExtNat, cumulative_digit_sum, digit_sum
-from .ordering import DEFAULT_CONFIG, EngineConfig, alphas, pairwise_valuation_sum
+from .ordering import alphas, pairwise_valuation_sum
 
 
-def factorial(
-    S: IntegerSet,
-    T: BaseSet,
-    k: int,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> FactoredNumber:
+def factorial(S: IntegerSet, T: BaseSet, k: int) -> FactoredNumber:
     """The k-th generalized factorial for (S, T) in factored form."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return FactoredNumber({b: alphas(S, b, (k,), config)[0] for b in T.resolve(S, k)})
+    return FactoredNumber({b: alphas(S, b, (k,))[0] for b in T.resolve(S, k)})
 
 
-def _quotient(
-    S: IntegerSet,
-    bases: Sequence[int],
-    ks: Sequence[int],
-    config: EngineConfig,
-) -> FactoredNumber:
+def _quotient(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> FactoredNumber:
     """The product over bases b of b^(alpha_{ks[0]} - the other alpha_k(S, b)).
 
     Callers reach a base b >= 2 only with every k below |S|, where each
@@ -44,7 +34,7 @@ def _quotient(
     exps: dict[int, ExtNat | int] = {}
     for b in bases:
         if b >= 2:
-            values = alphas(S, b, ks, config)
+            values = alphas(S, b, ks)
             e = values[0].value
             for a in values[1:]:
                 e -= a.value
@@ -54,12 +44,7 @@ def _quotient(
     return FactoredNumber(exps)
 
 
-def gen_integer(
-    S: IntegerSet,
-    T: BaseSet,
-    n: int,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> FactoredNumber:
+def gen_integer(S: IntegerSet, T: BaseSet, n: int) -> FactoredNumber:
     """The n-th generalized integer: the exponentwise ratio of consecutive factorials.
 
     Zero for n >= |S|, unless every base is 1 (or there is none), where
@@ -71,31 +56,20 @@ def gen_integer(
     card = S.cardinality
     if card.is_finite and n >= card.value and any(b != 1 for b in bases):
         return FactoredNumber.zero()
-    return _quotient(S, bases, (n, n - 1), config)
+    return _quotient(S, bases, (n, n - 1))
 
 
-def gen_binomial(
-    S: IntegerSet,
-    T: BaseSet,
-    k: int,
-    ell: int,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> FactoredNumber:
+def gen_binomial(S: IntegerSet, T: BaseSet, k: int, ell: int) -> FactoredNumber:
     """The generalized binomial coefficient (k over ell) for (S, T)."""
     if not 0 <= ell <= k:
         raise ValueError(f"need 0 <= ell <= k, got ell={ell}, k={k}")
     card = S.cardinality
     if card.is_finite and k >= card.value:
         raise ValueError(f"k = {k} is not below |S| = {card.value}")
-    return _quotient(S, T.resolve(S, k), (k, ell, k - ell), config)
+    return _quotient(S, T.resolve(S, k), (k, ell, k - ell))
 
 
-def pairwise_multiple_check(
-    S: IntegerSet,
-    T: BaseSet,
-    seq: Sequence[int],
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> bool:
+def pairwise_multiple_check(S: IntegerSet, T: BaseSet, seq: Sequence[int]) -> bool:
     """Check that the pairwise-difference product over T is a multiple of 0!..n!.
 
     Per base this is exactly prefix-sum dominance of the sequence's
@@ -106,7 +80,7 @@ def pairwise_multiple_check(
     if n < 0:
         raise ValueError("sequence must be nonempty")
     for b in T.resolve(S, n):
-        if pairwise_valuation_sum(elements, b) < sum(alphas(S, b, range(n + 1), config), ZERO):
+        if pairwise_valuation_sum(elements, b) < sum(alphas(S, b, range(n + 1)), ZERO):
             return False
     return True
 

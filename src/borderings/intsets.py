@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 from .numerics import INF, ExtNat, is_prime, primes_up_to
 
 
-SEARCH_CAP = 10**7  # default cap for in-class element searches
+SEARCH_CAP = 10**7  # largest candidate a search for a prime in a residue class tries
 
 
 class SetSpecError(ValueError):
@@ -22,7 +22,7 @@ class SetSpecError(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    """An element search hit its configured cap without an answer."""
+    """A search for a prime in a residue class passed SEARCH_CAP without an answer."""
 
 
 def canonical_key(a: int) -> tuple[int, int]:
@@ -57,11 +57,11 @@ class IntegerSet:
         """
         raise NotImplementedError
 
-    def pick_in_class(self, r: int, m: int, cap: int = SEARCH_CAP) -> Optional[int]:
+    def pick_in_class(self, r: int, m: int) -> Optional[int]:
         """Smallest member (canonical order) congruent to r mod m.
 
         Returns None when the class is provably exhausted; raises
-        SearchExhausted if an infinite class exceeds the search cap.
+        SearchExhausted if a search passes SEARCH_CAP.
         """
         raise NotImplementedError
 
@@ -105,7 +105,7 @@ class ExplicitFinite(IntegerSet):
         r = _check_modulus(r, m)
         return tuple(a for a in self._canonical if a % m == r)
 
-    def pick_in_class(self, r, m, cap=SEARCH_CAP):
+    def pick_in_class(self, r, m):
         members = self.residue_status(r, m)
         return members[0] if members else None
 
@@ -128,7 +128,7 @@ class AllIntegers(IntegerSet):
         _check_modulus(r, m)
         return None
 
-    def pick_in_class(self, r, m, cap=SEARCH_CAP):
+    def pick_in_class(self, r, m):
         r = _check_modulus(r, m)
         neg = r - m  # the class's least-|a| members are r and r - m
         return r if canonical_key(r) <= canonical_key(neg) else neg
@@ -170,17 +170,17 @@ class Primes(IntegerSet):
         # a prime p = r (mod m) must divide g, hence equal g
         return (g,) if is_prime(g) and g % m == r else ()
 
-    def pick_in_class(self, r, m, cap=SEARCH_CAP):
+    def pick_in_class(self, r, m):
         r = _check_modulus(r, m)
         members = self.residue_status(r, m)
         if members is not None:
             return members[0] if members else None
         x = r if r > 1 else r + m
-        while x <= cap:
+        while x <= SEARCH_CAP:
             if is_prime(x):
                 return x
             x += m
-        raise SearchExhausted(f"no prime in class {r} mod {m} below cap {cap}")
+        raise SearchExhausted(f"no prime in class {r} mod {m} below cap {SEARCH_CAP}")
 
 
 class ArithmeticProgression(IntegerSet):
@@ -209,7 +209,7 @@ class ArithmeticProgression(IntegerSet):
         g = math.gcd(self.step, m)
         return None if (r - self.first) % g == 0 else ()
 
-    def pick_in_class(self, r, m, cap=SEARCH_CAP):
+    def pick_in_class(self, r, m):
         r = _check_modulus(r, m)
         g = math.gcd(self.step, m)
         if (r - self.first) % g != 0:

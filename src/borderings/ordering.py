@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 from . import closedforms
 from .numerics import INF, ZERO, ExtNat, ord_b
 from .intsets import (
-    SEARCH_CAP,
     AllIntegers,
     ArithmeticProgression,
     ExplicitFinite,
@@ -33,20 +32,6 @@ from .intsets import (
     Primes,
     canonical_key,
 )
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """The resolved settings of a run; the CLI prints exactly these fields.
-
-    Defaults suit desk-scale runs.
-    """
-
-    search_cap: int = SEARCH_CAP  # cap for in-class element searches
-    force_greedy: bool = False  # skip the closed forms for Z, P, ap: sets and finite progressions
-
-
-DEFAULT_CONFIG = EngineConfig()
 
 
 class TieBreakPolicy:
@@ -188,8 +173,8 @@ class _GreedyState:
     summaries of the classes a mod b^l.
     """
 
-    def __init__(self, S: IntegerSet, b: int, config: EngineConfig):
-        self.S, self.b, self.config = S, b, config
+    def __init__(self, S: IntegerSet, b: int):
+        self.S, self.b = S, b
         self.prefix: list[int] = []
         self.values: dict[int, Optional[int]] = {}
         self.levels: dict[int, Counter] = {}
@@ -334,10 +319,10 @@ class _GreedyState:
                         held.append((counts[r1], r1))
                         continue
                     # a realized class holds no prefix element, so its smallest
-                    # member is never excluded and depends on S and the search
-                    # cap alone; a SearchExhausted propagates, never stored
+                    # member is never excluded and depends on S alone; a
+                    # SearchExhausted propagates, never stored
                     if mod1 + r1 not in witnesses:
-                        w = self.S.pick_in_class(r1, mod1, cap=self.config.search_cap)
+                        w = self.S.pick_in_class(r1, mod1)
                         witnesses[mod1 + r1] = (0, canonical_key(w), w)
                     direct.append(witnesses[mod1 + r1])
                 held.sort()
@@ -363,7 +348,6 @@ def greedy_step(
     b: int,
     S: IntegerSet,
     policy: TieBreakPolicy = CANONICAL,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> StepResult:
     """One greedy extension step: an element of provably minimal value over all of S.
 
@@ -374,7 +358,7 @@ def greedy_step(
         raise ValueError(f"base must be >= 0, got {b}")
     state = prefix
     if not isinstance(state, _GreedyState):
-        state = _GreedyState(S, b, config)
+        state = _GreedyState(S, b)
         for a in prefix:
             state.append(a)
     return state.step(policy)
@@ -386,14 +370,13 @@ def b_ordering(
     k: int,
     policy: TieBreakPolicy = CANONICAL,
     start: Optional[int] = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> BOrdering:
     """A b-ordering of S of length k+1 with its exponents."""
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    state = _GreedyState(S, b, config)
+    state = _GreedyState(S, b)
     exponents: list[ExtNat] = []
     for i in range(k + 1):
         if i == 0 and start is not None:
@@ -401,7 +384,7 @@ def b_ordering(
                 raise ValueError(f"start element {start} is not in {S.spec}")
             step = StepResult(start, ZERO)
         else:
-            step = greedy_step(state, b, S, policy, config)
+            step = greedy_step(state, b, S, policy)
         state.append(step.element)
         exponents.append(step.value)
     return BOrdering(b, state.prefix, exponents, policy.name)
@@ -427,12 +410,12 @@ class ExponentSequence:
         return True
 
 
-def _formula(S: IntegerSet, b: int, config: EngineConfig):
+def _formula(S: IntegerSet, b: int):
     """(source, k -> alpha_k(S, b)) where a formula gives each index alone, else None.
 
-    Degenerate bases take O(1).  Unless `force_greedy` asks for the greedy
-    run, Z, P, every ap: set and every finite set whose sorted members are
-    equally spaced take O(log_b k) closed forms.  A finite progression
+    Degenerate bases take O(1).  Z, P, every ap: set and every finite set
+    whose sorted members are equally spaced take O(log_b k) closed forms;
+    `b_ordering` runs the greedy on them.  A finite progression
     a, a+d, ..., a+(n-1)d in its natural order is a b-ordering: a candidate
     a+xd with x >= k has value sum_l #{j < k : m_l | x-j} >= sum_l floor(k/m_l),
     and x = k attains it (see `closedforms.alpha_AP`); indices from n on are INF.
@@ -442,25 +425,19 @@ def _formula(S: IntegerSet, b: int, config: EngineConfig):
         return "degenerate-base", lambda i: ZERO if not card.is_finite or i < card.value else INF
     if b == 1:
         return "degenerate-base", lambda i: INF if i else ZERO
-    if not config.force_greedy:
-        if isinstance(S, AllIntegers):
-            return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
-        if isinstance(S, Primes):
-            return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b))
-        if isinstance(S, ArithmeticProgression):
-            return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step))
-        if isinstance(S, ExplicitFinite) and S.step is not None:
-            n = len(S.values)
-            return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step)) if i < n else INF
+    if isinstance(S, AllIntegers):
+        return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
+    if isinstance(S, Primes):
+        return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b))
+    if isinstance(S, ArithmeticProgression):
+        return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step))
+    if isinstance(S, ExplicitFinite) and S.step is not None:
+        n = len(S.values)
+        return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step)) if i < n else INF
     return None
 
 
-def _invariants(
-    S: IntegerSet,
-    b: int,
-    ks: Sequence[int],
-    config: EngineConfig,
-) -> tuple[str, list[ExtNat]]:
+def _invariants(S: IntegerSet, b: int, ks: Sequence[int]) -> tuple[str, list[ExtNat]]:
     """(source, [alpha_k(S, b) for k in ks]): the one route from (S, b, k) to alpha_k.
 
     A formula gives each k alone.  Any other set gets one canonical greedy
@@ -471,36 +448,26 @@ def _invariants(
         raise ValueError(f"base must be >= 0, got {b}")
     if min(ks) < 0:
         raise ValueError(f"k must be >= 0, got {min(ks)}")
-    form = _formula(S, b, config)
+    form = _formula(S, b)
     if form is not None:
         source, at = form
         return source, [at(k) for k in ks]
     top = max(ks)
     if S.cardinality.is_finite:
         top = min(top, S.cardinality.value - 1)
-    run = b_ordering(S, b, top, CANONICAL, config=config).exponents
+    run = b_ordering(S, b, top).exponents
     return "greedy", [run[k] if k < len(run) else INF for k in ks]
 
 
-def alphas(
-    S: IntegerSet,
-    b: int,
-    ks: Sequence[int],
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> list[ExtNat]:
+def alphas(S: IntegerSet, b: int, ks: Sequence[int]) -> list[ExtNat]:
     """alpha_k(S, b) for each k in ks (nonempty), computing only what they read."""
-    return _invariants(S, b, ks, config)[1]
+    return _invariants(S, b, ks)[1]
 
 
-def exponent_sequence(
-    S: IntegerSet,
-    b: int,
-    k: int,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> ExponentSequence:
+def exponent_sequence(S: IntegerSet, b: int, k: int) -> ExponentSequence:
     """alphas over 0..k, listed with the route that gave them."""
     # a negative k reaches the check as itself, not as an empty range
-    source, values = _invariants(S, b, range(min(k, 0), k + 1), config)
+    source, values = _invariants(S, b, range(min(k, 0), k + 1))
     return ExponentSequence(S.spec, b, values, source)
 
 
@@ -521,12 +488,7 @@ class MajorizationReport:
         return not self.violations
 
 
-def check_majorization(
-    S: IntegerSet,
-    b: int,
-    seq: Sequence[int],
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> MajorizationReport:
+def check_majorization(S: IntegerSet, b: int, seq: Sequence[int]) -> MajorizationReport:
     """Check that prefix sums of seq's exponents dominate the invariants'.
 
     A violation would falsify the implementation, not the theorem, so the
@@ -539,7 +501,7 @@ def check_majorization(
         if not S.contains(a):
             raise ValueError(f"sequence element {a} is not in {S.spec}")
     seq_values = evaluate_test_sequence(elements, b)
-    inv = exponent_sequence(S, b, max(len(elements) - 1, 0), config=config)
+    inv = exponent_sequence(S, b, max(len(elements) - 1, 0))
     report = MajorizationReport(S.spec, b, elements, seq_values, inv.values)
     seq_sums = list(accumulate(seq_values))
     inv_sums = list(accumulate(inv.values))

@@ -29,8 +29,6 @@ from .intsets import AllIntegers, ExplicitFinite, Primes
 from .numerics import floor_sum, is_prime, ord_b, totient, omega
 from .ordering import (
     CANONICAL,
-    DEFAULT_CONFIG,
-    EngineConfig,
     RandomTieBreak,
     b_ordering,
     check_majorization,
@@ -122,7 +120,7 @@ def _exp_key(values) -> tuple[str, ...]:
 # suites
 
 
-def _suite_well_definedness(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_well_definedness(rep: SuiteReport, rng: random.Random) -> None:
     n_sets = _count(100, rep.scale)
     for i in range(n_sets):
         values = _random_finite_set(rng)
@@ -134,11 +132,11 @@ def _suite_well_definedness(rep: SuiteReport, rng: random.Random, config: Engine
             reference = None
             for variant in range(5):
                 if variant == 0:
-                    run = b_ordering(S, b, k, CANONICAL, config=config)
+                    run = b_ordering(S, b, k, CANONICAL)
                 else:
                     policy = RandomTieBreak(rng.randrange(1 << 30))
                     start = rng.choice(values)
-                    run = b_ordering(S, b, k, policy, start=start, config=config)
+                    run = b_ordering(S, b, k, policy, start=start)
                 key = _exp_key(run.exponents)
                 if reference is None:
                     reference = key
@@ -151,7 +149,7 @@ def _suite_well_definedness(rep: SuiteReport, rng: random.Random, config: Engine
         rep.add("identical-exponents", {"set": _values_str(values), "k": k}, ok, detail)
 
 
-def _suite_majorization(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
     n_seqs = _count(200, rep.scale)
     sets = [("finite", None), ("Z", AllIntegers()), ("P", Primes())]
     for i in range(n_seqs):
@@ -165,7 +163,7 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random, config: EngineConf
         b = rng.randint(2, 12)
         length = rng.randint(2, 8)
         seq = [rng.choice(pool) for _ in range(length)]
-        report = check_majorization(S, b, seq, config=config)
+        report = check_majorization(S, b, seq)
         rep.add(
             "prefix-sum-dominance",
             {"set": S.spec, "b": b, "seq": _values_str(seq)},
@@ -178,8 +176,8 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random, config: EngineConf
         S = ExplicitFinite(values)
         b = rng.randint(2, 12)
         k = rng.randint(1, len(values) - 1)
-        run = b_ordering(S, b, k, config=config)
-        report = check_majorization(S, b, run.elements, config=config)
+        run = b_ordering(S, b, k)
+        report = check_majorization(S, b, run.elements)
         ok = report.ok and report.equality_positions == list(range(k + 1))
         rep.add(
             "equality-on-greedy-prefix",
@@ -189,13 +187,13 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random, config: EngineConf
         )
 
 
-def _suite_superadditivity(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_superadditivity(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(60, rep.scale)):
         values = _random_finite_set(rng)
         S = ExplicitFinite(values)
         b = rng.randint(2, 12)
         k_max = len(values) + 2
-        alphas = exponent_sequence(S, b, k_max, config=config).values
+        alphas = exponent_sequence(S, b, k_max).values
         ok = True
         detail = ""
         for k in range(k_max + 1):
@@ -218,13 +216,13 @@ def _suite_superadditivity(rep: SuiteReport, rng: random.Random, config: EngineC
             rep.add("superadditive", {"set": name, "b": b, "k_max": k_max}, ok)
 
 
-def _suite_monotonicity(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(60, rep.scale)):
         values = _random_finite_set(rng)
         S = ExplicitFinite(values)
         b = rng.randint(2, 12)
         k_max = len(values) + 2
-        alphas = exponent_sequence(S, b, k_max, config=config).values
+        alphas = exponent_sequence(S, b, k_max).values
         nondecreasing = all(alphas[j] <= alphas[j + 1] for j in range(k_max))
         zeros = exponent_sequence(S, 0, k_max).values
         ones = exponent_sequence(S, 1, k_max).values
@@ -241,8 +239,8 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random, config: EngineConf
         small = sorted(rng.sample(big, size))
         b = rng.randint(2, 12)
         k_max = len(small)
-        a_small = exponent_sequence(ExplicitFinite(small), b, k_max, config=config).values
-        a_big = exponent_sequence(ExplicitFinite(big), b, k_max, config=config).values
+        a_small = exponent_sequence(ExplicitFinite(small), b, k_max).values
+        a_big = exponent_sequence(ExplicitFinite(big), b, k_max).values
         ok = all(a_small[j] >= a_big[j] for j in range(k_max + 1))
         rep.add(
             "set-antitone",
@@ -284,17 +282,17 @@ def _random_base_set(rng: random.Random) -> BaseSet:
     return BaseSet.primes_up_to(rng.randint(2, 13))
 
 
-def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
     # generalized integers and binomials land in the positive integers
     for i in range(_count(50, rep.scale)):
         values = _random_finite_set(rng)
         S = ExplicitFinite(values)
         T = _random_base_set(rng)
         n = rng.randint(1, len(values) - 1)
-        g = gen_integer(S, T, n, config=config)
+        g = gen_integer(S, T, n)
         ok = not g.is_zero and g.value() >= 1
         ell = rng.randint(0, n)
-        bn = gen_binomial(S, T, n, ell, config=config)
+        bn = gen_binomial(S, T, n, ell)
         ok = ok and not bn.is_zero and bn.value() >= 1
         rep.add(
             "integrality",
@@ -309,8 +307,8 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConf
         n = rng.randint(1, len(values) - 1)
         prod = FactoredNumber.one()
         for j in range(1, n + 1):
-            prod = prod * gen_integer(S, T, j, config=config)
-        ok = prod == factorial(S, T, n, config=config)
+            prod = prod * gen_integer(S, T, j)
+        ok = prod == factorial(S, T, n)
         rep.add("telescoping", {"set": _values_str(values), "bases": T.spec, "n": n}, ok)
     # base-set monotone and set-antitone factorial divisibility
     for i in range(_count(40, rep.scale)):
@@ -319,15 +317,15 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConf
         t2 = sorted(rng.sample(range(2, 16), rng.randint(2, 6)))
         t1 = sorted(rng.sample(t2, rng.randint(1, len(t2))))
         k = rng.randint(0, len(values) - 1)
-        f1 = factorial(S, BaseSet.explicit(t1), k, config=config)
-        f2 = factorial(S, BaseSet.explicit(t2), k, config=config)
+        f1 = factorial(S, BaseSet.explicit(t1), k)
+        f2 = factorial(S, BaseSet.explicit(t2), k)
         ok = f1.exponentwise_divides(f2) and f1.integer_divides(f2)
         big = _random_finite_set(rng, max_size=12)
         small = sorted(rng.sample(big, rng.randint(2, max(2, len(big) - 1))))
         kk = rng.randint(0, len(small) - 1)
         T = _random_base_set(rng)
-        f_small = factorial(ExplicitFinite(small), T, kk, config=config)
-        f_big = factorial(ExplicitFinite(big), T, kk, config=config)
+        f_small = factorial(ExplicitFinite(small), T, kk)
+        f_big = factorial(ExplicitFinite(big), T, kk)
         ok = ok and f_big.exponentwise_divides(f_small) and f_big.integer_divides(f_small)
         rep.add(
             "factorial-divisibility",
@@ -341,7 +339,7 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConf
         T = BaseSet.range(2, rng.randint(2, 10))
         length = rng.randint(1, min(6, len(values)))
         seq = rng.sample(values, length)
-        ok = pairwise_multiple_check(S, T, seq, config=config)
+        ok = pairwise_multiple_check(S, T, seq)
         rep.add(
             "pairwise-multiple",
             {"set": _values_str(values), "bases": T.spec, "seq": _values_str(seq)},
@@ -364,13 +362,13 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random, config: EngineConf
     rep.add("row-binomials-integral", {"k_max": 30}, ok)
 
 
-def _suite_transport(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_transport(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(40, rep.scale)):
         values = _random_finite_set(rng, max_size=9, span=40)
         b = rng.randint(2, 10)
         S = ExplicitFinite(values)
         k = len(values) - 1
-        alphas = exponent_sequence(S, b, k, config=config).values
+        alphas = exponent_sequence(S, b, k).values
         cap = max((v.value for v in alphas if v.is_finite), default=0) + 2
         U = [phi_b(v, b, cap) for v in values]
         run = t_ordering(U, k)
@@ -410,7 +408,7 @@ def _random_series_family(rng: random.Random, cap: int) -> list[TruncatedSeries]
 SERIES_CAP = 16  # truncation cap for random series families
 
 
-def _suite_maxmin(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_maxmin(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(50, rep.scale)):
         if i % 2 == 0:
             values = _random_finite_set(rng, max_size=7, span=30)
@@ -456,11 +454,11 @@ def _suite_maxmin(rep: SuiteReport, rng: random.Random, config: EngineConfig) ->
         rep.add("t-ordering-invariance+maxmin", {"family": family, "k": k}, ok, detail)
 
 
-def _suite_closed_forms(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_closed_forms(rep: SuiteReport, rng: random.Random) -> None:
     Z, P = AllIntegers(), Primes()
     k_z = _count(100, rep.scale)
     for b in range(2, 13):
-        run = b_ordering(Z, b, k_z, config=config)
+        run = b_ordering(Z, b, k_z)
         ok = all(
             v.is_finite and v.value == closedforms.alpha_Z(k, b)
             for k, v in enumerate(run.exponents)
@@ -468,7 +466,7 @@ def _suite_closed_forms(rep: SuiteReport, rng: random.Random, config: EngineConf
         rep.add("greedy-matches-floor-sums-Z", {"b": b, "k_max": k_z}, ok)
     k_p = _count(40, rep.scale)
     for b in range(2, 13):
-        run = b_ordering(P, b, k_p, config=config)
+        run = b_ordering(P, b, k_p)
         ok = all(
             v.is_finite and v.value == closedforms.alpha_P(k, b)
             for k, v in enumerate(run.exponents)
@@ -559,7 +557,7 @@ def _suite_closed_forms(rep: SuiteReport, rng: random.Random, config: EngineConf
     rep.add("row-exponent-equals-beta-sum", {"n_max": _count(60, rep.scale)}, ok)
 
 
-def _suite_tables(rep: SuiteReport, rng: random.Random, config: EngineConfig) -> None:
+def _suite_tables(rep: SuiteReport, rng: random.Random) -> None:
     for which in tables.TABLE_NAMES:
         diff = tables.compare(which)
         rep.add(
@@ -584,12 +582,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(
-    name: str,
-    seed: int = 0,
-    scale: float = 1.0,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> SuiteReport:
+def run_suite(name: str, seed: int = 0, scale: float = 1.0) -> SuiteReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     if not 0 < scale <= SCALE_MAX:
@@ -597,12 +590,10 @@ def run_suite(
     rep = SuiteReport(name, seed, scale)
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    _SUITES[name](rep, rng, config)
+    _SUITES[name](rep, rng)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
 
-def run_all(
-    seed: int = 0, scale: float = 1.0, config: EngineConfig = DEFAULT_CONFIG
-) -> list[SuiteReport]:
-    return [run_suite(name, seed=seed, scale=scale, config=config) for name in SUITE_NAMES]
+def run_all(seed: int = 0, scale: float = 1.0) -> list[SuiteReport]:
+    return [run_suite(name, seed=seed, scale=scale) for name in SUITE_NAMES]

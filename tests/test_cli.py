@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -22,9 +21,18 @@ import borderings.factorials as factorials_module
 import borderings.ordering as ordering_module
 import borderings.verify as verify_module
 from borderings import tables
-from borderings.cli import DECIMAL_BITS_MAX, ROWPRODUCT_N_MAX, build_parser, main
-from borderings.factored import AUTO_K_MAX_P, AUTO_K_MAX_Z, BASE_SPEC_MAX, FactoredNumber
-from borderings.ordering import EngineConfig
+from borderings.cli import DECIMAL_BITS_MAX, EXPONENTS_K_MAX, ROWPRODUCT_N_MAX, build_parser, main
+from borderings.closedforms import alpha_Z
+from borderings.factored import (
+    AUTO_K_MAX_P,
+    AUTO_K_MAX_Z,
+    BASE_SPEC_MAX,
+    FactoredNumber,
+    group_digits,
+    parse_base_spec,
+)
+from borderings.intsets import parse_set_spec
+from borderings.ordering import b_ordering
 
 
 def run_cli(capsys, *argv):
@@ -67,13 +75,14 @@ class TestExponents:
 
     def test_deep_progression_is_certified(self, capsys):
         # every class mod 2^l with l <= 12 that meets the set holds the whole
-        # prefix, so the forced walk goes deeper than 12 levels
-        argv = ("exponents", "--set", "ap:0,4096", "--base", "2", "--k", "3", "--force-greedy")
+        # prefix, so the greedy reference walks deeper than 12 levels
+        argv = ("exponents", "--set", "ap:0,4096", "--base", "2", "--k", "3")
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and "source=greedy" in out.splitlines()[0]
+        assert code == 0 and "source=closed-form" in out.splitlines()[0]
         rows = [line.split() for line in out.splitlines()[2:]]
         assert [r[1] for r in rows] == ["0", "12", "25", "37"]
-
+        run = b_ordering(parse_set_spec("ap:0,4096"), 2, 3)
+        assert [str(v.value) for v in run.exponents] == [r[1] for r in rows]
 
     def test_wide_list_is_parsed_without_listing_its_span(self, capsys):
         start = time.perf_counter()
@@ -84,17 +93,40 @@ class TestExponents:
     @pytest.mark.parametrize("spec", ["range:-4..5", "ap:3,12", "list:14,2,8,20"])
     def test_progressions_take_the_closed_form_unless_forced(self, capsys, spec):
         argv = ("exponents", "--set", spec, "--base", "6", "--k", "12", "--format", "json")
-        fast, slow = (json.loads(run_cli(capsys, *argv, *greedy)[1]) for greedy in ((), ("--force-greedy",)))
-        assert (fast["config"]["source"], slow["config"]["source"]) == ("closed-form", "greedy")
-        assert fast["results"] == slow["results"]
+        doc = json.loads(run_cli(capsys, *argv)[1])
+        assert doc["config"]["source"] == "closed-form"
+        greedy = b_ordering(parse_set_spec(spec), 6, 12).exponents  # INF past |S| - 1
+        assert doc["results"] == [
+            {"i": i, "alpha": str(v.value) if v.is_finite else "inf"} for i, v in enumerate(greedy)
+        ]
+
+    def test_k_over_the_limit_exits_2_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("exponents started work past the k limit")
+
+        monkeypatch.setattr(cli_module, "parse_set_spec", no_work)
+        monkeypatch.setattr(cli_module, "exponent_sequence", no_work)
+        for k in (EXPONENTS_K_MAX + 1, 10**10):
+            code, out, err = run_cli(capsys, "exponents", "--set", "ap:0,1", "--base", "2", "--k", str(k))
+            assert code == 2 and out == ""
+            assert f"k <= {EXPONENTS_K_MAX}" in err
+
+    def test_k_at_the_limit(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "exponents", "--set", "ap:0,1", "--base", "2", "--k", str(EXPONENTS_K_MAX),
+            "--format", "csv",
+        )
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == EXPONENTS_K_MAX + 3
+        assert lines[-1] == f"{EXPONENTS_K_MAX},{alpha_Z(EXPONENTS_K_MAX, 2)}"
 
 
 class TestParserReuse:
     ARGVS = (
-        ("exponents", "--set", "ap:3,12", "--base", "6", "--k", "5", "--force-greedy", "--format", "json"),
+        ("exponents", "--set", "ap:3,12", "--base", "6", "--k", "5", "--format", "json"),
         ("exponents", "--set", "range:-4..5", "--base", "6", "--k", "5"),
-        ("factorial", "--set", "N", "--bases", "list:0,1,2,6", "--k", "3", "--search-cap", "999", "--format", "csv"),
-        ("binomial", "--set", "list:1,5,9,14", "--bases", "list:2,3", "--k", "3", "--l", "1", "--force-greedy"),
+        ("factorial", "--set", "N", "--bases", "list:0,1,2,6", "--k", "3", "--format", "csv"),
+        ("binomial", "--set", "list:1,5,9,14", "--bases", "list:2,3", "--k", "3", "--l", "1"),
         ("rowproduct", "--n", "6", "--x", "4"),
         ("rowproduct", "--n", "6"),
         ("tables", "--which", "3", "--format", "csv"),
@@ -186,6 +218,20 @@ class TestFactoredCommands:
 
     @pytest.mark.parametrize("spec,k_max", [("Z", 12), ("P", 6)])
     def test_force_greedy_matches_closed_forms(self, capsys, monkeypatch, spec, k_max):
+        # the expected rows are built per base from canonical greedy runs
+        S, auto = parse_set_spec(spec), parse_base_spec("auto")
+        runs = {b: b_ordering(S, b, k_max).exponents for b in auto.resolve(S, k_max)}
+
+        def expected(k, *ks):
+            value = FactoredNumber(
+                {b: runs[b][k].value - sum(runs[b][j].value for j in ks) for b in auto.resolve(S, k)}
+            )
+            return [{
+                "decimal": group_digits(value.value()),
+                "factored": value.refine_to_primes().format_factored(),
+                "factored_bases": value.format_factored(),
+            }]
+
         calls = 0
         original = ordering_module.b_ordering
 
@@ -195,26 +241,16 @@ class TestFactoredCommands:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ordering_module, "b_ordering", counting_b_ordering)
-        queries = [("factorial", "--k", str(k)) for k in range(k_max + 1)]
-        queries += [("integer", "--n", str(n)) for n in range(1, k_max + 1)]
-        queries += [("binomial", "--k", str(k_max), "--l", str(l)) for l in range(k_max + 1)]
-        greedy_runs = dict.fromkeys(("factorial", "integer", "binomial"), 0)
-        for query in queries:
-            rows = {}
-            for flags in ((), ("--force-greedy",)):
-                calls = 0
-                code, out, _ = run_cli(
-                    capsys, *query, "--set", spec, "--bases", "auto", "--format", "json", *flags
-                )
-                assert code == 0
-                rows[flags] = json.loads(out)["results"]
-                if flags:
-                    greedy_runs[query[0]] += calls
-                else:
-                    assert calls == 0, query  # closed forms serve Z and P by default
-            assert rows[()] == rows[("--force-greedy",)], query
-        # the flag reaches the engine for every factored command
-        assert all(greedy_runs.values()), greedy_runs
+        queries = [(("factorial", "--k", str(k)), (k,)) for k in range(k_max + 1)]
+        queries += [(("integer", "--n", str(n)), (n, n - 1)) for n in range(1, k_max + 1)]
+        queries += [
+            (("binomial", "--k", str(k_max), "--l", str(l)), (k_max, l, k_max - l)) for l in range(k_max + 1)
+        ]
+        for query, ks in queries:
+            code, out, _ = run_cli(capsys, *query, "--set", spec, "--bases", "auto", "--format", "json")
+            assert code == 0
+            assert calls == 0, query  # closed forms serve Z and P
+            assert json.loads(out)["results"] == expected(*ks), query
 
     def test_auto_bases_rejected_off_ZP(self, capsys):
         code, _, err = run_cli(
@@ -407,12 +443,20 @@ class TestVerify:
 
 class TestHeader:
     def test_config_embedded(self, capsys):
-        code, out, _ = run_cli(capsys, "exponents", "--set", "Z", "--base", "3", "--k", "2")
-        header = out.splitlines()[0]
-        assert header.startswith("# borderings")
-        for key in ("command=exponents", "set=Z", "base=3", "k=2", "search_cap="):
-            assert key in header
-        assert "seed" not in header
+        for argv, keys in (
+            (
+                ("exponents", "--set", "Z", "--base", "3", "--k", "2"),
+                ["command", "set", "base", "k", "source", "format"],
+            ),
+            (
+                ("verify", "--suite", "tables", "--scale", "0.1"),
+                ["command", "suite", "scale", "format", "seed"],
+            ),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            prefix, _, fields = out.splitlines()[0].partition(" | ")
+            assert code == 0 and prefix == f"# borderings {borderings.__version__}"
+            assert [field.split("=", 1)[0] for field in fields.split(" ")] == keys, argv
 
     def test_byte_identical_repeat(self, capsys):
         args = ("factorial", "--set", "Z", "--bases", "auto", "--k", "16", "--format", "csv")
@@ -421,9 +465,8 @@ class TestHeader:
         assert out1 == out2
 
 
-ENGINE_FIELDS = {f.name for f in dataclasses.fields(EngineConfig)}
 ENGINE_COMMANDS = ("exponents", "factorial", "integer", "binomial", "verify")
-COMMANDS = {  # command: (a valid argument list, the header keys besides the EngineConfig)
+COMMANDS = {  # command: (a valid argument list, its header keys)
     "exponents": (
         ["--set", "Z", "--base", "3", "--k", "2"],
         {"command", "set", "base", "k", "source", "format"},  # source: the route that ran
@@ -462,12 +505,11 @@ class TestHeaderHonesty:
         argv, keys = COMMANDS[command]
         code, out, _ = run_cli(capsys, command, *argv, "--format", "json")
         assert code == 0
-        engine = ENGINE_FIELDS if command in ENGINE_COMMANDS else set()
-        assert set(json.loads(out)["config"]) == keys | engine
-        # the parameters are flags too: the header is the command, its flags, the
-        # EngineConfig and, for exponents, the route that ran
+        assert set(json.loads(out)["config"]) == keys
+        # the parameters are flags too: the header is the command, its flags
+        # and, for exponents, the route that ran
         route = {"source"} if command == "exponents" else set()
-        assert {"command"} | accepted_flags(command) | engine | route == keys | engine
+        assert {"command"} | accepted_flags(command) | route == keys
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_series_cap_is_gone(self, capsys, command):
@@ -505,27 +547,12 @@ class TestHeaderHonesty:
                 "--allow-uncertified",
             )
         ]
-        + [("verify", "--force-greedy"), ("verify", "--allow-uncertified")],
+        + [(command, flag) for command in ENGINE_COMMANDS for flag in ("--search-cap=9", "--force-greedy")]
+        + [("verify", "--allow-uncertified")],
     )
     def test_engine_flags_only_where_they_act(self, capsys, command, flag):
         code, _, _ = run_cli(capsys, command, *COMMANDS[command][0], flag)
         assert code == 2
-
-    def test_search_cap_reaches_the_engine(self, capsys, monkeypatch):
-        seen = []
-        original = cli_module.exponent_sequence
-
-        def recording_exponent_sequence(*args, config, **kwargs):
-            seen.append(config)
-            return original(*args, config=config, **kwargs)
-
-        monkeypatch.setattr(cli_module, "exponent_sequence", recording_exponent_sequence)
-        code, out, _ = run_cli(
-            capsys, "exponents", "--set", "Z", "--base", "2", "--k", "3", "--search-cap", "123"
-        )
-        assert code == 0
-        assert "search_cap=123" in out.splitlines()[0]
-        assert [c.search_cap for c in seen] == [123]
 
 
 # sha256 of json.dumps(results, sort_keys=True) for the command below; a change
@@ -560,7 +587,7 @@ def _pinned_cli_argvs():
 
 # sha256 over the outputs of every command in _pinned_cli_argvs, in order, each
 # preceded by its argv; pins rowproduct and the factored commands byte for byte
-CLI_OUTPUT_SHA256 = "2ab69a9081458ceda3c9ae2dde4ce73191a6392c47a59d878f319aab5b11e95f"
+CLI_OUTPUT_SHA256 = "54f6a59bd4dd7910b902124714c96ee05532c5751bf847bb830f6f9bf58674fd"
 
 
 def test_cli_outputs_are_byte_identical(capsys):
@@ -575,18 +602,17 @@ def test_cli_outputs_are_byte_identical(capsys):
 def _pinned_exponents_argvs():
     sets = ("Z", "N", "P", "ap:3,7", "ap:0,6", "list:-3,0,1,4,9,10,12,15", "range:-4..5")
     for fmt in ("text", "csv", "json"):
-        for greedy in ((), ("--force-greedy",)):
-            for spec in sets:
-                for b in ("0", "1", "2", "6", "12"):
-                    for k in ("0", "9"):
-                        yield ("exponents", "--set", spec, "--base", b, "--k", k, "--format", fmt, *greedy)
+        for spec in sets:
+            for b in ("0", "1", "2", "6", "12"):
+                for k in ("0", "9"):
+                    yield ("exponents", "--set", spec, "--base", b, "--k", k, "--format", fmt)
 
 
 # sha256 over the outputs of every command in _pinned_exponents_argvs, in order,
 # each preceded by its argv; pins every value `exponents` prints, k = 9 running
 # past |S| - 1 for the list set, and the route: ap: and range: sets print
-# source=closed-form unless --force-greedy
-EXPONENTS_OUTPUT_SHA256 = "e6e76398520afcc82aa7c0799adb362f918f80e68d15be2b356bdbcbb742fcb4"
+# source=closed-form
+EXPONENTS_OUTPUT_SHA256 = "7fb1843094b7bd5b4a3c04f88a854dcafe25757f9bf95a018bff5928c527d3fc"
 
 
 def test_exponents_outputs_are_byte_identical(capsys):
@@ -602,28 +628,27 @@ def _pinned_edge_argvs():
     """factorial, integer and binomial at the edges the pinned digests above miss.
 
     Degenerate bases 0 and 1 alone and mixed in, N, an ap: set and a small
-    list set, with and without --force-greedy, and indices at 0 or 1, at
-    |S| - 1 and at |S|; the formats take turns so each query meets all three.
+    list set, and indices at 0 or 1, at |S| - 1 and at |S|; the formats take
+    turns so each query meets all three.
     """
     size = 3  # |S| of the list set; the infinite sets run over the same indices
     sets = {"N": ("auto",), "ap:3,7": (), "list:5,9,12": ()}
     fmts = itertools.cycle(("text", "csv", "json"))
-    for greedy in ((), ("--force-greedy",)):
-        for spec, extra in sets.items():
-            finite = spec.startswith("list:")
-            for T in ("list:0", "list:1", "list:0,1", "list:0,1,2,6", *extra):
-                numbers = [("factorial", "--k", str(k)) for k in (0, size - 1, size)]
-                numbers += [("integer", "--n", str(n)) for n in (1, size - 1, size)]
-                for k, ell in ((1, 0), (1, 1), (size - 1, 1), (size, 1), (size, size)):
-                    if not (finite and k >= size):
-                        numbers.append(("binomial", "--k", str(k), "--l", str(ell)))
-                for command, *args in numbers:
-                    yield (command, "--set", spec, "--bases", T, *args, "--format", next(fmts), *greedy)
+    for spec, extra in sets.items():
+        finite = spec.startswith("list:")
+        for T in ("list:0", "list:1", "list:0,1", "list:0,1,2,6", *extra):
+            numbers = [("factorial", "--k", str(k)) for k in (0, size - 1, size)]
+            numbers += [("integer", "--n", str(n)) for n in (1, size - 1, size)]
+            for k, ell in ((1, 0), (1, 1), (size - 1, 1), (size, 1), (size, size)):
+                if not (finite and k >= size):
+                    numbers.append(("binomial", "--k", str(k), "--l", str(ell)))
+            for command, *args in numbers:
+                yield (command, "--set", spec, "--bases", T, *args, "--format", next(fmts))
 
 
 # sha256 over the outputs of every command in _pinned_edge_argvs, in order, each
 # preceded by its argv
-EDGE_OUTPUT_SHA256 = "aecf3f310d5953e456a5f58faed014659ecab860cacbcb153abd4ee103b77411"
+EDGE_OUTPUT_SHA256 = "657c58cb74fe0f08413ccdc682ffa2537087c40960be7a2bb3ca7d95b3a782cb"
 
 
 def test_edge_outputs_are_byte_identical(capsys):

@@ -28,7 +28,7 @@ from borderings.intsets import (
     Primes,
 )
 from borderings.numerics import INF, ExtNat, ord_b
-from borderings.ordering import EngineConfig
+from borderings.ordering import b_ordering
 
 Z = AllIntegers()
 AUTO = BaseSet.auto()
@@ -147,7 +147,7 @@ class TestGenBinomial:
         # the theory makes every exponent difference nonnegative; if the
         # invariants ever decreased, the factored result must refuse the
         # negative exponent instead of printing it
-        def decreasing(S, b, ks, config=None):
+        def decreasing(S, b, ks):
             return [ExtNat(100 - k) for k in ks]
 
         monkeypatch.setattr(factorials_module, "alphas", decreasing)
@@ -244,7 +244,7 @@ class TestDivisibilityProperties:
 
     def test_primes_factorials_against_closed_form(self):
         P = Primes()
-        greedy = EngineConfig(force_greedy=True)
         for k in (0, 1, 3, 5, 8):
-            assert factorial(P, AUTO, k) == factorial(P, AUTO, k, config=greedy)
+            greedy = {b: b_ordering(P, b, k).exponents[k] for b in AUTO.resolve(P, k)}
+            assert factorial(P, AUTO, k) == FactoredNumber(greedy)
         assert factorial(P, BaseSet.explicit([2, 3]), 3).value() == 24

@@ -20,7 +20,6 @@ from borderings.intsets import (
 from borderings.numerics import INF, ExtNat
 from borderings.ordering import (
     CANONICAL,
-    EngineConfig,
     RandomTieBreak,
     alphas,
     b_ordering,
@@ -32,6 +31,7 @@ from borderings.ordering import (
     pairwise_valuation_sum,
 )
 from borderings.closedforms import alpha_P, alpha_Z
+import borderings.intsets as intsets_module
 import borderings.ordering as ordering_module
 
 from oracle import all_greedy_exponent_tuples, up_to, windowed_min
@@ -39,6 +39,13 @@ from oracle import all_greedy_exponent_tuples, up_to, windowed_min
 
 def as_ints(values):
     return [v.value if v.is_finite else None for v in values]
+
+
+def greedy(S, b, k):
+    """alpha_0..alpha_k(S, b) read off one canonical b-ordering, INF past |S| - 1:
+    the reference every formula is checked against.
+    """
+    return b_ordering(S, b, k).exponents
 
 
 class TestEvaluation:
@@ -216,20 +223,19 @@ class TestExponentSequence:
     def test_closed_form_dispatch_and_force_greedy(self):
         Z = AllIntegers()
         fast = exponent_sequence(Z, 5, 30)
-        slow = exponent_sequence(Z, 5, 30, config=EngineConfig(force_greedy=True))
-        assert fast.source == "closed-form" and slow.source == "greedy"
-        assert fast.values == slow.values
+        assert fast.source == "closed-form"
+        assert fast.values == greedy(Z, 5, 30)
         P = Primes()
         fastp = exponent_sequence(P, 6, 20)
-        slowp = exponent_sequence(P, 6, 20, config=EngineConfig(force_greedy=True))
-        assert fastp.values == slowp.values
-        assert slowp.certified
+        slowp = b_ordering(P, 6, 20)
+        assert fastp.source == "closed-form"
+        assert fastp.values == slowp.exponents
+        assert slowp.all_certified
 
     def test_nonnegative_integers_match_integers(self):
         N = NonnegativeIntegers()
         for b in (2, 3, 6, 10):
-            seq = exponent_sequence(N, b, 25, config=EngineConfig(force_greedy=True))
-            assert [v.value for v in seq.values] == [alpha_Z(k, b) for k in range(26)]
+            assert [v.value for v in greedy(N, b, 25)] == [alpha_Z(k, b) for k in range(26)]
 
     def test_degenerate_bases(self):
         S = ExplicitFinite(range(4))
@@ -250,12 +256,14 @@ class TestExponentSequence:
             assert all(low[i] <= mid[i] <= high[i] for i in range(k + 1))
 
     def test_deep_progression_is_certified(self):
-        # step 2^20: every valuation gains 20, so the forced walk descends
+        # step 2^20: every valuation gains 20, so the greedy walk descends
         # past depth 20 and alpha_i = 20*i + alpha_Z(i, 2)
-        S, config = parse_set_spec("ap:0,1048576"), EngineConfig(force_greedy=True)
-        seq = exponent_sequence(S, 2, 20, config=config)
-        assert seq.certified and seq.source == "greedy"
-        assert [v.value for v in seq.values] == [20 * i + alpha_Z(i, 2) for i in range(21)]
+        S = parse_set_spec("ap:0,1048576")
+        run = b_ordering(S, 2, 20)
+        assert run.all_certified
+        assert [v.value for v in run.exponents] == [20 * i + alpha_Z(i, 2) for i in range(21)]
+        seq = exponent_sequence(S, 2, 20)
+        assert seq.certified and seq.source == "closed-form" and seq.values == run.exponents
 
     def test_finite_sequence_runs_only_up_to_its_size(self, monkeypatch):
         S, steps = ExplicitFinite([1, 2, 4]), []  # not a progression: the greedy serves it
@@ -296,16 +304,17 @@ class TestPointQuery:
     SETS = ["Z", "N", "P", "list:-7,0,3,4,12,20", "list:5", "range:-2..3", "ap:1,4", "ap:-3,6", "ap:0,8"]
 
     @pytest.mark.parametrize("spec", SETS)
-    @pytest.mark.parametrize("force_greedy", [False, True])
-    def test_alpha_is_the_sequence_entry(self, spec, force_greedy):
-        S, config = parse_set_spec(spec), EngineConfig(force_greedy=force_greedy)
+    @pytest.mark.parametrize("against_greedy", [False, True])
+    def test_alpha_is_the_sequence_entry(self, spec, against_greedy):
+        S = parse_set_spec(spec)
         for b in (0, 1, 2, 3, 6, 10):
-            seq = exponent_sequence(S, b, 14, config=config)
+            seq = exponent_sequence(S, b, 14)
             assert seq.certified
+            want = greedy(S, b, 14) if against_greedy else seq.values
             for k in (0, 1, 5, 9, 14):
-                assert alphas(S, b, (k,), config) == [seq.values[k]], (spec, b, k)
-            assert alphas(S, b, range(15), config) == seq.values
-            assert alphas(S, b, (9, 2, 9), config) == [seq.values[9], seq.values[2], seq.values[9]]
+                assert alphas(S, b, (k,)) == [want[k]], (spec, b, k)
+            assert alphas(S, b, range(15)) == want
+            assert alphas(S, b, (9, 2, 9)) == [want[9], want[2], want[9]]
 
     def test_finite_set_runs_only_up_to_its_size(self, monkeypatch):
         S, steps = ExplicitFinite([1, 2, 4]), []  # not a progression: the greedy serves it
@@ -329,9 +338,6 @@ class TestPointQuery:
             alphas(AllIntegers(), 2, (4, -1))
 
 
-GREEDY = EngineConfig(force_greedy=True)
-
-
 class TestProgressionFormula:
     """Progressions, finite or not, take alpha_AP; the certified greedy is the reference."""
 
@@ -344,7 +350,7 @@ class TestProgressionFormula:
                     for b in range(2, 13):
                         seq = exponent_sequence(S, b, n + 1)
                         assert seq.source == "closed-form"
-                        assert seq.values == exponent_sequence(S, b, n + 1, GREEDY).values, (n, d, first, b)
+                        assert seq.values == greedy(S, b, n + 1), (n, d, first, b)
 
     def test_progressions_match_the_greedy(self):
         # steps sharing a factor with b included
@@ -354,7 +360,7 @@ class TestProgressionFormula:
                 for b in range(2, 13):
                     seq = exponent_sequence(S, b, 20)
                     assert seq.source == "closed-form"
-                    assert seq.values == exponent_sequence(S, b, 20, GREEDY).values, (first, d, b)
+                    assert seq.values == greedy(S, b, 20), (first, d, b)
 
     def test_deep_step(self):
         d = 2**60
@@ -364,7 +370,7 @@ class TestProgressionFormula:
         ):
             seq = exponent_sequence(S, 2, 8)
             assert seq.source == "closed-form" and as_ints(seq.values) == expected
-            assert seq.values == exponent_sequence(S, 2, 8, GREEDY).values
+            assert seq.values == greedy(S, 2, 8)
 
     @pytest.mark.parametrize("spec", ["list:9,1,5", "list:1,1,3", "list:5,-1", "list:4"])
     def test_unsorted_and_duplicated_lists(self, spec):
@@ -372,7 +378,7 @@ class TestProgressionFormula:
         for b in range(2, 13):
             seq = exponent_sequence(S, b, 5)
             assert seq.source == "closed-form"
-            assert seq.values == exponent_sequence(S, b, 5, GREEDY).values
+            assert seq.values == greedy(S, b, 5)
 
     @pytest.mark.parametrize("spec", ["list:1,5,9,14", "list:0,2,3,6", "list:-3,0,3,6,10"])
     def test_one_element_off_a_progression_stays_greedy(self, spec):
@@ -382,8 +388,9 @@ class TestProgressionFormula:
     def test_force_greedy_bypasses_every_formula(self, spec):
         S = parse_set_spec(spec)
         for b in (2, 6, 12):
-            assert exponent_sequence(S, b, 9).source == "closed-form"
-            assert exponent_sequence(S, b, 9, GREEDY).source == "greedy"
+            seq = exponent_sequence(S, b, 9)
+            assert seq.source == "closed-form"
+            assert seq.values == greedy(S, b, 9), (spec, b)
 
 
 class TestMajorization:
@@ -443,20 +450,20 @@ class TestIncrementalKernel:
         assert run.exponents == evaluate_test_sequence(run.elements, run.base)
 
     @pytest.mark.parametrize(
-        "S,b,k,config",
+        "S,b,k,config",  # config: keyword arguments of both calls, {} for the defaults
         [
-            (ExplicitFinite(range(-5, 6)), 2, 14, EngineConfig()),
-            (ExplicitFinite([-9, -4, 0, 1, 7, 12, 20, 33]), 6, 10, EngineConfig()),
-            (AllIntegers(), 3, 30, EngineConfig()),
-            (Primes(), 6, 25, EngineConfig()),
-            (ArithmeticProgression(2, 5), 10, 20, EngineConfig()),
-            (ArithmeticProgression(0, 4096), 2, 10, EngineConfig()),
+            (ExplicitFinite(range(-5, 6)), 2, 14, {}),
+            (ExplicitFinite([-9, -4, 0, 1, 7, 12, 20, 33]), 6, 10, {}),
+            (AllIntegers(), 3, 30, {}),
+            (Primes(), 6, 25, {}),
+            (ArithmeticProgression(2, 5), 10, 20, {}),
+            (ArithmeticProgression(0, 4096), 2, 10, {}),
         ],
     )
     def test_greedy_step_on_every_prefix_matches_the_run(self, S, b, k, config):
-        run = b_ordering(S, b, k, config=config)
+        run = b_ordering(S, b, k, **config)
         for i in range(k + 1):
-            res = greedy_step(run.elements[:i], b, S, config=config)
+            res = greedy_step(run.elements[:i], b, S, **config)
             assert (res.element, res.value) == (run.elements[i], run.exponents[i]), (S.spec, b, i)
 
     def test_valuations_per_run_are_linear_in_steps(self, monkeypatch):
@@ -485,39 +492,40 @@ def run_digest(run) -> str:
 
 class TestMemoizedFrontier:
     # sha256 of (elements, exponents, certified), recorded from the engine
-    # that asked S for every residue status and witness at every step
+    # that asked S for every residue status and witness at every step; the
+    # fourth column holds keyword arguments of b_ordering, {} for the defaults
     CANONICAL_RUNS = [
-        ("P", 6, 400, EngineConfig(),
+        ("P", 6, 400, {},
          "166a7ffa5b90ec9f7994fd3ffc5afb51d6c1d6dde7fd396c678684a52130ccd3"),
-        ("Z", 2, 400, EngineConfig(),
+        ("Z", 2, 400, {},
          "f23da30fb50d99924454de5e93e21795d3b3b441f542c9150d758398ce86d2b0"),
-        ("N", 5, 100, EngineConfig(),
+        ("N", 5, 100, {},
          "840a0ef5ed7bbd2f7dfeffd3aada85ab1726ff8b15193bf8598b79db5cf0f0bc"),
-        ("ap:3,7", 4, 100, EngineConfig(),
+        ("ap:3,7", 4, 100, {},
          "24cbeb0073d7a77c97c220e3ea992fd4f3d7e846f03361cea1860310bfd3c0f8"),
-        ("ap:2,6", 6, 100, EngineConfig(),
+        ("ap:2,6", 6, 100, {},
          "0b74c4f9cad2afb988c9a39a77892d06d3c662e6bde83b67c4e3ed433673a8ae"),
     ]
     RANDOM_RUNS = [
-        ("P", 6, 60, EngineConfig(), 8,
+        ("P", 6, 60, {}, 8,
          "475fc983a20c765bb2db588c8f2697f8bea04d199c6e6e3e586bdf443356781e"),
-        ("Z", 6, 80, EngineConfig(), 13,
+        ("Z", 6, 80, {}, 13,
          "501a178649aa1c3c96af1d16fe3d6fb0b874f202bf4cc6f14caef9ee0717668c"),
-        ("ap:-20,3", 6, 60, EngineConfig(), 2,
+        ("ap:-20,3", 6, 60, {}, 2,
          "15b608ee4100d083d5671f98de313679e5dfebff2f733797e7f57ff859fcbf6d"),
-        ("P", 12, 120, EngineConfig(), 1,
+        ("P", 12, 120, {}, 1,
          "4000b47c467f88a8a3ba85e741bb920cf0e637e108ca45d1b799d484dc75c7b6"),
-        ("N", 10, 150, EngineConfig(), 3,
+        ("N", 10, 150, {}, 3,
          "0671965e298e014575afa9d564a7baa32bc11bdde39ae8e923ab31c09ae7c8dd"),
     ]
 
     @pytest.mark.parametrize("spec,b,k,config,digest", CANONICAL_RUNS)
     def test_canonical_runs_are_reproduced(self, spec, b, k, config, digest):
-        assert run_digest(b_ordering(parse_set_spec(spec), b, k, config=config)) == digest
+        assert run_digest(b_ordering(parse_set_spec(spec), b, k, **config)) == digest
 
     @pytest.mark.parametrize("spec,b,k,config,seed,digest", RANDOM_RUNS)
     def test_random_tie_break_runs_are_reproduced(self, spec, b, k, config, seed, digest):
-        run = b_ordering(parse_set_spec(spec), b, k, RandomTieBreak(seed), config=config)
+        run = b_ordering(parse_set_spec(spec), b, k, RandomTieBreak(seed), **config)
         assert run_digest(run) == digest
 
     @staticmethod
@@ -552,15 +560,16 @@ class TestMemoizedFrontier:
             assert counts, name
             assert max(counts.values()) == 1, (name, counts.most_common(3))
 
-    def test_tiny_search_cap_still_raises(self):
-        with pytest.raises(SearchExhausted):
-            b_ordering(Primes(), 6, 40, config=EngineConfig(search_cap=20))
-        # N's least class member is the residue itself, found with no search
-        small = b_ordering(NonnegativeIntegers(), 6, 40, config=EngineConfig(search_cap=20))
-        assert small == b_ordering(NonnegativeIntegers(), 6, 40)
-        # a failed search is not remembered as an answer: the step raises again
+    def test_tiny_search_cap_still_raises(self, monkeypatch):
         run = b_ordering(Primes(), 6, 40)
-        state = ordering_module._GreedyState(Primes(), 6, EngineConfig(search_cap=20))
+        default_n = b_ordering(NonnegativeIntegers(), 6, 40)
+        monkeypatch.setattr(intsets_module, "SEARCH_CAP", 20)
+        with pytest.raises(SearchExhausted):
+            b_ordering(Primes(), 6, 40)
+        # N's least class member is the residue itself, found with no search
+        assert b_ordering(NonnegativeIntegers(), 6, 40) == default_n
+        # a failed search is not remembered as an answer: the step raises again
+        state = ordering_module._GreedyState(Primes(), 6)
         for a in run.elements:
             try:
                 state.step(CANONICAL)
@@ -601,7 +610,7 @@ class TestPersistentFrontier:
         # the first 1,024 elements of the run are a full residue system mod
         # 2^10, so all 1,024 classes mod 2^11 left free tie at the last step
         run = b_ordering(AllIntegers(), 2, 1024)
-        state = ordering_module._GreedyState(AllIntegers(), 2, EngineConfig())
+        state = ordering_module._GreedyState(AllIntegers(), 2)
         for a in run.elements[:-2]:
             state.append(a)
         state.step(CANONICAL)  # step 1,023 leaves its summaries, as in the run
@@ -623,14 +632,14 @@ class TestPersistentFrontier:
         # an append drops only the summaries of the classes it lies in; every
         # summary kept must equal the one a fresh state computes for the prefix
         for S, b, k in [(Primes(), 6, 120), (AllIntegers(), 3, 100), (ArithmeticProgression(-20, 3), 6, 80)]:
-            state = ordering_module._GreedyState(S, b, EngineConfig())
+            state = ordering_module._GreedyState(S, b)
             compared = 0
             for i in range(k + 1):
                 state.append(state.step(CANONICAL).element)
                 if i % 20:
                     continue
                 state.step(CANONICAL)
-                fresh = ordering_module._GreedyState(S, b, EngineConfig())
+                fresh = ordering_module._GreedyState(S, b)
                 for a in state.prefix:
                     fresh.append(a)
                 fresh.step(CANONICAL)
@@ -642,15 +651,16 @@ class TestPersistentFrontier:
             assert compared > 2 * (k // 20), S.spec
 
     @pytest.mark.parametrize("S,b,k,cap", [(NonnegativeIntegers(), 2, 400, 300), (Primes(), 2, 300, 500)])
-    def test_small_search_cap_raises_and_never_returns_a_wrong_element(self, S, b, k, cap):
+    def test_small_search_cap_raises_and_never_returns_a_wrong_element(self, monkeypatch, S, b, k, cap):
         # witnesses are asked for every realized subclass of an opened class,
         # so a small cap may raise some steps before a tied witness needs it
         run = b_ordering(S, b, k)
+        monkeypatch.setattr(intsets_module, "SEARCH_CAP", cap)
         if isinstance(S, NonnegativeIntegers):
             # N needs no search: any cap gives the default-cap run
-            assert b_ordering(S, b, k, config=EngineConfig(search_cap=cap)) == run
+            assert b_ordering(S, b, k) == run
             return
-        state = ordering_module._GreedyState(S, b, EngineConfig(search_cap=cap))
+        state = ordering_module._GreedyState(S, b)
         for i, a in enumerate(run.elements):
             try:
                 step = state.step(CANONICAL)
@@ -661,7 +671,7 @@ class TestPersistentFrontier:
         else:
             pytest.fail("the cap never stopped the run")
         with pytest.raises(SearchExhausted):
-            b_ordering(S, b, k, config=EngineConfig(search_cap=cap))
+            b_ordering(S, b, k)
 
     def test_walk_deeper_than_the_recursion_limit(self):
         # every class mod 2^l with l <= 1500 that meets the set holds the
