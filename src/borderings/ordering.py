@@ -4,20 +4,18 @@ A b-ordering of S picks each next element to minimise the sum of base-b
 valuations of its differences to all predecessors.  Over finite sets the
 minimum is found by exhaustive scan.  Over the built-in infinite sets it
 is certified by branch and bound on residue classes mod b^l: the number
-of prefix elements congruent to a class (summed over levels) lower-bounds
-the value of every member of that class, and any member of a subclass
-avoiding all prefix residues at the next level attains its class bound
-exactly.  The walk always ends: every opened subclass holds a prefix
-element, so its bound grows by at least one per level.  Each opened class
-keeps a summary of its best member between steps; an append changes the
-counts of the classes it lies in only, so only their summaries are
-recomputed.
+of prefix elements in a subclass is a lower bound on the value its
+members add, and a subclass holding no prefix element attains it with its
+smallest member.  The walk always ends: every opened subclass holds a
+prefix element, so its bound grows by at least one per level.  Each
+opened class is a node kept for the whole run; an append patches one
+entry in each node on its residue path and nothing else.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -156,21 +154,25 @@ def _first_unused(S: IntegerSet, used: set[int]) -> Optional[int]:
 class _GreedyState:
     """The prefix of one greedy run and what its steps need, kept current on append.
 
-    `values` maps each tracked element a to its step value
+    `values` maps each member of a finite S to its step value
     sum_j ord_b(a - a_j) over the prefix as a plain int (None for
     infinity); `levels` maps l to the counts of prefix residues mod b^l.
-    An element or level is filled from the prefix on first use, then
-    updated by each append: one valuation per tracked element, one count
-    per level.
+    Each is filled from the prefix on first use, then updated by each
+    append: one valuation per member, one count per level.
 
-    The branch and bound also memoizes, per run, what depends on S alone:
-    `children` maps a class r mod b^l to its nonempty subclasses, and
-    `witnesses` maps a realized class to (0, canonical key, member) for
-    its smallest member.  Both are keyed by the class id b^l + r, which
-    lies in [b^l, 2*b^l), so no two classes share one.  `summaries[l][r]`
-    holds the summary of the class (see `_summarize`).  It depends only on
-    the prefix counts inside the class, so an append drops just the
-    summaries of the classes a mod b^l.
+    Over an infinite S the branch and bound keeps one node per opened
+    class r mod b^l, under the class id b^l + r (it lies in [b^l, 2*b^l),
+    so no two classes share one): [summary, entries, finite].  A member's
+    excess is its value less the prefix counts of its class on levels
+    1..l, which all its members share.  `finite` maps each S-member of a
+    finitely-met subclass outside the prefix to (excess, 1, canonical key,
+    member).  `entries` maps the residue mod b^(l+1) of each infinite
+    subclass to an exact entry, (count + the subclass's summary excess,
+    1, key, member) where count is its prefix count on level l+1 (a
+    realized subclass, count 0, gives its smallest member), or to a lower
+    bound (count, 0, residue) for a subclass not yet scored.  The summary
+    is the least entry or finite member, or None while unknown.  A node is
+    opened once, and stored only after S has answered all its questions.
     """
 
     def __init__(self, S: IntegerSet, b: int):
@@ -179,51 +181,43 @@ class _GreedyState:
         self.values: dict[int, Optional[int]] = {}
         self.levels: dict[int, Counter] = {}
         self.scan_list: Optional[list[int]] = None
-        self.children: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self.witnesses: dict[int, tuple[int, tuple[int, int], int]] = {}
-        self.summaries: defaultdict[int, dict] = defaultdict(dict)
+        self.nodes: dict[int, list] = {}
 
     def append(self, a: int) -> None:
-        b, values = self.b, self.values
+        """Add a to the prefix.  Of the nodes, only those of the classes a lies in
+        change: each drops its summary and turns the entry a lies in into a lower bound.
+        """
+        b, values, levels = self.b, self.values, self.levels
         for c, total in values.items():
             if total is not None:
                 v = ord_b(b, c - a)
                 values[c] = None if v is None else total + v
-        for level, counts in self.levels.items():
+        for level, counts in levels.items():
             counts[a % b**level] += 1
-        for depth, found in self.summaries.items():
-            found.pop(a % b**depth, None)
+        node, depth, mod = self.nodes.get(1), 0, 1
+        while node is not None:
+            node[0] = None
+            mod *= b
+            r1 = a % mod
+            if r1 not in node[1]:
+                # a is in a finitely-met subclass (or outside S): only its members move
+                finite = node[2]
+                for f, (excess, _, key, _) in list(finite.items()):
+                    v = ord_b(b, f - a)
+                    if v is None:
+                        del finite[f]
+                    elif v > depth:
+                        finite[f] = (excess + v - depth, 1, key, f)
+                break
+            depth += 1
+            node[1][r1] = (levels[depth][r1], 0, r1)
+            node = self.nodes.get(mod + r1)
         self.prefix.append(a)
-
-    def value_of(self, a: int) -> Optional[int]:
-        if a not in self.values:
-            self.values[a] = _valuation_sum(self.b, a, self.prefix)
-        return self.values[a]
 
     def counts(self, level: int) -> Counter:
         if level not in self.levels:
             self.levels[level] = Counter(a % self.b**level for a in self.prefix)
         return self.levels[level]
-
-    def subclasses(self, r: int, depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The residues mod b^(depth+1) of the infinite subclasses of r mod b^depth
-        and the S-members of its finite ones, asked of S once per run.
-        """
-        key = self.b**depth + r
-        if key not in self.children:
-            S, b = self.S, self.b
-            mod1, base_mod = b ** (depth + 1), b**depth
-            infinite: list[int] = []
-            finite: list[int] = []
-            for i in range(b):
-                r1 = r + i * base_mod
-                members = S.residue_status(r1, mod1)
-                if members is None:
-                    infinite.append(r1)
-                else:
-                    finite.extend(members)
-            self.children[key] = (tuple(infinite), tuple(finite))
-        return self.children[key]
 
     def step(self, policy: TieBreakPolicy) -> StepResult:
         S, b = self.S, self.b
@@ -244,8 +238,7 @@ class _GreedyState:
         """Exhaustive minimisation over a finite S, whose members are listed and tracked once."""
         if self.scan_list is None:
             self.scan_list = list(self.S.iter_canonical())
-            for a in self.scan_list:
-                self.value_of(a)
+            self.values = {a: _valuation_sum(self.b, a, self.prefix) for a in self.scan_list}
         candidates, values = self.scan_list, self.values
         best: Optional[int] = None
         minimizers: list[int] = []
@@ -269,78 +262,85 @@ class _GreedyState:
 
         The root summary holds the least value and its canonical member.
         Other policies draw from the full tie set, found by going down only
-        into subclasses whose summary attains the minimum.
+        into subclasses whose entry attains their class's summary; a
+        realized one gives its smallest member.
         """
-        value, _, element, *_ = self._summarize()
+        value, _, _, element = self._summary()
         if not isinstance(policy, CanonicalTieBreak):
-            pool, todo = [], [(0, 0, value)]
+            b, nodes = self.b, self.nodes
+            pool, todo = [], [(1, 1)]
             while todo:
-                r, depth, target = todo.pop()
-                *_, direct, held = self.summaries[depth][r]
-                pool.extend(a for v, _, a in direct if v == target)
-                # a held subclass with c <= target was opened with its class
-                below = self.summaries[depth + 1]
-                todo.extend(
-                    (r1, depth + 1, target - c)
-                    for c, r1 in held
-                    if c <= target and c + below[r1][0] == target
-                )
+                mod, cid = todo.pop()
+                (target, *_), entries, finite = nodes[cid]
+                pool.extend(f for excess, _, _, f in finite.values() if excess == target)
+                # under a current summary an entry equal to it is exact, and
+                # a scored subclass has a node; a realized one has none
+                mod *= b
+                for r1, (total, *_, a) in entries.items():
+                    if total == target:
+                        if mod + r1 in nodes:
+                            todo.append((mod, mod + r1))
+                        else:
+                            pool.append(a)
             element = policy.choose(pool)
         return StepResult(element, ExtNat(value))
 
-    def _summarize(self) -> tuple:
-        """The root summary, after summarizing every class it needs.
+    def _open(self, r: int, depth: int) -> list:
+        """The node of the class r mod b^depth, asking S about each subclass once."""
+        S, b = self.S, self.b
+        mod, mod1 = b**depth, b ** (depth + 1)
+        counts = self.counts(depth + 1)
+        entries: dict[int, tuple] = {}
+        finite: dict[int, tuple] = {}
+        for r1 in range(r, mod1, mod):
+            members = S.residue_status(r1, mod1)
+            if members is not None:
+                for f in members:
+                    # a prefix element outside the class adds less than depth to f's value
+                    vs = [ord_b(b, f - c) for c in self.prefix]
+                    if None not in vs:
+                        finite[f] = (sum(v - depth for v in vs if v > depth), 1, canonical_key(f), f)
+            elif counts[r1]:
+                entries[r1] = (counts[r1], 0, r1)
+            else:
+                # a realized class holds no prefix element, so its smallest
+                # member is never excluded and depends on S alone; a
+                # SearchExhausted propagates, and the node is not stored
+                w = S.pick_in_class(r1, mod1)
+                entries[r1] = (0, 1, canonical_key(w), w)
+        node = self.nodes[mod + r] = [None, entries, finite]
+        return node
 
-        The summary of the class r mod b^l, whose members all share `bound`
-        prefix counts on levels 1..l, is the least (value - bound, canonical
-        key, member) over its S-members, then two lists: `direct`, those
-        triples for its finite members outside the prefix and for the
-        witness of each realized subclass, and `held`, (prefix count,
-        residue) for its other infinite subclasses, least count first.  A
-        held subclass is opened only while its count is at most the best
-        value so far, so the walk stays finite.  An explicit stack stands in
-        for recursion: a progression with step 2^1500 nests 1,500 levels
-        at b = 2.
+    def _summary(self) -> tuple:
+        """The root summary, after scoring every subclass it needs.
+
+        A lower bound sorts before an exact entry of equal total, so the
+        least entry is exact only when no unscored subclass could hold a
+        smaller or tied member; otherwise that subclass is scored first.
+        An explicit stack stands in for recursion: a progression with step
+        2^1500 nests 1,500 levels at b = 2.
         """
-        found, witnesses = self.summaries, self.witnesses
-        todo = [[0, 0, 0, None]]
-        while 0 not in found[0]:
-            frame = todo[-1]
-            r, depth, bound, parts = frame
-            if parts is None:
-                mod1, counts = self.b ** (depth + 1), self.counts(depth + 1)
-                infinite, finite = self.subclasses(r, depth)
-                direct = [
-                    (v - bound, canonical_key(a), a) for a in finite if (v := self.value_of(a)) is not None
-                ]
-                held = []
-                for r1 in infinite:
-                    if counts[r1]:
-                        held.append((counts[r1], r1))
-                        continue
-                    # a realized class holds no prefix element, so its smallest
-                    # member is never excluded and depends on S alone; a
-                    # SearchExhausted propagates, never stored
-                    if mod1 + r1 not in witnesses:
-                        w = self.S.pick_in_class(r1, mod1)
-                        witnesses[mod1 + r1] = (0, canonical_key(w), w)
-                    direct.append(witnesses[mod1 + r1])
-                held.sort()
-                parts = frame[3] = direct, held
-            best = min(parts[0], default=None)
-            for c, r1 in parts[1]:
-                if best is not None and c > best[0]:
-                    break
-                sub = found[depth + 1].get(r1)
-                if sub is None:  # open the subclass, then come back
-                    todo.append([r1, depth + 1, bound + c, None])
-                    break
-                if best is None or (c + sub[0], sub[1]) < best[:2]:
-                    best = (c + sub[0], sub[1], sub[2])
-            if todo[-1] is frame:
-                found[depth][r] = (*best, *parts)
-                todo.pop()
-        return found[0][0]
+        b, nodes = self.b, self.nodes
+        node = nodes.get(1) or self._open(0, 0)
+        depth, stack = 0, []
+        while True:
+            if node[0] is None:
+                top = min(node[1].values())
+                if node[2]:
+                    top = min(top, min(node[2].values()))
+                if not top[1]:  # a lower bound: score that subclass, then come back
+                    stack.append((node, top))
+                    depth += 1
+                    r1 = top[2]
+                    node = nodes.get(b**depth + r1) or self._open(r1, depth)
+                    continue
+                node[0] = top
+            if not stack:
+                return node[0]
+            excess, _, key, a = node[0]
+            node, (c, _, r1) = stack.pop()
+            depth -= 1
+            node[1][r1] = (c + excess, 1, key, a)
 
 
 def greedy_step(

@@ -85,6 +85,34 @@ def windowed_min(prefix, b, candidates):
     return best, minimizers
 
 
+def class_oracle_step(prefix, b, S, classes_max):
+    """Exact greedy step (value, canonical element) over any S, b >= 2, with no walk.
+
+    A member's value truncated at V + 1, sum_j min(ord_b(a - a_j), V + 1),
+    depends only on its class mod b^(V+1).  At the first V at which some
+    class met by S scores exactly V, every member of such a class has value
+    V and none holds a prefix element, and no member of S has a smaller
+    value; so the element is the least class pick.  Returns None when
+    b^(V+1) passes classes_max before any class reaches V.
+    """
+    level = 0
+    while b ** (level + 1) <= classes_max:
+        m = b ** (level + 1)
+        reached = []
+        for r in range(m):
+            score = 0
+            for p in prefix:
+                o = ord_oracle(b, r - p)
+                score += level + 1 if o is INFINITY or o > level else o
+            if score == level and S.residue_status(r, m) != ():
+                reached.append(r)
+        if reached:
+            picks = [S.pick_in_class(r, m) for r in reached]
+            return level, min(picks, key=lambda a: (abs(a), a < 0))
+        level += 1
+    return None
+
+
 def partition_minimum(k: int, m: int):
     """Minimum of sum C(n_i, 2) over m-part partitions of k, with minimizers."""
     best, best_parts = None, []

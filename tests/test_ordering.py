@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import heapq
 import random
 from collections import Counter
 
@@ -12,9 +14,11 @@ from borderings.intsets import (
     AllIntegers,
     ArithmeticProgression,
     ExplicitFinite,
+    IntegerSet,
     NonnegativeIntegers,
     Primes,
     SearchExhausted,
+    canonical_key,
     parse_set_spec,
 )
 from borderings.numerics import INF, ExtNat
@@ -34,7 +38,7 @@ from borderings.closedforms import alpha_P, alpha_Z
 import borderings.intsets as intsets_module
 import borderings.ordering as ordering_module
 
-from oracle import all_greedy_exponent_tuples, up_to, windowed_min
+from oracle import all_greedy_exponent_tuples, class_oracle_step, up_to, windowed_min
 
 
 def as_ints(values):
@@ -46,6 +50,30 @@ def greedy(S, b, k):
     the reference every formula is checked against.
     """
     return b_ordering(S, b, k).exponents
+
+
+class ProgressionPlus(IntegerSet):
+    """An infinite progression with finitely many extra members."""
+
+    def __init__(self, ap, extra):
+        self.ap = ap
+        self.extra = sorted({a for a in extra if not ap.contains(a)}, key=canonical_key)
+        self.spec = f"{ap.spec}+{self.extra}"
+
+    def contains(self, a):
+        return self.ap.contains(a) or a in self.extra
+
+    def iter_canonical(self):
+        return heapq.merge(self.ap.iter_canonical(), self.extra, key=canonical_key)
+
+    def residue_status(self, r, m):
+        if self.ap.residue_status(r, m) is None:
+            return None
+        return tuple(a for a in self.extra if (a - r) % m == 0)
+
+    def pick_in_class(self, r, m):
+        found = [a for a in [self.ap.pick_in_class(r, m), *self.extra] if a is not None and (a - r) % m == 0]
+        return min(found, key=canonical_key, default=None)
 
 
 class TestEvaluation:
@@ -120,7 +148,7 @@ class TestGreedyStep:
             res = greedy_step(prefix, b, S)
             best, minimizers = windowed_min(prefix, b, up_to(S, 3000))
             assert res.value == best, (S.spec, b, prefix)
-            assert res.element in minimizers
+            assert res.element == minimizers[0], (S.spec, b, prefix)
 
     def test_adversarial_prefixes_match_wide_window(self):
         # arbitrary prefixes (repetitions included), not just greedy-built
@@ -141,7 +169,23 @@ class TestGreedyStep:
             res = greedy_step(prefix, b, S)
             best, minimizers = windowed_min(prefix, b, up_to(S, 5000))
             assert res.value == best, (S.spec, b, prefix)
-            assert res.element in minimizers
+            assert res.element == minimizers[0], (S.spec, b, prefix)
+
+    @pytest.mark.parametrize("spec", ["Z", "N", "P", "ap:3,10", "ap:-20,3"])
+    def test_canonical_runs_match_the_class_oracle(self, spec):
+        # every step up to k = 12, while the oracle's b^(V+1) classes stay
+        # at desk scale (it scores each of them against the whole prefix)
+        S = parse_set_spec(spec)
+        for b in (2, 3, 4, 6):
+            run = b_ordering(S, b, 12)
+            checked = 0
+            for i in range(1, 13):
+                found = class_oracle_step(run.elements[:i], b, S, 20000)
+                if found is None:
+                    break
+                assert (run.exponents[i], run.elements[i]) == found, (spec, b, i)
+                checked += 1
+            assert checked >= 6, (spec, b, checked)
 
     def test_far_offset_prefixes_certify(self):
         # prefix clusters far from the origin force deep residue levels on
@@ -578,10 +622,10 @@ class TestMemoizedFrontier:
             state.append(a)
         else:
             pytest.fail("no step needed a witness beyond the cap")
-        stored = dict(state.witnesses)
+        stored = copy.deepcopy((state.prefix, state.levels, state.nodes))
         with pytest.raises(SearchExhausted):
             state.step(CANONICAL)
-        assert state.witnesses == stored
+        assert (state.prefix, state.levels, state.nodes) == stored
 
 
 class TestPersistentFrontier:
@@ -630,7 +674,8 @@ class TestPersistentFrontier:
 
     def test_kept_summaries_equal_fresh_ones(self):
         # an append drops only the summaries of the classes it lies in; every
-        # summary kept must equal the one a fresh state computes for the prefix
+        # summary kept, and every finite member's excess, must equal the one
+        # a fresh state computes for the prefix
         for S, b, k in [(Primes(), 6, 120), (AllIntegers(), 3, 100), (ArithmeticProgression(-20, 3), 6, 80)]:
             state = ordering_module._GreedyState(S, b)
             compared = 0
@@ -643,10 +688,12 @@ class TestPersistentFrontier:
                 for a in state.prefix:
                     fresh.append(a)
                 fresh.step(CANONICAL)
-                for depth, found in fresh.summaries.items():
-                    for r, summary in found.items():
-                        if r in state.summaries[depth]:
-                            assert state.summaries[depth][r] == summary, (S.spec, i, depth, r)
+                for cid, (summary, _, finite) in fresh.nodes.items():
+                    if cid in state.nodes:
+                        kept, _, kept_finite = state.nodes[cid]
+                        assert kept_finite == finite, (S.spec, i, cid)
+                        if kept is not None and summary is not None:
+                            assert kept == summary, (S.spec, i, cid)
                             compared += 1
             assert compared > 2 * (k // 20), S.spec
 
@@ -672,6 +719,22 @@ class TestPersistentFrontier:
             pytest.fail("the cap never stopped the run")
         with pytest.raises(SearchExhausted):
             b_ordering(S, b, k)
+
+    @pytest.mark.parametrize(
+        "first,step,extra", [(0, 8, [2, 6, -6, 18, 3, 7]), (-9, 27, [0, 1, 2, 4, 5, 10, 13, 40, -14])]
+    )
+    def test_finite_members_below_the_root(self, first, step, extra):
+        # a progression plus a few points meets some classes below the root
+        # in finitely many members, whose excess each append must keep
+        S = ProgressionPlus(ArithmeticProgression(first, step), extra)
+        window = up_to(S, 3000)
+        for b in (2, 3, 4, 6):
+            run = b_ordering(S, b, 24)
+            for i in range(1, 25):
+                best, minimizers = windowed_min(run.elements[:i], b, window)
+                assert (run.exponents[i], run.elements[i]) == (best, minimizers[0]), (b, i)
+            tied = b_ordering(S, b, 24, RandomTieBreak(5))
+            assert tied.exponents == run.exponents
 
     def test_walk_deeper_than_the_recursion_limit(self):
         # every class mod 2^l with l <= 1500 that meets the set holds the
