@@ -8,10 +8,11 @@ marker 0^inf so that formatting and parsing round-trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .intsets import AllIntegers, NonnegativeIntegers, Primes
-from .numerics import INF, ZERO, ExtNat, prime_factors, primes_up_to, totients_and_omegas
+from .numerics import ExtNat, prime_factors, primes_up_to, totients_and_omegas
 
 
 class BaseSetError(ValueError):
@@ -33,25 +34,31 @@ BASE_SPEC_MAX = 10**4
 
 
 class FactoredNumber:
-    """An immutable map base -> exponent, normalised on construction."""
+    """An immutable map base -> exponent, normalised on construction.
+
+    Exponents come as int or ExtNat, are held as int (None for inf) and leave as ExtNat.
+    """
 
     __slots__ = ("_exp",)
 
     def __init__(self, exponents=None):
-        norm: dict[int, ExtNat] = {}
+        norm: dict[int, int | None] = {}
         zero = False
         for b, e in (exponents or {}).items():
             if not isinstance(b, int) or b < 0:
                 raise ValueError(f"base must be an integer >= 0, got {b!r}")
-            e = e if isinstance(e, ExtNat) else ExtNat(e)
+            if isinstance(e, ExtNat):
+                e = e.value if e.is_finite else None
+            elif e is not None and (e.__class__ is not int or e < 0):
+                ExtNat(e)  # raises, as for any negative or non-integer exponent
             if e == 0:
                 continue
-            if b == 0 or (b >= 2 and not e.is_finite):
+            if b == 0 or (b >= 2 and e is None):
                 # 0^e = 0 for e >= 1 (finite or not), b^inf = 0 for b >= 2
                 zero = True
                 break
             norm[b] = e
-        self._exp = {0: INF} if zero else norm
+        self._exp = {0: None} if zero else norm
 
     @classmethod
     def one(cls) -> "FactoredNumber":
@@ -59,7 +66,7 @@ class FactoredNumber:
 
     @classmethod
     def zero(cls) -> "FactoredNumber":
-        return cls({0: INF})
+        return cls({0: None})
 
     @property
     def is_zero(self) -> bool:
@@ -69,28 +76,23 @@ class FactoredNumber:
         return sorted(self._exp)
 
     def exponent(self, b: int) -> ExtNat:
-        return self._exp.get(b, ZERO)
+        return ExtNat(self._exp.get(b, 0))
 
     def items(self):
-        return ((b, self._exp[b]) for b in sorted(self._exp))
+        return ((b, ExtNat(self._exp[b])) for b in sorted(self._exp))
 
     def value(self) -> int:
         """Exact integer value of the product."""
         if self.is_zero:
             return 0
-        result = 1
-        for b, e in self._exp.items():
-            if b == 1:
-                continue  # 1^e = 1 even for e = inf
-            result *= b**e.value
-        return result
+        return math.prod(b**e for b, e in self._exp.items() if b != 1)  # 1^e = 1 even for e = inf
 
     def __mul__(self, other: "FactoredNumber") -> "FactoredNumber":
         if self.is_zero or other.is_zero:
             return FactoredNumber.zero()
         merged = dict(self._exp)
         for b, e in other._exp.items():
-            merged[b] = merged.get(b, ZERO) + e
+            merged[b] = None if e is None or (mine := merged.get(b, 0)) is None else mine + e
         return FactoredNumber(merged)
 
     def refine_to_primes(self) -> "FactoredNumber":
@@ -102,12 +104,12 @@ class FactoredNumber:
             if b == 1:
                 continue  # 1^e = 1; b^inf for b >= 2 made the number zero
             for p, f in prime_factors(b).items():
-                out[p] = out.get(p, 0) + f * e.value
+                out[p] = out.get(p, 0) + f * e
         return FactoredNumber(out)
 
     def exponentwise_divides(self, other: "FactoredNumber") -> bool:
         """True when every base exponent of self is <= the one in other."""
-        return all(e <= other.exponent(b) for b, e in self._exp.items())
+        return all(ExtNat(e) <= other.exponent(b) for b, e in self._exp.items())
 
     def integer_divides(self, other: "FactoredNumber") -> bool:
         """Plain integer divisibility of the values."""
@@ -122,7 +124,7 @@ class FactoredNumber:
         return self._exp == other._exp
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((b, e) for b, e in self._exp.items())))
+        return hash(tuple(sorted(self._exp.items())))
 
     def format_factored(self) -> str:
         """Canonical factored-form text: bases ascending, exponent 1 elided.
@@ -138,10 +140,8 @@ class FactoredNumber:
             e = self._exp[b]
             if e == 1 and (b != 1 or len(self._exp) > 1):
                 parts.append(str(b))
-            elif e.is_finite:
-                parts.append(f"{b}^{e.value}")
             else:
-                parts.append(f"{b}^inf")
+                parts.append(f"{b}^{'inf' if e is None else e}")
         return " * ".join(parts)
 
     @classmethod
@@ -152,16 +152,16 @@ class FactoredNumber:
             return cls.zero()
         if text == "1":
             return cls.one()
-        exps: dict[int, ExtNat] = {}
+        exps: dict[int, int | None] = {}
         for part in text.split("*"):
             part = part.strip()
             if not part:
                 raise ValueError(f"empty factor in {text!r}")
             if "^" in part:
                 b_s, e_s = part.split("^", 1)
-                e = INF if e_s.strip() in ("inf", "∞") else ExtNat(int(e_s))
+                e = None if e_s.strip() in ("inf", "∞") else int(e_s)
             else:
-                b_s, e = part, ExtNat(1)
+                b_s, e = part, 1
             b = int(b_s)
             if b in exps:
                 raise ValueError(f"repeated base {b} in {text!r}")

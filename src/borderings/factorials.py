@@ -13,15 +13,16 @@ from typing import Sequence
 
 from .factored import BaseSet, FactoredNumber
 from .intsets import AllIntegers, IntegerSet
-from .numerics import INF, ZERO, ExtNat, cumulative_digit_sum, digit_sum
-from .ordering import alphas, pairwise_valuation_sum
+from .numerics import ExtNat, cumulative_digit_sum, digit_sum
+from .ordering import invariants, pairwise_valuation_sum
 
 
 def factorial(S: IntegerSet, T: BaseSet, k: int) -> FactoredNumber:
     """The k-th generalized factorial for (S, T) in factored form."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return FactoredNumber({b: alphas(S, b, (k,))[0] for b in T.resolve(S, k)})
+    bases = T.resolve(S, k)
+    return FactoredNumber({b: values[0] for b, (_, values) in zip(bases, invariants(S, bases, (k,)))})
 
 
 def _quotient(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> FactoredNumber:
@@ -31,16 +32,12 @@ def _quotient(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> Factore
     alpha is a plain int.  A base 1 gives the unit 1^inf once ks[0] >= 1,
     and a base 0 adds nothing, as alpha_k(S, 0) = 0 below |S|.
     """
-    exps: dict[int, ExtNat | int] = {}
-    for b in bases:
+    exps: dict[int, int | None] = {}
+    for b, (_, (e, *rest)) in zip(bases, invariants(S, bases, ks)):
         if b >= 2:
-            values = alphas(S, b, ks)
-            e = values[0].value
-            for a in values[1:]:
-                e -= a.value
-            exps[b] = e
+            exps[b] = e - sum(rest)
         elif b == 1 and ks[0] >= 1:
-            exps[1] = INF
+            exps[1] = None
     return FactoredNumber(exps)
 
 
@@ -79,8 +76,9 @@ def pairwise_multiple_check(S: IntegerSet, T: BaseSet, seq: Sequence[int]) -> bo
     n = len(elements) - 1
     if n < 0:
         raise ValueError("sequence must be nonempty")
-    for b in T.resolve(S, n):
-        if pairwise_valuation_sum(elements, b) < sum(alphas(S, b, range(n + 1)), ZERO):
+    bases = T.resolve(S, n)
+    for b, (_, values) in zip(bases, invariants(S, bases, range(n + 1))):
+        if pairwise_valuation_sum(elements, b) < ExtNat(None if None in values else sum(values)):
             return False
     return True
 

@@ -233,15 +233,20 @@ class NonnegativeIntegers(ArithmeticProgression):
         self.spec = "N"
 
 
-RANGE_WIDTH_MAX = 10**5  # most members a range: spec may name; it is built in full
+RANGE_WIDTH_MAX = 10**5  # most members a range:, list: or file: spec may name; each is built in full
+
+
+def _check_size(what: str, n: int) -> None:
+    if n > RANGE_WIDTH_MAX:
+        raise SetSpecError(f"{what} names {n} members; the limit is {RANGE_WIDTH_MAX}")
 
 
 def parse_set_spec(spec: str) -> IntegerSet:
     """Parse the set-spec grammar used by the CLI and config files.
 
     Grammar: ``Z`` | ``N`` | ``P`` | ``ap:<first>,<step>`` |
-    ``list:<c1>,<c2>,...`` | ``file:<path>`` | ``range:<lo>..<hi>``, with a
-    range of at most RANGE_WIDTH_MAX members.
+    ``list:<c1>,<c2>,...`` | ``file:<path>`` | ``range:<lo>..<hi>``, each of
+    the last three naming at most RANGE_WIDTH_MAX members.
     """
     spec = spec.strip()
     if spec == "Z":
@@ -265,6 +270,7 @@ def parse_set_spec(spec: str) -> IntegerSet:
             raise SetSpecError(f"bad list spec {spec!r}: {e}") from None
         if not values:
             raise SetSpecError(f"empty list spec {spec!r}")
+        _check_size("list spec", len(values))
         return ExplicitFinite(values)
     if spec.startswith("file:"):
         path = spec[5:]
@@ -277,6 +283,7 @@ def parse_set_spec(spec: str) -> IntegerSet:
             raise SetSpecError(f"bad integer in set file {path!r}: {e}") from None
         if not values:
             raise SetSpecError(f"set file {path!r} is empty")
+        _check_size(f"set file {path!r}", len(values))
         return ExplicitFinite(values, spec=spec)
     if spec.startswith("range:"):
         body = spec[6:]
@@ -289,9 +296,6 @@ def parse_set_spec(spec: str) -> IntegerSet:
             raise SetSpecError(f"bad range spec {spec!r}: {e}") from None
         if hi < lo:
             raise SetSpecError(f"bad range spec {spec!r}: hi < lo")
-        if hi - lo + 1 > RANGE_WIDTH_MAX:
-            raise SetSpecError(
-                f"range spec {spec!r} names {hi - lo + 1} members; the limit is {RANGE_WIDTH_MAX}"
-            )
+        _check_size(f"range spec {spec!r}", hi - lo + 1)
         return ExplicitFinite(range(lo, hi + 1), spec=spec)
     raise SetSpecError(f"unrecognised set spec {spec!r}")

@@ -410,65 +410,59 @@ class ExponentSequence:
         return True
 
 
-def _formula(S: IntegerSet, b: int):
-    """(source, k -> alpha_k(S, b)) where a formula gives each index alone, else None.
+def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[tuple[str, list]]:
+    """[(source, [alpha_k(S, b) for k in ks]) for b in bases]: the one route from (S, b, k) to alpha_k.
 
+    The route is picked once per query; values are plain ints, None for inf.
     Degenerate bases take O(1).  Z, P, every ap: set and every finite set
     whose sorted members are equally spaced take O(log_b k) closed forms;
-    `b_ordering` runs the greedy on them.  A finite progression
-    a, a+d, ..., a+(n-1)d in its natural order is a b-ordering: a candidate
-    a+xd with x >= k has value sum_l #{j < k : m_l | x-j} >= sum_l floor(k/m_l),
-    and x = k attains it (see `closedforms.alpha_AP`); indices from n on are INF.
+    `b_ordering` runs the greedy on them.  A finite progression a, a+d, ...,
+    a+(n-1)d in its natural order is a b-ordering: a candidate a+xd with
+    x >= k has value sum_l #{j < k : m_l | x-j} >= sum_l floor(k/m_l), and
+    x = k attains it (see `closedforms.alpha_AP`).  Any other set gets one
+    canonical greedy run per base up to max(ks).  For a finite S each index
+    from |S| on is a certified INF, as every later step repeats an element.
     """
-    if b == 0:
-        card = S.cardinality
-        return "degenerate-base", lambda i: ZERO if not card.is_finite or i < card.value else INF
-    if b == 1:
-        return "degenerate-base", lambda i: INF if i else ZERO
-    if isinstance(S, AllIntegers):
-        return "closed-form", lambda i: ExtNat(closedforms.alpha_Z(i, b))
-    if isinstance(S, Primes):
-        return "closed-form", lambda i: ExtNat(closedforms.alpha_P(i, b))
-    if isinstance(S, ArithmeticProgression):
-        return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step))
-    if isinstance(S, ExplicitFinite) and S.step is not None:
-        n = len(S.values)
-        return "closed-form", lambda i: ExtNat(closedforms.alpha_AP(i, b, S.step)) if i < n else INF
-    return None
-
-
-def _invariants(S: IntegerSet, b: int, ks: Sequence[int]) -> tuple[str, list[ExtNat]]:
-    """(source, [alpha_k(S, b) for k in ks]): the one route from (S, b, k) to alpha_k.
-
-    A formula gives each k alone.  Any other set gets one canonical greedy
-    run up to max(ks), cut at |S| - 1 for a finite S: every later step
-    repeats an element, so each index past the run reads as a certified INF.
-    """
-    if b < 0:
-        raise ValueError(f"base must be >= 0, got {b}")
+    if any(b < 0 for b in bases):
+        raise ValueError(f"base must be >= 0, got {min(bases)}")
     if min(ks) < 0:
         raise ValueError(f"k must be >= 0, got {min(ks)}")
-    form = _formula(S, b)
-    if form is not None:
-        source, at = form
-        return source, [at(k) for k in ks]
-    top = max(ks)
-    if S.cardinality.is_finite:
-        top = min(top, S.cardinality.value - 1)
-    run = b_ordering(S, b, top).exponents
-    return "greedy", [run[k] if k < len(run) else INF for k in ks]
+    n = S.cardinality.value if S.cardinality.is_finite else None
+    inside = [n is None or k < n for k in ks]
+    form = step = None
+    if isinstance(S, AllIntegers):
+        form = closedforms.alpha_Z
+    elif isinstance(S, Primes):
+        form = closedforms.alpha_P
+    elif isinstance(S, (ArithmeticProgression, ExplicitFinite)) and S.step is not None:
+        form, step = closedforms.alpha_AP, S.step
+    rows = []
+    for b in bases:
+        if b == 0:
+            rows.append(("degenerate-base", [0 if i else None for i in inside]))
+        elif b == 1:
+            rows.append(("degenerate-base", [None if k else 0 for k in ks]))
+        elif step is not None:  # step passed plainly: a *args call costs as much as the formula
+            rows.append(("closed-form", [form(k, b, step) if i else None for k, i in zip(ks, inside)]))
+        elif form is not None:  # Z or P, both infinite
+            rows.append(("closed-form", [form(k, b) for k in ks]))
+        else:
+            # a step inside S has a finite value: some member is not yet used
+            run = b_ordering(S, b, max(ks) if n is None else min(max(ks), n - 1)).exponents
+            rows.append(("greedy", [run[k].value if i else None for k, i in zip(ks, inside)]))
+    return rows
 
 
 def alphas(S: IntegerSet, b: int, ks: Sequence[int]) -> list[ExtNat]:
     """alpha_k(S, b) for each k in ks (nonempty), computing only what they read."""
-    return _invariants(S, b, ks)[1]
+    return [INF if v is None else ExtNat(v) for v in invariants(S, (b,), ks)[0][1]]
 
 
 def exponent_sequence(S: IntegerSet, b: int, k: int) -> ExponentSequence:
     """alphas over 0..k, listed with the route that gave them."""
     # a negative k reaches the check as itself, not as an empty range
-    source, values = _invariants(S, b, range(min(k, 0), k + 1))
-    return ExponentSequence(S.spec, b, values, source)
+    ((source, values),) = invariants(S, (b,), range(min(k, 0), k + 1))
+    return ExponentSequence(S.spec, b, [INF if v is None else ExtNat(v) for v in values], source)
 
 
 @dataclass

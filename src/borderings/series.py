@@ -150,7 +150,7 @@ class TruncatedSeries:
 
 def _scaled(seqs, n: int) -> tuple[list[list[int]], int]:
     """Each coefficient sequence cut to n terms, as integer numerators over one denominator d."""
-    d = math.lcm(*(c.denominator for cs in seqs for c in cs[:n]))
+    d = math.lcm(*{c.denominator for cs in seqs for c in cs[:n]})
     return [[c.numerator * (d // c.denominator) for c in cs[:n]] for cs in seqs], d
 
 
@@ -210,42 +210,48 @@ class SeriesPolynomial:
 
 
 def build_qk(prefix: Sequence[TruncatedSeries], cap: Optional[int] = None) -> SeriesPolynomial:
-    """The monic product of (x - f_j) over the prefix; the empty product is 1."""
+    """The monic product of (x - f_j) over the prefix; the empty product is 1.
+
+    With every f_j = F_j / d, the x^i coefficient after j factors is
+    B_i / d^(j-i) for integer series B_i, and a factor x - F/d maps B_i to
+    B_(i-1) - B_i*F: no denominator enters until the end.
+    """
     if cap is None:
         cap = min((f.cap for f in prefix), default=8)
-    one = TruncatedSeries.constant(1, cap)
-    coeffs: list[TruncatedSeries] = [one]
-    for f in prefix:
-        f = f.truncate(cap)
-        nxt = [TruncatedSeries.zero(cap) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * f
-        coeffs = nxt
-    return SeriesPolynomial(tuple(coeffs))
-
-
-def _horner(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int]) -> tuple[list[int], int]:
-    """p(f) mod t^cap (at most the operands' own cap) as integer numerators over a denominator.
-
-    With every coefficient scaled by one common D to integers F and C_i,
-    A_k = C_k and A_i = A_{i+1}*F + C_i*D^(k-i) give A_0 = D^(k+1) * p(f).
-    """
-    own = min(f.cap, min(c.cap for c in p.coeffs))
-    cap = own if cap is None else min(cap, own)
     if cap < 1:
         raise ValueError("a truncated series needs a positive cap")
-    (F, *cs), d = _scaled((f.coeffs,) + tuple(c.coeffs for c in p.coeffs), cap)
-    acc, scale = cs.pop(), d
-    for c in reversed(cs):
-        acc = [x + y * scale for x, y in zip(_convolve(acc, F), c)]
+    Fs, d = _scaled([f.truncate(cap).coeffs for f in prefix], cap)
+    zero = [0] * cap
+    coeffs = [[1] + zero[1:]]
+    for F in Fs:
+        coeffs = [[x - y for x, y in zip(lo, _convolve(c, F))] for lo, c in zip([zero] + coeffs, coeffs + [zero])]
+    k = len(Fs)
+    return SeriesPolynomial(
+        tuple(TruncatedSeries._exact(_fractions(c, d ** (k - i))) for i, c in enumerate(coeffs))
+    )
+
+
+def _horner(C: list[list[int]], f: TruncatedSeries, n: int) -> tuple[list[int], int]:
+    """(A_0, s) with A_0 = s * sum_i C_i * f^i mod t^n, for integer series C_i and n <= f.cap.
+
+    With f = F / d, A_k = C_k and A_i = A_(i+1)*F + C_i*d^(k-i) give s = d^k.
+    """
+    (F,), d = _scaled((f.coeffs,), n)
+    acc, scale = C[-1][:n], 1
+    for c in reversed(C[:-1]):
         scale *= d
+        acc = [x + y * scale for x, y in zip(_convolve(acc, F), c)]
     return acc, scale
 
 
 def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None) -> TruncatedSeries:
     """Exact truncated evaluation by Horner's rule, mod t^cap if a smaller cap is given."""
-    return TruncatedSeries._exact(_fractions(*_horner(p, f, cap)))
+    n = min(f.cap, min(c.cap for c in p.coeffs), f.cap if cap is None else cap)
+    if n < 1:
+        raise ValueError("a truncated series needs a positive cap")
+    C, d = _scaled([c.coeffs for c in p.coeffs], n)
+    acc, scale = _horner(C, f, n)
+    return TruncatedSeries._exact(_fractions(acc, d * scale))
 
 
 @dataclass
@@ -357,12 +363,14 @@ def _min_order_over(U: Sequence[TruncatedSeries], p: SeriesPolynomial) -> TOrder
     only: an order below m is exact there, and one at or above m cannot
     change the result (an unresolved floor >= m raises nothing either).
     """
+    own = min(c.cap for c in p.coeffs)
+    C, _ = _scaled([c.coeffs for c in p.coeffs], own)  # p times a constant: same orders
     best: Optional[TOrderValue] = None
     floors_unresolved: list[int] = []
     for f in U:
         if best is not None and best.floor == 0:
             return best  # nothing lies below order 0
-        acc, _ = _horner(p, f, None if best is None else best.floor)
+        acc, _ = _horner(C, f, min(f.cap, own) if best is None else min(f.cap, own, best.floor))
         i = next((i for i, v in enumerate(acc) if v), None)
         o = TOrderValue.at_least(len(acc)) if i is None else TOrderValue.of(i)
         if o.exact:

@@ -31,7 +31,7 @@ from borderings.factored import (
     group_digits,
     parse_base_spec,
 )
-from borderings.intsets import parse_set_spec
+from borderings.intsets import RANGE_WIDTH_MAX, parse_set_spec
 from borderings.ordering import b_ordering
 
 
@@ -72,6 +72,21 @@ class TestExponents:
             capsys, "exponents", "--set", "range:0..1000000", "--base", "2", "--k", "3"
         )
         assert code == 2 and "limit" in err
+
+    def test_oversized_file_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("".join(f"{v}\n" for v in range(RANGE_WIDTH_MAX)))
+        assert len(parse_set_spec(f"file:{path}").values) == RANGE_WIDTH_MAX
+        with open(path, "a") as fh:
+            fh.write(f"{RANGE_WIDTH_MAX}\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("exponents started work on an oversized set file")
+
+        monkeypatch.setattr(cli_module, "exponent_sequence", no_work)
+        code, out, err = run_cli(capsys, "exponents", "--set", f"file:{path}", "--base", "6", "--k", "3")
+        assert code == 2 and out == ""
+        assert f"{RANGE_WIDTH_MAX + 1} members; the limit is {RANGE_WIDTH_MAX}" in err
 
     def test_deep_progression_is_certified(self, capsys):
         # every class mod 2^l with l <= 12 that meets the set holds the whole
@@ -273,7 +288,7 @@ class TestFactoredCommands:
             raise AssertionError("base resolution started work past the k limit")
 
         monkeypatch.setattr(factored_module, "totients_and_omegas", no_work)
-        monkeypatch.setattr(factorials_module, "alphas", no_work)
+        monkeypatch.setattr(factorials_module, "invariants", no_work)
         code, out, err = run_cli(
             capsys, *query, str(limit + 1), "--set", spec, "--bases", "auto"
         )
@@ -284,7 +299,7 @@ class TestFactoredCommands:
         def no_work(*args, **kwargs):
             raise AssertionError("base resolution started work past the size limit")
 
-        monkeypatch.setattr(factorials_module, "alphas", no_work)
+        monkeypatch.setattr(factorials_module, "invariants", no_work)
         code, out, err = run_cli(
             capsys, "factorial", "--set", "Z", "--bases", f"upto:{BASE_SPEC_MAX + 1}", "--k", "3"
         )

@@ -74,6 +74,49 @@ class TestArithmetic:
         assert c.integer_divides(d) and d.integer_divides(c)
         assert not c.exponentwise_divides(d)
 
+    def test_exponentwise_divides_with_infinite_exponents(self):
+        unit = FactoredNumber({1: INF})
+        assert unit.exponentwise_divides(unit)
+        assert FactoredNumber({1: 5}).exponentwise_divides(unit)
+        assert not unit.exponentwise_divides(FactoredNumber({1: 5}))
+        assert not unit.exponentwise_divides(FactoredNumber({2: 5}))
+        assert FactoredNumber({2: 5}).exponentwise_divides(FactoredNumber.zero()) is False
+
+
+class TestBoundary:
+    """Exponents are held as plain ints inside and handed out as ExtNat."""
+
+    def test_exponents_leave_as_extnat(self):
+        F = FactoredNumber({2: 3, 1: INF, 5: ExtNat(1)})
+        assert all(type(e) is ExtNat for _, e in F.items())
+        assert list(F.items()) == [(1, INF), (2, ExtNat(3)), (5, ExtNat(1))]
+        for b in (1, 2, 3, 5):
+            assert type(F.exponent(b)) is ExtNat
+        assert F.exponent(3) == ExtNat(0) and F.exponent(1) == INF
+        assert all(type(e) is ExtNat for _, e in FactoredNumber.zero().items())
+
+    def test_int_and_extnat_exponents_are_the_same_number(self):
+        a, b = FactoredNumber({2: ExtNat(3)}), FactoredNumber({2: 3})
+        assert a == b and hash(a) == hash(b)
+        assert FactoredNumber({1: INF, 3: 0}) == FactoredNumber({1: None})
+        assert hash(FactoredNumber({1: INF})) == hash(FactoredNumber({1: None}))
+
+    def test_infinite_exponent_on_a_real_base_is_zero(self):
+        F = FactoredNumber({2: INF, 3: 4})
+        assert F.is_zero and F == FactoredNumber.zero() and F.value() == 0
+
+    @pytest.mark.parametrize("e", [-1, -(10**30)])
+    def test_negative_exponent_raises(self, e):
+        with pytest.raises(ValueError):
+            FactoredNumber({2: e})
+        with pytest.raises(ValueError):
+            FactoredNumber.parse(f"3 * 2^{e}")
+
+    @pytest.mark.parametrize("e", [1.0, "2", True])
+    def test_non_integer_exponent_raises(self, e):
+        with pytest.raises(TypeError):
+            FactoredNumber({2: e})
+
 
 factored_numbers = st.dictionaries(
     st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15]),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -26,9 +27,10 @@ from borderings.intsets import (
     ArithmeticProgression,
     ExplicitFinite,
     Primes,
+    parse_set_spec,
 )
-from borderings.numerics import INF, ExtNat, ord_b
-from borderings.ordering import b_ordering
+from borderings.numerics import INF, ord_b
+from borderings.ordering import alphas, b_ordering, pairwise_valuation_sum
 
 Z = AllIntegers()
 AUTO = BaseSet.auto()
@@ -147,10 +149,10 @@ class TestGenBinomial:
         # the theory makes every exponent difference nonnegative; if the
         # invariants ever decreased, the factored result must refuse the
         # negative exponent instead of printing it
-        def decreasing(S, b, ks):
-            return [ExtNat(100 - k) for k in ks]
+        def decreasing(S, bases, ks):
+            return [("closed-form", [100 - k for k in ks]) for _ in bases]
 
-        monkeypatch.setattr(factorials_module, "alphas", decreasing)
+        monkeypatch.setattr(factorials_module, "invariants", decreasing)
         with pytest.raises(ValueError):
             gen_integer(Z, BaseSet.explicit([2]), 5)
         with pytest.raises(ValueError):
@@ -175,6 +177,58 @@ class TestPairwiseMultiple:
         gamma = pairwise_valuation_sum(run.elements, 6)
         total = sum(v.value for v in exponent_sequence(S, 6, 6).values)
         assert gamma == total
+
+
+# every route: closed forms for Z, N, P, both ap: sets and the equally spaced
+# list, the greedy for the last list
+ROUTE_SETS = ("Z", "N", "P", "ap:3,10", "ap:-20,3", "list:-7,-2,3,8,13,18", "list:-9,-4,0,1,5,12,30")
+# degenerate bases, and bases above every k asked
+ROUTE_BASES = BaseSet.explicit([0, 1, 2, 3, 4, 6, 9, 10, 12, 17, 30])
+
+
+def alpha_quotient(S, bases, top, others=()):
+    """prod_b b^(alpha_top - sum of alpha_k over others), one alphas call per base and index."""
+    exps = {}
+    for b in bases:
+        e = alphas(S, b, (top,))[0]
+        rest = [alphas(S, b, (k,))[0] for k in others]
+        exps[b] = e if not e.is_finite else e.value - sum(r.value for r in rest)
+    return FactoredNumber(exps)
+
+
+class TestOneRouteCallPerQuery:
+    """The factorial layer asks for every base at once; per-base alphas are the oracle."""
+
+    @pytest.mark.parametrize("spec", ROUTE_SETS)
+    def test_factored_functions_match_per_base_alphas(self, spec):
+        S = parse_set_spec(spec)
+        card = S.cardinality
+        top = card.value if card.is_finite else 8
+        for T in (ROUTE_BASES, AUTO) if spec in ("Z", "N", "P") else (ROUTE_BASES,):
+            for k in range(top + 1):
+                assert factorial(S, T, k) == alpha_quotient(S, T.resolve(S, k), k), k
+            for n in range(1, top):
+                assert gen_integer(S, T, n) == alpha_quotient(S, T.resolve(S, n), n, (n - 1,)), n
+                for ell in range(n + 1):
+                    want = alpha_quotient(S, T.resolve(S, n), n, (ell, n - ell))
+                    assert gen_binomial(S, T, n, ell) == want, (n, ell)
+
+    @pytest.mark.parametrize("spec", ROUTE_SETS)
+    def test_pairwise_check_matches_per_base_alphas(self, spec):
+        S = parse_set_spec(spec)
+        rng = random.Random(spec)
+        members = list(itertools.islice(S.iter_canonical(), 8))
+        for _ in range(12):
+            # members only (always a multiple), or any integers (often not)
+            pool = members if rng.random() < 0.5 else range(-12, 13)
+            seq = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            for T in (ROUTE_BASES, AUTO) if spec in ("Z", "N", "P") else (ROUTE_BASES,):
+                n = len(seq) - 1
+                want = all(
+                    pairwise_valuation_sum(seq, b) >= sum(alphas(S, b, (k,))[0] for k in range(n + 1))
+                    for b in T.resolve(S, n)
+                )
+                assert pairwise_multiple_check(S, T, seq) is want, (seq, T.spec)
 
 
 class TestRowProducts:

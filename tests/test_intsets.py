@@ -63,6 +63,19 @@ class TestParsing:
         with pytest.raises(SetSpecError, match="limit"):
             parse_set_spec(f"range:{lo}..{lo + RANGE_WIDTH_MAX}")
 
+    def test_oversized_list_is_refused_before_it_is_built(self, monkeypatch):
+        # built in process: one argv string is capped near 128 KiB
+        widest = "list:" + ",".join(map(str, range(RANGE_WIDTH_MAX)))
+        assert len(parse_set_spec(widest).values) == RANGE_WIDTH_MAX
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ExplicitFinite built for an oversized list")
+
+        monkeypatch.setattr(intsets_module, "ExplicitFinite", refuse)
+        over = f"{RANGE_WIDTH_MAX + 1} members; the limit is {RANGE_WIDTH_MAX}"
+        with pytest.raises(SetSpecError, match=over):
+            parse_set_spec(widest + f",{RANGE_WIDTH_MAX}")
+
 
 class TestEnumeration:
     def test_canonical_order_examples(self):

@@ -32,6 +32,7 @@ from borderings.ordering import (
     evaluate_test_sequence,
     exponent_sequence,
     greedy_step,
+    invariants,
     pairwise_valuation_sum,
 )
 from borderings.closedforms import alpha_P, alpha_Z
@@ -373,6 +374,21 @@ class TestPointQuery:
         assert len(steps) <= 3
         assert alphas(S, 2, (2, 10**9)) == [ExtNat(1), INF]
 
+    @pytest.mark.parametrize("spec", SETS)
+    def test_one_route_call_for_many_bases(self, spec):
+        # plain ints (None for infinity) inside, ExtNat at the boundary
+        S, bases, ks = parse_set_spec(spec), (0, 1, 2, 3, 6, 10, 2), (9, 0, 14, 3)
+        rows = invariants(S, bases, ks)
+        assert len(rows) == len(bases)
+        for b, (source, values) in zip(bases, rows):
+            assert all(v is None or type(v) is int for v in values)
+            seq = exponent_sequence(S, b, 14)
+            assert source == seq.source
+            assert all(type(v) is ExtNat for v in seq.values)
+            got = alphas(S, b, ks)
+            assert all(type(v) is ExtNat for v in got)
+            assert got == [seq.values[k] for k in ks] and as_ints(got) == values
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             alphas(AllIntegers(), -1, (3,))
@@ -380,6 +396,9 @@ class TestPointQuery:
             alphas(ExplicitFinite([1, 2]), 2, (-1,))
         with pytest.raises(ValueError):
             alphas(AllIntegers(), 2, (4, -1))
+        with pytest.raises(ValueError, match="base must be >= 0, got -3"):
+            invariants(AllIntegers(), (2, 0, -3), (4,))
+
 
 
 class TestProgressionFormula:
