@@ -8,8 +8,9 @@ renders as the symbol in text mode and as the literal string "inf" in
 CSV and JSON.
 
 Every value the CLI prints is certified: a closed form proven for its
-set, which serves Z, N, P, ap: sets and equally spaced finite sets, or
-the greedy engine, which scans every other finite set in full.
+set, which serves Z, N, P, ap: sets, equally spaced finite sets and bases
+above a finite set's diameter, or the greedy engine's residue walk, which
+holds every unused member of any other finite set at its exact value.
 
 Exit codes: 0 success, 1 property or table-comparison failure,
 2 usage/spec error or an input over one of the limits below.

@@ -1,15 +1,16 @@
 """Greedy b-ordering engine: exponent sequences, certification, majorization checks.
 
 A b-ordering of S picks each next element to minimise the sum of base-b
-valuations of its differences to all predecessors.  Over finite sets the
-minimum is found by exhaustive scan.  Over the built-in infinite sets it
-is certified by branch and bound on residue classes mod b^l: the number
-of prefix elements in a subclass is a lower bound on the value its
-members add, and a subclass holding no prefix element attains it with its
+valuations of its differences to all predecessors.  The minimum is
+certified by branch and bound on residue classes mod b^l: the number of
+prefix elements in a subclass is a lower bound on the value its members
+add, and a subclass holding no prefix element attains it with its
 smallest member.  The walk always ends: every opened subclass holds a
-prefix element, so its bound grows by at least one per level.  Each
-opened class is a node kept for the whole run; an append patches one
-entry in each node on its residue path and nothing else.
+prefix element, so its bound grows by at least one per level.  A finite
+S is one finitely-met class at the root, which holds every unused member
+at its exact value, so its walk never goes below the root.  Each opened
+class is a node kept for the whole run; an append patches one entry in
+each node on its residue path and nothing else.
 """
 
 from __future__ import annotations
@@ -79,13 +80,8 @@ class BOrdering:
 
     @property
     def certified(self) -> list[bool]:
-        """Always true per step: each is an exhaustive scan or a residue-walk proof."""
+        """Always true per step: each is a residue-walk proof."""
         return [True] * len(self.elements)
-
-    @property
-    def all_certified(self) -> bool:
-        """Always true; see `certified`."""
-        return True
 
 
 def _valuation_sum(b: int, a: int, others) -> Optional[int]:
@@ -154,44 +150,36 @@ def _first_unused(S: IntegerSet, used: set[int]) -> Optional[int]:
 class _GreedyState:
     """The prefix of one greedy run and what its steps need, kept current on append.
 
-    `values` maps each member of a finite S to its step value
-    sum_j ord_b(a - a_j) over the prefix as a plain int (None for
-    infinity); `levels` maps l to the counts of prefix residues mod b^l.
-    Each is filled from the prefix on first use, then updated by each
-    append: one valuation per member, one count per level.
+    `levels` maps l to the counts of prefix residues mod b^l, filled from
+    the prefix on first use, then updated by each append.
 
-    Over an infinite S the branch and bound keeps one node per opened
-    class r mod b^l, under the class id b^l + r (it lies in [b^l, 2*b^l),
-    so no two classes share one): [summary, entries, finite].  A member's
-    excess is its value less the prefix counts of its class on levels
-    1..l, which all its members share.  `finite` maps each S-member of a
-    finitely-met subclass outside the prefix to (excess, 1, canonical key,
-    member).  `entries` maps the residue mod b^(l+1) of each infinite
-    subclass to an exact entry, (count + the subclass's summary excess,
-    1, key, member) where count is its prefix count on level l+1 (a
-    realized subclass, count 0, gives its smallest member), or to a lower
-    bound (count, 0, residue) for a subclass not yet scored.  The summary
-    is the least entry or finite member, or None while unknown.  A node is
-    opened once, and stored only after S has answered all its questions.
+    The branch and bound keeps one node per opened class r mod b^l,
+    under the class id b^l + r (it lies in [b^l, 2*b^l), so no two classes
+    share one): [summary, entries, finite].  A member's excess is its value
+    less the prefix counts of its class on levels 1..l, which all its
+    members share.  `finite` maps each S-member of a finitely-met
+    subclass outside the prefix to (excess, 1, canonical key, member); a
+    finite S is one such class at the root.  `entries` maps the residue
+    mod b^(l+1) of each infinite subclass to an exact entry, (count + the
+    subclass's summary excess, 1, key, member) where count is its prefix
+    count on level l+1 (a realized subclass, count 0, gives its smallest
+    member), or to a lower bound (count, 0, residue) for a subclass not
+    yet scored.  The summary is the least entry or finite member, or None
+    while unknown.  A node is opened once, and stored only after S has
+    answered all its questions.
     """
 
     def __init__(self, S: IntegerSet, b: int):
         self.S, self.b = S, b
         self.prefix: list[int] = []
-        self.values: dict[int, Optional[int]] = {}
         self.levels: dict[int, Counter] = {}
-        self.scan_list: Optional[list[int]] = None
         self.nodes: dict[int, list] = {}
 
     def append(self, a: int) -> None:
         """Add a to the prefix.  Of the nodes, only those of the classes a lies in
         change: each drops its summary and turns the entry a lies in into a lower bound.
         """
-        b, values, levels = self.b, self.values, self.levels
-        for c, total in values.items():
-            if total is not None:
-                v = ord_b(b, c - a)
-                values[c] = None if v is None else total + v
+        b, levels = self.b, self.levels
         for level, counts in levels.items():
             counts[a % b**level] += 1
         node, depth, mod = self.nodes.get(1), 0, 1
@@ -200,14 +188,13 @@ class _GreedyState:
             mod *= b
             r1 = a % mod
             if r1 not in node[1]:
-                # a is in a finitely-met subclass (or outside S): only its members move
+                # a is in a finitely-met subclass (or outside S): only its
+                # members move, as ord_b(f - a) = depth for any other f
                 finite = node[2]
-                for f, (excess, _, key, _) in list(finite.items()):
-                    v = ord_b(b, f - a)
-                    if v is None:
-                        del finite[f]
-                    elif v > depth:
-                        finite[f] = (excess + v - depth, 1, key, f)
+                finite.pop(a, None)
+                for f, (excess, _, key, _) in finite.items():
+                    if f % mod == r1:
+                        finite[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)
                 break
             depth += 1
             node[1][r1] = (levels[depth][r1], 0, r1)
@@ -228,44 +215,21 @@ class _GreedyState:
             if nxt is None:  # b = 1, or b = 0 with S used up
                 return StepResult(next(iter(S.iter_canonical())), INF)
             return StepResult(nxt, ZERO)
-
-        if S.cardinality.is_finite:
-            return self._scan(policy)
-
         return self._branch_and_bound(policy)
 
-    def _scan(self, policy: TieBreakPolicy) -> StepResult:
-        """Exhaustive minimisation over a finite S, whose members are listed and tracked once."""
-        if self.scan_list is None:
-            self.scan_list = list(self.S.iter_canonical())
-            self.values = {a: _valuation_sum(self.b, a, self.prefix) for a in self.scan_list}
-        candidates, values = self.scan_list, self.values
-        best: Optional[int] = None
-        minimizers: list[int] = []
-        for a in candidates:
-            v = values[a]
-            if v is None:
-                continue
-            if best is None or v < best:
-                best, minimizers = v, [a]
-            elif v == best:
-                minimizers.append(a)
-        if not candidates:
-            raise ValueError("no candidates to minimise over")
-        if best is None:
-            # set exhausted: by convention later elements repeat the canonical first
-            return StepResult(min(candidates, key=canonical_key), INF)
-        return StepResult(policy.choose(minimizers), ExtNat(best))
-
     def _branch_and_bound(self, policy: TieBreakPolicy) -> StepResult:
-        """Certified minimum of sum_j ord_b(a' - a_j) over infinite structured S.
+        """Certified minimum of sum_j ord_b(a' - a_j) over S.
 
         The root summary holds the least value and its canonical member.
         Other policies draw from the full tie set, found by going down only
         into subclasses whose entry attains their class's summary; a
-        realized one gives its smallest member.
+        realized one gives its smallest member.  Once a finite S is used
+        up, later steps repeat its canonical first member at infinity.
         """
-        value, _, _, element = self._summary()
+        root = self.nodes.get(1) or self._open(0, 0)
+        if not (root[1] or root[2]):
+            return StepResult(next(iter(self.S.iter_canonical())), INF)
+        value, _, _, element = self._summary(root)
         if not isinstance(policy, CanonicalTieBreak):
             b, nodes = self.b, self.nodes
             pool, todo = [], [(1, 1)]
@@ -286,20 +250,33 @@ class _GreedyState:
         return StepResult(element, ExtNat(value))
 
     def _open(self, r: int, depth: int) -> list:
-        """The node of the class r mod b^depth, asking S about each subclass once."""
-        S, b = self.S, self.b
+        """The node of the class r mod b^depth, asking S about each subclass once.
+
+        A finite S is one finitely-met class: its root takes every member
+        from `iter_canonical` and asks S nothing, so the cost does not grow with b.
+        """
+        S, b, prefix = self.S, self.b, self.prefix
         mod, mod1 = b**depth, b ** (depth + 1)
-        counts = self.counts(depth + 1)
         entries: dict[int, tuple] = {}
         finite: dict[int, tuple] = {}
-        for r1 in range(r, mod1, mod):
-            members = S.residue_status(r1, mod1)
+        if S.cardinality.is_finite:  # only its root is ever opened
+            classes = [(r, S.iter_canonical())]
+        else:
+            counts = self.counts(depth + 1)
+            classes = ((r1, S.residue_status(r1, mod1)) for r1 in range(r, mod1, mod))
+        for r1, members in classes:
             if members is not None:
                 for f in members:
                     # a prefix element outside the class adds less than depth to f's value
-                    vs = [ord_b(b, f - c) for c in self.prefix]
-                    if None not in vs:
-                        finite[f] = (sum(v - depth for v in vs if v > depth), 1, canonical_key(f), f)
+                    excess = 0
+                    for c in prefix:
+                        v = ord_b(b, f - c)
+                        if v is None:
+                            break
+                        if v > depth:
+                            excess += v - depth
+                    else:
+                        finite[f] = (excess, 1, canonical_key(f), f)
             elif counts[r1]:
                 entries[r1] = (counts[r1], 0, r1)
             else:
@@ -311,8 +288,8 @@ class _GreedyState:
         node = self.nodes[mod + r] = [None, entries, finite]
         return node
 
-    def _summary(self) -> tuple:
-        """The root summary, after scoring every subclass it needs.
+    def _summary(self, node: list) -> tuple:
+        """The summary of the root `node`, after scoring every subclass it needs.
 
         A lower bound sorts before an exact entry of equal total, so the
         least entry is exact only when no unscored subclass could hold a
@@ -321,12 +298,12 @@ class _GreedyState:
         2^1500 nests 1,500 levels at b = 2.
         """
         b, nodes = self.b, self.nodes
-        node = nodes.get(1) or self._open(0, 0)
         depth, stack = 0, []
         while True:
             if node[0] is None:
-                top = min(node[1].values())
-                if node[2]:
+                # only the root of a finite S has no entries
+                top = min(node[1].values() or node[2].values())
+                if node[1] and node[2]:
                     top = min(top, min(node[2].values()))
                 if not top[1]:  # a lower bound: score that subclass, then come back
                     stack.append((node, top))
@@ -352,7 +329,9 @@ def greedy_step(
     """One greedy extension step: an element of provably minimal value over all of S.
 
     A plain prefix is replayed into a fresh state; `b_ordering` passes its
-    running state instead, so each of its steps costs O(|S|), not O(|S|*k).
+    running state instead, so no step replays the prefix: an append
+    re-scores only the classes it lies in, which over a finite S are the
+    members congruent to it mod b.
     """
     if b < 0:
         raise ValueError(f"base must be >= 0, got {b}")
@@ -401,13 +380,8 @@ class ExponentSequence:
 
     @property
     def certified_steps(self) -> list[bool]:
-        """Always true per index: each value is a formula, an exhaustive scan or a walk proof."""
+        """Always true per index: each value is a formula or a walk proof."""
         return [True] * len(self.values)
-
-    @property
-    def certified(self) -> bool:
-        """Always true; see `certified_steps`."""
-        return True
 
 
 def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[tuple[str, list]]:
@@ -419,9 +393,11 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
     `b_ordering` runs the greedy on them.  A finite progression a, a+d, ...,
     a+(n-1)d in its natural order is a b-ordering: a candidate a+xd with
     x >= k has value sum_l #{j < k : m_l | x-j} >= sum_l floor(k/m_l), and
-    x = k attains it (see `closedforms.alpha_AP`).  Any other set gets one
-    canonical greedy run per base up to max(ks).  For a finite S each index
-    from |S| on is a certified INF, as every later step repeats an element.
+    x = k attains it (see `closedforms.alpha_AP`).  A base above a finite
+    set's diameter divides no difference of its members, so every index
+    below |S| is 0.  Any other base gets one canonical greedy run up to
+    max(ks).  For a finite S each index from |S| on is a certified INF, as
+    every later step repeats an element.
     """
     if any(b < 0 for b in bases):
         raise ValueError(f"base must be >= 0, got {min(bases)}")
@@ -429,13 +405,15 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
         raise ValueError(f"k must be >= 0, got {min(ks)}")
     n = S.cardinality.value if S.cardinality.is_finite else None
     inside = [n is None or k < n for k in ks]
-    form = step = None
+    form = step = width = None
     if isinstance(S, AllIntegers):
         form = closedforms.alpha_Z
     elif isinstance(S, Primes):
         form = closedforms.alpha_P
     elif isinstance(S, (ArithmeticProgression, ExplicitFinite)) and S.step is not None:
         form, step = closedforms.alpha_AP, S.step
+    elif n is not None:
+        width = max(S.iter_canonical()) - min(S.iter_canonical())
     rows = []
     for b in bases:
         if b == 0:
@@ -446,6 +424,8 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
             rows.append(("closed-form", [form(k, b, step) if i else None for k, i in zip(ks, inside)]))
         elif form is not None:  # Z or P, both infinite
             rows.append(("closed-form", [form(k, b) for k in ks]))
+        elif width is not None and b > width:
+            rows.append(("closed-form", [0 if i else None for i in inside]))
         else:
             # a step inside S has a finite value: some member is not yet used
             run = b_ordering(S, b, max(ks) if n is None else min(max(ks), n - 1)).exponents

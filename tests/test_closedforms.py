@@ -119,7 +119,6 @@ class TestAlphaP:
         P = Primes()
         for b in (2, 3, 6, 12):
             run = b_ordering(P, b, 25)
-            assert run.all_certified
             assert [v.value for v in run.exponents] == [alpha_P(k, b) for k in range(26)]
 
     def test_witness_sequences(self):

@@ -39,7 +39,7 @@ from borderings.closedforms import alpha_P, alpha_Z
 import borderings.intsets as intsets_module
 import borderings.ordering as ordering_module
 
-from oracle import all_greedy_exponent_tuples, class_oracle_step, up_to, windowed_min
+from oracle import all_greedy_exponent_tuples, class_oracle_step, step_value, up_to, windowed_min
 
 
 def as_ints(values):
@@ -204,7 +204,6 @@ class TestGreedyStep:
 class TestBOrdering:
     def test_integers_match_floor_sums(self):
         run = b_ordering(AllIntegers(), 2, 20)
-        assert run.all_certified
         assert [v.value for v in run.exponents] == [alpha_Z(k, 2) for k in range(21)]
         assert evaluate_test_sequence(run.elements, run.base) == run.exponents
 
@@ -275,7 +274,6 @@ class TestExponentSequence:
         slowp = b_ordering(P, 6, 20)
         assert fastp.source == "closed-form"
         assert fastp.values == slowp.exponents
-        assert slowp.all_certified
 
     def test_nonnegative_integers_match_integers(self):
         N = NonnegativeIntegers()
@@ -305,10 +303,9 @@ class TestExponentSequence:
         # past depth 20 and alpha_i = 20*i + alpha_Z(i, 2)
         S = parse_set_spec("ap:0,1048576")
         run = b_ordering(S, 2, 20)
-        assert run.all_certified
         assert [v.value for v in run.exponents] == [20 * i + alpha_Z(i, 2) for i in range(21)]
         seq = exponent_sequence(S, 2, 20)
-        assert seq.certified and seq.source == "closed-form" and seq.values == run.exponents
+        assert seq.source == "closed-form" and seq.values == run.exponents
 
     def test_finite_sequence_runs_only_up_to_its_size(self, monkeypatch):
         S, steps = ExplicitFinite([1, 2, 4]), []  # not a progression: the greedy serves it
@@ -354,7 +351,6 @@ class TestPointQuery:
         S = parse_set_spec(spec)
         for b in (0, 1, 2, 3, 6, 10):
             seq = exponent_sequence(S, b, 14)
-            assert seq.certified
             want = greedy(S, b, 14) if against_greedy else seq.values
             for k in (0, 1, 5, 9, 14):
                 assert alphas(S, b, (k,)) == [want[k]], (spec, b, k)
@@ -373,6 +369,35 @@ class TestPointQuery:
         assert alphas(S, 2, (10**9,)) == [INF]
         assert len(steps) <= 3
         assert alphas(S, 2, (2, 10**9)) == [ExtNat(1), INF]
+
+    def test_bases_above_the_diameter_take_the_closed_form(self, monkeypatch):
+        # b above max(S) - min(S) divides no difference: 0 below |S|, INF from there
+        rng = random.Random(31)
+        sets = [ExplicitFinite(rng.sample(range(-60, 61), rng.randint(3, 14))) for _ in range(12)]
+        sets = [S for S in sets if S.step is None]  # progressions take alpha_AP
+        cases = []
+        for S in sets:
+            width, k = S.values[-1] - S.values[0], len(S.values) + 2
+            for b in (width, width + 1, 10**30):
+                cases.append((S, b, k, b_ordering(S, b, k).exponents))
+        ran = []
+        original = ordering_module.b_ordering
+
+        def recording_b_ordering(S, b, k, *args, **kwargs):
+            ran.append((S.spec, b))
+            return original(S, b, k, *args, **kwargs)
+
+        monkeypatch.setattr(ordering_module, "b_ordering", recording_b_ordering)
+        assert len(sets) >= 10
+        for S, b, k, want in cases:
+            ran.clear()
+            seq = exponent_sequence(S, b, k)
+            assert seq.values == want, (S.spec, b)
+            if b > S.values[-1] - S.values[0]:
+                assert as_ints(want) == [0] * len(S.values) + [None] * 3
+                assert (seq.source, ran) == ("closed-form", []), (S.spec, b)
+            else:
+                assert (seq.source, ran) == ("greedy", [(S.spec, b)]), (S.spec, b)
 
     @pytest.mark.parametrize("spec", SETS)
     def test_one_route_call_for_many_bases(self, spec):
@@ -759,7 +784,6 @@ class TestPersistentFrontier:
         # every class mod 2^l with l <= 1500 that meets the set holds the
         # whole prefix; the walk keeps its own stack
         run = b_ordering(ArithmeticProgression(0, 2**1500), 2, 6)
-        assert run.all_certified
         assert as_ints(run.exponents) == [1500 * i + alpha_Z(i, 2) for i in range(7)]
         run = b_ordering(ArithmeticProgression(0, 2**1500), 2, 6, RandomTieBreak(3))
         assert as_ints(run.exponents) == [1500 * i + alpha_Z(i, 2) for i in range(7)]
@@ -768,3 +792,108 @@ class TestPersistentFrontier:
         run = b_ordering(parse_set_spec("ap:-100000000,1"), 2, 4)
         assert run.elements == [0, 1, -1, 2, -2]
         assert as_ints(run.exponents) == [alpha_Z(i, 2) for i in range(5)]
+
+
+def finite_runs_digest(S, b, start, seed) -> str:
+    """sha256 of (elements, exponents) of four runs of S past exhaustion:
+    canonical and RandomTieBreak(seed), each without and with `start`."""
+    runs = []
+    for first in (None, start):
+        for policy in (CANONICAL, RandomTieBreak(seed)):
+            run = b_ordering(S, b, len(S.values) + 1, policy, start=first)
+            runs.append((run.elements, as_ints(run.exponents)))
+    return hashlib.sha256(repr(runs).encode()).hexdigest()
+
+
+class TestFiniteRuns:
+    # recorded from the engine that scanned every member of a finite S at
+    # every step; bases run from 2 past the diameter (which divides no
+    # difference) to 10**25, and the third and fourth columns are the
+    # start and the random seed
+    RUNS = [
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 2, 9, 11,
+         "ee1b79198a2d21f650da191478893c04bb9b294174708629b35c4e737cf076f9"),
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 3, 9, 11,
+         "0af9a756b7b6b13dc49499ddb0c6e3a26e1b43a452bd24d4c6c90d53d60cd205"),
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 6, 9, 11,
+         "722c9ce500cd78a717023e5a7f7a2a02f361b53b35b83359f6dab22446f89607"),
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 10, 9, 11,
+         "81308dc786992cf2a453c99a64a06017fb3e14380cb8b967dd3d49b041ddd47a"),
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 12, 9, 11,
+         "3fe6a0001e71e67d3ff038ff19736a35cb16f8f2c1a867265debcf7a8bcc36aa"),
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 33, 9, 11,
+         "ee91f9b67156cfe0daf2f47c90c4d9dd608224a9b43082fd771d441cb43a3263"),
+        ("list:-7,-3,0,1,4,9,10,12,18,25", 10**25, 9, 11,
+         "ee91f9b67156cfe0daf2f47c90c4d9dd608224a9b43082fd771d441cb43a3263"),
+        ("list:-40,-17,-16,-5,0,2,3,8,11,27,64,65,90", 2, 27, 5,
+         "55b3ab3ecd92351d94fa3975a35654bfe4ae79325e5c484d6c97db987a5e48a6"),
+        ("list:-40,-17,-16,-5,0,2,3,8,11,27,64,65,90", 3, 27, 5,
+         "a4946a549c327d4cd487a2d487296cbc5979f795a00c399525a620ca61fe0e6e"),
+        ("list:-40,-17,-16,-5,0,2,3,8,11,27,64,65,90", 6, 27, 5,
+         "630fab96154760fa11c77f2e5e9d2b94191761c0ffc608ef1ab1d659f20ff7c9"),
+        ("list:-40,-17,-16,-5,0,2,3,8,11,27,64,65,90", 10, 27, 5,
+         "88215c3146d763449214ec8c547d738b06797bb76f7898b9de992c8fae0d0fbb"),
+        ("list:-40,-17,-16,-5,0,2,3,8,11,27,64,65,90", 12, 27, 5,
+         "769f5a5fbbf69095b3dc6a0e421da88c6380df407c7e1f4289a8c4aa755a0f28"),
+        ("list:-40,-17,-16,-5,0,2,3,8,11,27,64,65,90", 131, 27, 5,
+         "b68eab93d73238e19988a2e42f28645bf36dbb2dd770c43d4360c996056a7bd6"),
+        ("list:-40,-17,-16,-5,0,2,3,8,11,27,64,65,90", 10**25, 27, 5,
+         "b68eab93d73238e19988a2e42f28645bf36dbb2dd770c43d4360c996056a7bd6"),
+        ("list:1,2,4,8,16,32,64,128,256", 2, 64, 3,
+         "3a9e15e50cd08af5627fb9af2119a15424708d4e3234aa8e4ef1d4441d4abe18"),
+        ("list:1,2,4,8,16,32,64,128,256", 3, 64, 3,
+         "78bfee5ea407e4f243498d25dba3df19b7758b585f17152a38c27a2fa1b06522"),
+        ("list:1,2,4,8,16,32,64,128,256", 6, 64, 3,
+         "06eafef70b58dd09fb79002934e22e1f016a22513e89909d9a93914a9819cb74"),
+        ("list:1,2,4,8,16,32,64,128,256", 10, 64, 3,
+         "401c70ce05ea5f767752fd046c5700915afe978ad9de3e0c4af3e77363ecd288"),
+        ("list:1,2,4,8,16,32,64,128,256", 12, 64, 3,
+         "23ba11ea829d4fd40901b14e67f18252fbbcb49e752ad01b9cae9c794d14d51c"),
+        ("list:1,2,4,8,16,32,64,128,256", 256, 64, 3,
+         "e9867ec9fb60bcf8a9b95144e5fbf5029c6e828e2130c8c95446341eba01aa52"),
+        ("list:1,2,4,8,16,32,64,128,256", 10**25, 64, 3,
+         "e9867ec9fb60bcf8a9b95144e5fbf5029c6e828e2130c8c95446341eba01aa52"),
+        ("list:-1000,-24,-3,0,5,6,7,12,36,500,1001,1024", 2, -24, 8,
+         "27e9b19ccf84c538922ca6559cde3cbe409f5d366fe719fb141d9894ffa37074"),
+        ("list:-1000,-24,-3,0,5,6,7,12,36,500,1001,1024", 3, -24, 8,
+         "ca45732f378b5f636ec2c338614228344383f0d86421bef9b04e72f529555421"),
+        ("list:-1000,-24,-3,0,5,6,7,12,36,500,1001,1024", 6, -24, 8,
+         "ed5863439894fd1c4ae63e6e9cca91edd7abb8e46bda18ca444bfc06079dc8bd"),
+        ("list:-1000,-24,-3,0,5,6,7,12,36,500,1001,1024", 10, -24, 8,
+         "210cfd2d29cc570870c77b260060ddddab6580812c5ae3c3e7a4c1fb06c96f50"),
+        ("list:-1000,-24,-3,0,5,6,7,12,36,500,1001,1024", 12, -24, 8,
+         "3e9d7a5699612dbec542bb1e9bb3dd05f6bb7ac4911671466f6a685aa4a8a9b7"),
+        ("list:-1000,-24,-3,0,5,6,7,12,36,500,1001,1024", 2025, -24, 8,
+         "1cc89d7c80039c7f0c18bad5ff1da4fe412f5d61119c1175170179e4eeeec16c"),
+        ("list:-1000,-24,-3,0,5,6,7,12,36,500,1001,1024", 10**25, -24, 8,
+         "1cc89d7c80039c7f0c18bad5ff1da4fe412f5d61119c1175170179e4eeeec16c"),
+    ]
+
+    @pytest.mark.parametrize("spec,b,start,seed,digest", RUNS)
+    def test_runs_are_reproduced(self, spec, b, start, seed, digest):
+        assert finite_runs_digest(parse_set_spec(spec), b, start, seed) == digest
+
+    def test_a_finite_set_is_asked_no_residue_question(self, monkeypatch):
+        def refuse(self, r, m):
+            raise AssertionError(f"asked about {r} mod {m}")
+
+        def runs():
+            S = ExplicitFinite([-9, -4, 0, 1, 7, 12, 20, 33])
+            return [b_ordering(S, b, 9, policy) for b in (2, 6) for policy in (CANONICAL, RandomTieBreak(4))]
+
+        want = runs()
+        monkeypatch.setattr(ExplicitFinite, "residue_status", refuse)
+        monkeypatch.setattr(ExplicitFinite, "pick_in_class", refuse)
+        assert runs() == want
+
+    def test_a_base_with_many_classes(self):
+        # S meets 7 of the 10**19 classes mod b: a step must not visit the others
+        S = ExplicitFinite([0, 3, 7, 12, 30, 10**20, 5 * 10**19 + 1])
+        b = 10**19
+        run = b_ordering(S, b, 6)
+        assert sorted(run.elements) == list(S.values)
+        for i in range(1, 7):
+            prefix = run.elements[:i]
+            best, minimizers = windowed_min(prefix, b, list(S.iter_canonical()))
+            assert step_value(prefix, b, run.elements[i]) == best == run.exponents[i].value, i
+            assert run.elements[i] == minimizers[0], i
