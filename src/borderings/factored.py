@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intsets import AllIntegers, NonnegativeIntegers, Primes
+from .intsets import AllIntegers, NonnegativeIntegers, Primes, parse_range
 from .numerics import ExtNat, prime_factors, primes_up_to, totients_and_omegas
 
 
@@ -27,7 +27,7 @@ class BaseSetError(ValueError):
 AUTO_K_MAX_Z = 1000
 AUTO_K_MAX_P = 100
 
-# Largest cutoff of upto:/primes: and widest range: a base spec may name.
+# Largest cutoff of upto:/primes:, widest range: and longest list: a base spec may name.
 # The list is built in full and every base costs one point value;
 # `factorial --set Z --bases upto:10000 --k 3` takes about 0.4 s.
 BASE_SPEC_MAX = 10**4
@@ -198,6 +198,7 @@ class BaseSet:
         for v in vals:
             if v < 0:
                 raise BaseSetError(f"bases must be >= 0, got {v}")
+        _check_size("base list length", len(vals))
         return cls("list:" + ",".join(map(str, vals)), vals)
 
     @classmethod
@@ -258,18 +259,11 @@ def _check_auto_k(k: int, limit: int, S) -> None:
         )
 
 
-def _base_range(body: str) -> BaseSet:
-    if ".." not in body:
-        raise ValueError("expected range:lo..hi")
-    lo_s, hi_s = body.split("..", 1)
-    return BaseSet.range(int(lo_s), int(hi_s))
-
-
 _BASE_SPEC_KINDS = {
     "upto:": lambda body: BaseSet.all_up_to(int(body)),
     "primes:": lambda body: BaseSet.primes_up_to(int(body)),
     "list:": lambda body: BaseSet.explicit(int(t) for t in body.split(",") if t.strip()),
-    "range:": _base_range,
+    "range:": lambda body: BaseSet.range(*parse_range(body)),
 }
 
 

@@ -69,8 +69,9 @@ def gen_binomial(S: IntegerSet, T: BaseSet, k: int, ell: int) -> FactoredNumber:
 def pairwise_multiple_check(S: IntegerSet, T: BaseSet, seq: Sequence[int]) -> bool:
     """Check that the pairwise-difference product over T is a multiple of 0!..n!.
 
-    Per base this is exactly prefix-sum dominance of the sequence's
-    exponent values over the invariants, checked exponentwise.
+    Per base this compares only the full sums: the ord_b total over all
+    pairwise differences against alpha_0 + ... + alpha_n.  Dominance at
+    every prefix is `ordering.check_majorization`'s job.
     """
     elements = list(seq)
     n = len(elements) - 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import count
+from itertools import count, islice
 from typing import Iterator, Optional
 
 from .numerics import INF, ExtNat, is_prime, primes_up_to
@@ -236,9 +236,20 @@ class NonnegativeIntegers(ArithmeticProgression):
 RANGE_WIDTH_MAX = 10**5  # most members a range:, list: or file: spec may name; each is built in full
 
 
-def _check_size(what: str, n: int) -> None:
-    if n > RANGE_WIDTH_MAX:
-        raise SetSpecError(f"{what} names {n} members; the limit is {RANGE_WIDTH_MAX}")
+def parse_range(body: str) -> tuple[int, int]:
+    """The bounds of a ``<lo>..<hi>`` spec body, as set and base specs write them."""
+    if ".." not in body:
+        raise ValueError("expected range:lo..hi")
+    lo, hi = body.split("..", 1)
+    return int(lo), int(hi)
+
+
+def _finite(values, spec: str | None) -> ExplicitFinite:
+    """The finite set of `values`, taking no more than one member past RANGE_WIDTH_MAX."""
+    values = list(islice(values, RANGE_WIDTH_MAX + 1))
+    if len(values) > RANGE_WIDTH_MAX:
+        raise ValueError(f"at least {len(values)} members; the limit is {RANGE_WIDTH_MAX}")
+    return ExplicitFinite(values, spec)
 
 
 def parse_set_spec(spec: str) -> IntegerSet:
@@ -246,56 +257,30 @@ def parse_set_spec(spec: str) -> IntegerSet:
 
     Grammar: ``Z`` | ``N`` | ``P`` | ``ap:<first>,<step>`` |
     ``list:<c1>,<c2>,...`` | ``file:<path>`` | ``range:<lo>..<hi>``, each of
-    the last three naming at most RANGE_WIDTH_MAX members.
+    the last three naming at most RANGE_WIDTH_MAX members.  A malformed spec
+    of a known kind raises ``bad set spec '<spec>': <reason>``.
     """
     spec = spec.strip()
-    if spec == "Z":
-        return AllIntegers()
-    if spec == "N":
-        return NonnegativeIntegers()
-    if spec == "P":
-        return Primes()
-    if spec.startswith("ap:"):
-        body = spec[3:]
-        try:
-            first_s, step_s = body.split(",")
-            return ArithmeticProgression(int(first_s), int(step_s))
-        except (ValueError, TypeError) as e:
-            raise SetSpecError(f"bad progression spec {spec!r}: {e}") from None
-    if spec.startswith("list:"):
-        body = spec[5:]
-        try:
-            values = [int(tok) for tok in body.split(",") if tok.strip() != ""]
-        except ValueError as e:
-            raise SetSpecError(f"bad list spec {spec!r}: {e}") from None
-        if not values:
-            raise SetSpecError(f"empty list spec {spec!r}")
-        _check_size("list spec", len(values))
-        return ExplicitFinite(values)
-    if spec.startswith("file:"):
-        path = spec[5:]
-        try:
-            with open(path) as fh:
-                values = [int(line) for line in fh if line.strip()]
-        except OSError as e:
-            raise SetSpecError(f"cannot read set file {path!r}: {e}") from None
-        except ValueError as e:
-            raise SetSpecError(f"bad integer in set file {path!r}: {e}") from None
-        if not values:
-            raise SetSpecError(f"set file {path!r} is empty")
-        _check_size(f"set file {path!r}", len(values))
-        return ExplicitFinite(values, spec=spec)
-    if spec.startswith("range:"):
-        body = spec[6:]
-        if ".." not in body:
-            raise SetSpecError(f"bad range spec {spec!r}: expected lo..hi")
-        lo_s, hi_s = body.split("..", 1)
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError as e:
-            raise SetSpecError(f"bad range spec {spec!r}: {e}") from None
-        if hi < lo:
-            raise SetSpecError(f"bad range spec {spec!r}: hi < lo")
-        _check_size(f"range spec {spec!r}", hi - lo + 1)
-        return ExplicitFinite(range(lo, hi + 1), spec=spec)
+    head, colon, body = spec.partition(":")
+    kind = head + colon  # a kind with a body needs its colon
+    try:
+        if kind == "Z":
+            return AllIntegers()
+        if kind == "N":
+            return NonnegativeIntegers()
+        if kind == "P":
+            return Primes()
+        if kind == "ap:":
+            first, step = body.split(",")
+            return ArithmeticProgression(int(first), int(step))
+        if kind == "list:":
+            return _finite((int(t) for t in body.split(",") if t.strip()), None)
+        if kind == "file:":
+            with open(body) as fh:
+                return _finite((int(line) for line in fh if line.strip()), spec)
+        if kind == "range:":
+            lo, hi = parse_range(body)
+            return _finite(range(lo, hi + 1), spec)
+    except (ValueError, OSError) as e:
+        raise SetSpecError(f"bad set spec {spec!r}: {e}") from None
     raise SetSpecError(f"unrecognised set spec {spec!r}")

@@ -314,26 +314,24 @@ def t_ordering(
     return TOrdering(indices, [U[i] for i in indices], exponents, policy.name)
 
 
-def random_primitive_polynomial(
-    rng: random.Random,
-    degree: int,
-    cap: int,
-    coeff_bound: int = 3,
-    t_degree: int = 3,
-) -> SeriesPolynomial:
+COEFF_BOUND = 3  # sampled coefficients have integer entries in [-COEFF_BOUND, COEFF_BOUND]
+T_DEGREE = 3  # ... and t-degree at most T_DEGREE
+
+
+def random_primitive_polynomial(rng: random.Random, degree: int, cap: int) -> SeriesPolynomial:
     """A random t-primitive polynomial of exact x-degree `degree`.
 
     Coefficients are integer polynomials in t with entries in
-    [-coeff_bound, coeff_bound] and t-degree <= t_degree, rejection
-    sampled until the result is primitive with a nonzero leading
-    coefficient.
+    [-COEFF_BOUND, COEFF_BOUND] and t-degree <= T_DEGREE, truncated or
+    zero-padded to `cap`, rejection sampled until the result is primitive
+    with a nonzero leading coefficient.
     """
+    pad = (Fraction(0),) * max(0, cap - T_DEGREE - 1)
     while True:
         coeffs = []
         for _ in range(degree + 1):
-            cs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(t_degree + 1)]
-            cs = cs[:cap] + [0] * max(0, cap - len(cs))
-            coeffs.append(TruncatedSeries(cs))
+            cs = tuple(Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND)) for _ in range(T_DEGREE + 1))
+            coeffs.append(TruncatedSeries._exact(cs[:cap] + pad))
         p = SeriesPolynomial(tuple(coeffs))
         if coeffs[degree].ord_t().exact and p.is_t_primitive():
             return p

@@ -306,6 +306,18 @@ class TestFactoredCommands:
         assert code == 2 and out == ""
         assert "limit" in err
 
+    def test_oversized_base_list_exits_2_before_any_work(self, capsys, monkeypatch):
+        # 10,001 bases: about 49 KB, one argv string under the 128 KiB cap
+        def no_work(*args, **kwargs):
+            raise AssertionError("factorial started work on an oversized base list")
+
+        monkeypatch.setattr(factorials_module, "invariants", no_work)
+        bases = "list:" + ",".join(map(str, range(2, BASE_SPEC_MAX + 3)))
+        code, out, err = run_cli(capsys, "factorial", "--set", "Z", "--bases", bases, "--k", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad base spec 'list:2,3,4,")
+        assert err.endswith(f": base list length {BASE_SPEC_MAX + 1} is over the limit {BASE_SPEC_MAX}\n")
+
     def test_auto_bases_print_up_to_the_k_limit(self, capsys):
         # 1000!_Z has 32,363 bits, past Python's default str-digit limit
         code, out, err = run_cli(

@@ -235,6 +235,16 @@ class TestBaseSets:
         with pytest.raises(BaseSetError, match="limit"):
             parse_base_spec(spec.format(widest + 1))
 
+    def test_oversized_base_list_is_refused(self):
+        widest = "list:" + ",".join(map(str, range(2, BASE_SPEC_MAX + 2)))
+        assert len(parse_base_spec(widest).resolve()) == BASE_SPEC_MAX
+        assert len(parse_base_spec(widest + ",2,3").resolve()) == BASE_SPEC_MAX  # repeats count once
+        over = f"base list length {BASE_SPEC_MAX + 1} is over the limit {BASE_SPEC_MAX}"
+        with pytest.raises(BaseSetError, match=over):
+            parse_base_spec(widest + f",{BASE_SPEC_MAX + 2}")
+        with pytest.raises(BaseSetError, match=over):
+            BaseSet.explicit(range(BASE_SPEC_MAX + 1))
+
     def test_auto_needs_known_set(self):
         with pytest.raises(BaseSetError):
             BaseSet.auto().resolve(ArithmeticProgression(1, 4), 5)

@@ -45,9 +45,27 @@ class TestParsing:
         assert s.values == (-3, 5, 8)
 
     def test_errors(self):
-        for bad in ("???", "ap:1", "ap:1,0", "list:", "range:5..1", "range:abc", "file:/nonexistent"):
-            with pytest.raises(SetSpecError):
-                parse_set_spec(bad)
+        # one wrap: a known kind names its spec and the reason it was refused
+        reasons = {
+            "ap:1": "not enough values to unpack (expected 2, got 1)",
+            "ap:1,2,3": "too many values to unpack (expected 2)",
+            "ap:1,0": "progression step must be positive, got 0",
+            "list:": "explicit set must be nonempty",
+            "list:2,,x": "invalid literal for int() with base 10: 'x'",
+            "range:5": "expected range:lo..hi",
+            "range:abc": "expected range:lo..hi",
+            "range:5..1": "explicit set must be nonempty",
+            "range:a..b": "invalid literal for int() with base 10: 'a'",
+            "file:/nonexistent": "[Errno 2] No such file or directory: '/nonexistent'",
+        }
+        for spec, reason in reasons.items():
+            with pytest.raises(SetSpecError) as info:
+                parse_set_spec(f" {spec}\n")
+            assert str(info.value) == f"bad set spec {spec!r}: {reason}"
+        for spec in ("???", "list", "range", "ap", "Z:"):
+            with pytest.raises(SetSpecError) as info:
+                parse_set_spec(spec)
+            assert str(info.value) == f"unrecognised set spec {spec!r}"
         with pytest.raises(SetSpecError):
             ExplicitFinite([])
 
@@ -75,6 +93,14 @@ class TestParsing:
         over = f"{RANGE_WIDTH_MAX + 1} members; the limit is {RANGE_WIDTH_MAX}"
         with pytest.raises(SetSpecError, match=over):
             parse_set_spec(widest + f",{RANGE_WIDTH_MAX}")
+
+    def test_oversized_file_stops_reading_at_the_limit(self, tmp_path):
+        # a bad line past the limit is never read, so the size error wins
+        path = tmp_path / "set.txt"
+        path.write_text("".join(f"{v}\n" for v in range(RANGE_WIDTH_MAX + 1)) + "x\n")
+        over = f"{RANGE_WIDTH_MAX + 1} members; the limit is {RANGE_WIDTH_MAX}"
+        with pytest.raises(SetSpecError, match=over):
+            parse_set_spec(f"file:{path}")
 
 
 class TestEnumeration:

@@ -1,12 +1,13 @@
 """Property-based round trips and error contracts of the spec and factored-number parsers.
 
-Generated text never starts with ``file:``, so no test here reads the file
-system, and every generated range stays small enough to build.
+Generated text never starts with ``file:``, so only the ``file:`` round trip
+reads the file system, from its own temporary directory; every generated
+range stays small enough to build.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from borderings.factored import BaseSetError, FactoredNumber, parse_base_spec
@@ -65,12 +66,27 @@ def test_base_spec_round_trip(text):
     assert parse_base_spec(B.spec) == B
 
 
+# the file is rewritten for each example, so sharing tmp_path across them is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ints)
+def test_file_spec_round_trip(tmp_path, values):
+    path = tmp_path / "set.txt"
+    path.write_text("".join(f"{v}\n" for v in values))
+    S = parse_set_spec(f"file:{path}")
+    assert S.spec == f"file:{path}"
+    assert S.values == parse_set_spec("list:" + _join(values)).values == tuple(sorted(set(values)))
+    assert parse_set_spec(S.spec).values == S.values
+
+
 @settings(max_examples=300)
 @given(st.one_of(spec_text, any_text).filter(no_file_prefix))
 def test_set_spec_parses_or_raises_set_spec_error(text):
     try:
         S = parse_set_spec(text)
-    except SetSpecError:
+    except SetSpecError as e:
+        # one wrap: a known kind names its spec and the reason, anything else is unrecognised
+        spec = text.strip()
+        assert str(e).startswith(f"bad set spec {spec!r}: ") or str(e) == f"unrecognised set spec {spec!r}"
         return
     assert parse_set_spec(S.spec).spec == S.spec
 
