@@ -228,9 +228,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
     for r in reports:
         if args.format == "json":
-            row = r.as_dict()
-            row.pop("elapsed_seconds")  # keep identical runs byte-identical
-            em.add(**row)
+            em.add(**r.as_dict())
             continue
         for inst in r.instances:
             em.add(

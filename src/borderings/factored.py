@@ -259,23 +259,25 @@ def _check_auto_k(k: int, limit: int, S) -> None:
         )
 
 
-_BASE_SPEC_KINDS = {
-    "upto:": lambda body: BaseSet.all_up_to(int(body)),
-    "primes:": lambda body: BaseSet.primes_up_to(int(body)),
-    "list:": lambda body: BaseSet.explicit(int(t) for t in body.split(",") if t.strip()),
-    "range:": lambda body: BaseSet.range(*parse_range(body)),
-}
-
-
 def parse_base_spec(spec: str) -> BaseSet:
-    """Parse the base-set grammar: auto | upto:<n> | primes:<n> | list:... | range:lo..hi."""
+    """Parse the base-set grammar: auto | upto:<n> | primes:<n> | list:... | range:lo..hi.
+
+    A malformed spec of a known kind raises ``bad base spec '<spec>': <reason>``.
+    """
     spec = spec.strip()
-    if spec == "auto":
-        return BaseSet.auto()
-    for prefix, build in _BASE_SPEC_KINDS.items():
-        if spec.startswith(prefix):
-            try:
-                return build(spec[len(prefix):])
-            except ValueError as e:
-                raise BaseSetError(f"bad base spec {spec!r}: {e}") from None
+    head, colon, body = spec.partition(":")
+    kind = head + colon  # a kind with a body needs its colon
+    try:
+        if kind == "auto":
+            return BaseSet.auto()
+        if kind == "upto:":
+            return BaseSet.all_up_to(int(body))
+        if kind == "primes:":
+            return BaseSet.primes_up_to(int(body))
+        if kind == "list:":
+            return BaseSet.explicit(int(t) for t in body.split(",") if t.strip())
+        if kind == "range:":
+            return BaseSet.range(*parse_range(body))
+    except ValueError as e:
+        raise BaseSetError(f"bad base spec {spec!r}: {e}") from None
     raise BaseSetError(f"unrecognised base spec {spec!r}")

@@ -341,12 +341,9 @@ def random_primitive_polynomial(rng: random.Random, degree: int, cap: int) -> Se
 class MaxMinReport:
     """Both checkable directions of the max-min characterisation at index k."""
 
-    k: int
     alpha_k: int
     witness_min: int
     witness_equal: bool
-    samples: int
-    sample_bounds: list[int]
     sample_violations: int
 
     @property
@@ -406,20 +403,14 @@ def maxmin_check(
 
     rng = random.Random(seed)
     cap = min(f.cap for f in U)
-    bounds: list[int] = []
     violations = 0
     for _ in range(samples):
         p = random_primitive_polynomial(rng, k, cap)
-        m = _min_order_over(U, p)
-        if not m.must_le(alpha.floor):
+        if not _min_order_over(U, p).must_le(alpha.floor):
             violations += 1
-        bounds.append(m.floor)
     return MaxMinReport(
-        k=k,
         alpha_k=alpha.floor,
         witness_min=witness.floor,
         witness_equal=witness_equal,
-        samples=samples,
-        sample_bounds=bounds,
         sample_violations=violations,
     )

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import combinations_with_replacement, takewhile
 
 from . import closedforms, tables
@@ -51,14 +52,6 @@ class Instance:
     passed: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class SuiteReport:
@@ -87,8 +80,7 @@ class SuiteReport:
             "passed": self.passed,
             "checked": len(self.instances),
             "failed": len(self.failures),
-            "elapsed_seconds": round(self.elapsed, 3),
-            "instances": [i.as_dict() for i in self.instances],
+            "instances": [asdict(i) for i in self.instances],
         }
 
 
@@ -103,17 +95,44 @@ def _count(base: int, scale: float) -> int:
     return max(1, round(base * scale))
 
 
-def _random_finite_set(rng: random.Random, max_size: int = 12, span: int = 50):
-    size = rng.randint(2, max_size)
-    return sorted(rng.sample(range(-span, span + 1), size))
+def _random_finite_set(rng: random.Random, max_size: int = 12, span: int = 50) -> ExplicitFinite:
+    return ExplicitFinite(rng.sample(range(-span, span + 1), rng.randint(2, max_size)))
 
 
 def _values_str(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _exp_key(values) -> tuple[str, ...]:
-    return tuple(str(v) for v in values)
+def _tie_invariance(rng: random.Random, run, starts, reruns: int) -> str:
+    """The first rerun whose exponents differ from run(CANONICAL)'s, or "" if none does.
+
+    `run(policy, start=...)` orders with the given tie-break; each of the
+    `reruns` reruns draws its RandomTieBreak seed, then its start from `starts`.
+    """
+    reference = run(CANONICAL).exponents
+    for variant in range(1, reruns + 1):
+        policy = RandomTieBreak(rng.randrange(1 << 30))
+        exponents = run(policy, start=rng.choice(starts)).exponents
+        if exponents != reference:
+            return f"variant {variant}: {exponents} != {reference}"
+    return ""
+
+
+def _closed_form_miss(values, formula, b: int) -> str:
+    """The first k with values[k] != formula(k, b), or "" if there is none."""
+    for k, v in enumerate(values):
+        if v != (want := formula(k, b)):
+            return f"alpha_{k} = {v}, formula gives {want}"
+    return ""
+
+
+def _superadditivity_miss(alphas) -> str:
+    """The first (k, l) with alphas[k + l] < alphas[k] + alphas[l], or "" if there is none."""
+    for k in range(len(alphas)):
+        for ell in range(len(alphas) - k):
+            if alphas[k + ell] < alphas[k] + alphas[ell]:
+                return f"alpha_{k + ell} < alpha_{k} + alpha_{ell}"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -121,32 +140,15 @@ def _exp_key(values) -> tuple[str, ...]:
 
 
 def _suite_well_definedness(rep: SuiteReport, rng: random.Random) -> None:
-    n_sets = _count(100, rep.scale)
-    for i in range(n_sets):
-        values = _random_finite_set(rng)
-        S = ExplicitFinite(values)
-        k = len(values) + 1  # run past exhaustion to cover the infinite tail
-        ok = True
+    for i in range(_count(100, rep.scale)):
+        S = _random_finite_set(rng)
+        k = len(S.values) + 1  # run past exhaustion to cover the infinite tail
         detail = ""
         for b in range(2, 13):
-            reference = None
-            for variant in range(5):
-                if variant == 0:
-                    run = b_ordering(S, b, k, CANONICAL)
-                else:
-                    policy = RandomTieBreak(rng.randrange(1 << 30))
-                    start = rng.choice(values)
-                    run = b_ordering(S, b, k, policy, start=start)
-                key = _exp_key(run.exponents)
-                if reference is None:
-                    reference = key
-                elif key != reference:
-                    ok = False
-                    detail = f"b={b} variant={variant}: {key} != {reference}"
-                    break
-            if not ok:
+            if detail := _tie_invariance(rng, partial(b_ordering, S, b, k), S.values, 4):
+                detail = f"b={b} {detail}"
                 break
-        rep.add("identical-exponents", {"set": _values_str(values), "k": k}, ok, detail)
+        rep.add("identical-exponents", {"set": _values_str(S.values), "k": k}, not detail, detail)
 
 
 def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
@@ -155,9 +157,8 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(n_seqs):
         kind, S = sets[i % len(sets)]
         if S is None:
-            values = _random_finite_set(rng)
-            S = ExplicitFinite(values)
-            pool = values
+            S = _random_finite_set(rng)
+            pool = S.values
         else:
             pool = list(takewhile(lambda a: abs(a) <= 60, S.iter_canonical()))
         b = rng.randint(2, 12)
@@ -172,16 +173,15 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
         )
     # equality case: initial b-orderings meet the invariants at every prefix
     for i in range(_count(40, rep.scale)):
-        values = _random_finite_set(rng, max_size=10)
-        S = ExplicitFinite(values)
+        S = _random_finite_set(rng, max_size=10)
         b = rng.randint(2, 12)
-        k = rng.randint(1, len(values) - 1)
+        k = rng.randint(1, len(S.values) - 1)
         run = b_ordering(S, b, k)
         report = check_majorization(S, b, run.elements)
         ok = report.ok and report.equality_positions == list(range(k + 1))
         rep.add(
             "equality-on-greedy-prefix",
-            {"set": _values_str(values), "b": b, "k": k},
+            {"set": _values_str(S.values), "b": b, "k": k},
             ok,
             f"equalities={report.equality_positions}" if not ok else "",
         )
@@ -189,39 +189,21 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
 
 def _suite_superadditivity(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(60, rep.scale)):
-        values = _random_finite_set(rng)
-        S = ExplicitFinite(values)
+        S = _random_finite_set(rng)
         b = rng.randint(2, 12)
-        k_max = len(values) + 2
-        alphas = exponent_sequence(S, b, k_max).values
-        ok = True
-        detail = ""
-        for k in range(k_max + 1):
-            for ell in range(k_max + 1 - k):
-                if alphas[k + ell] < alphas[k] + alphas[ell]:
-                    ok = False
-                    detail = f"alpha_{k + ell} < alpha_{k} + alpha_{ell}"
-                    break
-            if not ok:
-                break
-        rep.add("superadditive", {"set": _values_str(values), "b": b}, ok, detail)
+        detail = _superadditivity_miss(exponent_sequence(S, b, len(S.values) + 2).values)
+        rep.add("superadditive", {"set": _values_str(S.values), "b": b}, not detail, detail)
     for S, name, k_max in ((AllIntegers(), "Z", 60), (Primes(), "P", 40)):
         for b in range(2, 13):
-            alphas = exponent_sequence(S, b, k_max).values
-            ok = all(
-                alphas[k + ell] >= alphas[k] + alphas[ell]
-                for k in range(k_max + 1)
-                for ell in range(k_max + 1 - k)
-            )
-            rep.add("superadditive", {"set": name, "b": b, "k_max": k_max}, ok)
+            detail = _superadditivity_miss(exponent_sequence(S, b, k_max).values)
+            rep.add("superadditive", {"set": name, "b": b, "k_max": k_max}, not detail, detail)
 
 
 def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(60, rep.scale)):
-        values = _random_finite_set(rng)
-        S = ExplicitFinite(values)
+        S = _random_finite_set(rng)
         b = rng.randint(2, 12)
-        k_max = len(values) + 2
+        k_max = len(S.values) + 2
         alphas = exponent_sequence(S, b, k_max).values
         nondecreasing = all(alphas[j] <= alphas[j + 1] for j in range(k_max))
         zeros = exponent_sequence(S, 0, k_max).values
@@ -229,12 +211,12 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         extreme = all(zeros[j] <= alphas[j] <= ones[j] for j in range(k_max + 1))
         rep.add(
             "nondecreasing+extreme-bounds",
-            {"set": _values_str(values), "b": b},
+            {"set": _values_str(S.values), "b": b},
             nondecreasing and extreme,
         )
     # set-antitone: a subset has pointwise larger exponents
     for i in range(_count(40, rep.scale)):
-        big = _random_finite_set(rng, max_size=12)
+        big = _random_finite_set(rng, max_size=12).values
         size = rng.randint(2, max(2, len(big) - 1))
         small = sorted(rng.sample(big, size))
         b = rng.randint(2, 12)
@@ -249,7 +231,7 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         )
     # additive values never exceed multiplicative ones; equality at prime b
     for i in range(_count(60, rep.scale)):
-        values = _random_finite_set(rng)
+        values = _random_finite_set(rng).values
         b = rng.randint(2, 12)
         length = rng.randint(2, 7)
         seq = [rng.choice(values) for _ in range(length)]
@@ -262,11 +244,8 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
     # the natural ordering attains the Z invariants for every base at once
     naturals = list(range(41))
     for b in range(2, 13):
-        vals = evaluate_test_sequence(naturals, b)
-        ok = all(
-            v.is_finite and v.value == closedforms.alpha_Z(k, b) for k, v in enumerate(vals)
-        )
-        rep.add("natural-order-attains-invariants", {"b": b, "k_max": 40}, ok)
+        detail = _closed_form_miss(evaluate_test_sequence(naturals, b), closedforms.alpha_Z, b)
+        rep.add("natural-order-attains-invariants", {"b": b, "k_max": 40}, not detail, detail)
 
 
 def _random_base_set(rng: random.Random) -> BaseSet:
@@ -285,10 +264,9 @@ def _random_base_set(rng: random.Random) -> BaseSet:
 def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
     # generalized integers and binomials land in the positive integers
     for i in range(_count(50, rep.scale)):
-        values = _random_finite_set(rng)
-        S = ExplicitFinite(values)
+        S = _random_finite_set(rng)
         T = _random_base_set(rng)
-        n = rng.randint(1, len(values) - 1)
+        n = rng.randint(1, len(S.values) - 1)
         g = gen_integer(S, T, n)
         ok = not g.is_zero and g.value() >= 1
         ell = rng.randint(0, n)
@@ -296,31 +274,29 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
         ok = ok and not bn.is_zero and bn.value() >= 1
         rep.add(
             "integrality",
-            {"set": _values_str(values), "bases": T.spec, "n": n, "l": ell},
+            {"set": _values_str(S.values), "bases": T.spec, "n": n, "l": ell},
             ok,
         )
     # telescoping: the factorial is the product of the generalized integers
     for i in range(_count(25, rep.scale)):
-        values = _random_finite_set(rng, max_size=9)
-        S = ExplicitFinite(values)
+        S = _random_finite_set(rng, max_size=9)
         T = _random_base_set(rng)
-        n = rng.randint(1, len(values) - 1)
+        n = rng.randint(1, len(S.values) - 1)
         prod = FactoredNumber.one()
         for j in range(1, n + 1):
             prod = prod * gen_integer(S, T, j)
         ok = prod == factorial(S, T, n)
-        rep.add("telescoping", {"set": _values_str(values), "bases": T.spec, "n": n}, ok)
+        rep.add("telescoping", {"set": _values_str(S.values), "bases": T.spec, "n": n}, ok)
     # base-set monotone and set-antitone factorial divisibility
     for i in range(_count(40, rep.scale)):
-        values = _random_finite_set(rng)
-        S = ExplicitFinite(values)
+        S = _random_finite_set(rng)
         t2 = sorted(rng.sample(range(2, 16), rng.randint(2, 6)))
         t1 = sorted(rng.sample(t2, rng.randint(1, len(t2))))
-        k = rng.randint(0, len(values) - 1)
+        k = rng.randint(0, len(S.values) - 1)
         f1 = factorial(S, BaseSet.explicit(t1), k)
         f2 = factorial(S, BaseSet.explicit(t2), k)
         ok = f1.exponentwise_divides(f2) and f1.integer_divides(f2)
-        big = _random_finite_set(rng, max_size=12)
+        big = _random_finite_set(rng, max_size=12).values
         small = sorted(rng.sample(big, rng.randint(2, max(2, len(big) - 1))))
         kk = rng.randint(0, len(small) - 1)
         T = _random_base_set(rng)
@@ -334,15 +310,14 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
         )
     # pairwise-difference products are multiples of the factorial run
     for i in range(_count(40, rep.scale)):
-        values = _random_finite_set(rng)
-        S = ExplicitFinite(values)
+        S = _random_finite_set(rng)
         T = BaseSet.range(2, rng.randint(2, 10))
-        length = rng.randint(1, min(6, len(values)))
-        seq = rng.sample(values, length)
+        length = rng.randint(1, min(6, len(S.values)))
+        seq = rng.sample(S.values, length)
         ok = pairwise_multiple_check(S, T, seq)
         rep.add(
             "pairwise-multiple",
-            {"set": _values_str(values), "bases": T.spec, "seq": _values_str(seq)},
+            {"set": _values_str(S.values), "bases": T.spec, "seq": _values_str(seq)},
             ok,
         )
     # the classical counterexample: gcd'ing generalized integers misbehaves...
@@ -362,16 +337,19 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
     rep.add("row-binomials-integral", {"k_max": 30}, ok)
 
 
+def _digit_map(S: ExplicitFinite, b: int):
+    """alpha_0..alpha_{|S|-1}(S, b), and phi_b of S's members at a cap 2 above the largest."""
+    alphas = exponent_sequence(S, b, len(S.values) - 1).values
+    cap = max((v.value for v in alphas if v.is_finite), default=0) + 2
+    return alphas, cap, [phi_b(v, b, cap) for v in S.values]
+
+
 def _suite_transport(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(40, rep.scale)):
-        values = _random_finite_set(rng, max_size=9, span=40)
+        S = _random_finite_set(rng, max_size=9, span=40)
         b = rng.randint(2, 10)
-        S = ExplicitFinite(values)
-        k = len(values) - 1
-        alphas = exponent_sequence(S, b, k).values
-        cap = max((v.value for v in alphas if v.is_finite), default=0) + 2
-        U = [phi_b(v, b, cap) for v in values]
-        run = t_ordering(U, k)
+        alphas, cap, U = _digit_map(S, b)
+        run = t_ordering(U, len(U) - 1)
         ok = True
         detail = ""
         for j, (av, tv) in enumerate(zip(alphas, run.exponents)):
@@ -386,7 +364,7 @@ def _suite_transport(rep: SuiteReport, rng: random.Random) -> None:
                 break
         rep.add(
             "digit-map-preserves-invariants",
-            {"set": _values_str(values), "b": b, "cap": cap},
+            {"set": _values_str(S.values), "b": b, "cap": cap},
             ok,
             detail,
         )
@@ -411,76 +389,40 @@ SERIES_CAP = 16  # truncation cap for random series families
 def _suite_maxmin(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(50, rep.scale)):
         if i % 2 == 0:
-            values = _random_finite_set(rng, max_size=7, span=30)
+            S = _random_finite_set(rng, max_size=7, span=30)
             b = rng.randint(2, 8)
-            alphas = exponent_sequence(ExplicitFinite(values), b, len(values) - 1).values
-            cap = max((v.value for v in alphas if v.is_finite), default=0) + 2
-            U = [phi_b(v, b, cap) for v in values]
-            family = f"phi_{b}({_values_str(values)})"
+            _, _, U = _digit_map(S, b)
+            family = f"phi_{b}({_values_str(S.values)})"
         else:
-            cap = SERIES_CAP
-            U = _random_series_family(rng, cap)
+            U = _random_series_family(rng, SERIES_CAP)
             family = f"random-series[{len(U)}]"
         k = rng.randint(1, len(U) - 1)
-        # invariance under start and tie-break choice
-        reference = None
-        ok = True
-        detail = ""
-        for variant in range(3):
-            if variant == 0:
-                run = t_ordering(U, k)
-            else:
-                run = t_ordering(
-                    U,
-                    k,
-                    policy=RandomTieBreak(rng.randrange(1 << 30)),
-                    start=rng.randrange(len(U)),
-                )
-            key = tuple(v.render() for v in run.exponents)
-            if reference is None:
-                reference = key
-            elif key != reference:
-                ok = False
-                detail = f"variant {variant}: {key} != {reference}"
-                break
-        if ok:
+        detail = _tie_invariance(rng, partial(t_ordering, U, k), range(len(U)), 2)
+        if not detail:
             report = maxmin_check(U, k, samples=12, seed=rng.randrange(1 << 30))
-            ok = report.ok
-            if not ok:
+            if not report.ok:
                 detail = (
                     f"witness {report.witness_min} vs alpha {report.alpha_k}; "
                     f"{report.sample_violations} sample violations"
                 )
-        rep.add("t-ordering-invariance+maxmin", {"family": family, "k": k}, ok, detail)
+        rep.add("t-ordering-invariance+maxmin", {"family": family, "k": k}, not detail, detail)
 
 
 def _suite_closed_forms(rep: SuiteReport, rng: random.Random) -> None:
     Z, P = AllIntegers(), Primes()
-    k_z = _count(100, rep.scale)
-    for b in range(2, 13):
-        run = b_ordering(Z, b, k_z)
-        ok = all(
-            v.is_finite and v.value == closedforms.alpha_Z(k, b)
-            for k, v in enumerate(run.exponents)
-        )
-        rep.add("greedy-matches-floor-sums-Z", {"b": b, "k_max": k_z}, ok)
-    k_p = _count(40, rep.scale)
-    for b in range(2, 13):
-        run = b_ordering(P, b, k_p)
-        ok = all(
-            v.is_finite and v.value == closedforms.alpha_P(k, b)
-            for k, v in enumerate(run.exponents)
-        )
-        rep.add("greedy-matches-totient-formula-P", {"b": b, "k_max": k_p}, ok)
+    for S, k_max, formula, name in (
+        (Z, _count(100, rep.scale), closedforms.alpha_Z, "greedy-matches-floor-sums-Z"),
+        (P, _count(40, rep.scale), closedforms.alpha_P, "greedy-matches-totient-formula-P"),
+    ):
+        for b in range(2, 13):
+            detail = _closed_form_miss(b_ordering(S, b, k_max).exponents, formula, b)
+            rep.add(name, {"b": b, "k_max": k_max}, not detail, detail)
     # explicit witness orderings of the primes, built without the engine
     for b in range(2, 13):
         e = 2 if totient(b) * b >= 25 else 3 if totient(b) * b * b >= 25 else 5
         seq = closedforms.prime_witness_sequence(b, e)
-        vals = evaluate_test_sequence(seq, b)
-        ok = all(
-            v.is_finite and v.value == closedforms.alpha_P(k, b) for k, v in enumerate(vals)
-        )
-        rep.add("prime-witness-sequence", {"b": b, "e": e, "len": len(seq)}, ok)
+        detail = _closed_form_miss(evaluate_test_sequence(seq, b), closedforms.alpha_P, b)
+        rep.add("prime-witness-sequence", {"b": b, "e": e, "len": len(seq)}, not detail, detail)
     ok = factorial(P, BaseSet.explicit([2, 3]), 3).value() == 24
     rep.add("primes-factorial-3-is-24", {}, ok)
     # dual beta implementations agree

@@ -7,7 +7,7 @@ scans, and orderings by exploring every greedy branch.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, takewhile
+from itertools import combinations, combinations_with_replacement, takewhile
 
 INFINITY = None  # oracle-side marker for an infinite valuation
 
@@ -68,6 +68,20 @@ def all_greedy_exponent_tuples(values, b, k):
     for a0 in values:
         rec([a0], [0])
     return results
+
+
+def subset_pair_minimum(values, b, k):
+    """min over (k+1)-subsets A of values of sum_{x<y in A} ord_b(y - x), for b >= 2.
+
+    For a finite S and k < |S| this is alpha_0 + ... + alpha_k of (S, b):
+    every ordering of A has A's pairwise sum as its value sum, which
+    dominates the invariants' prefix sum, and a b-ordering's first k+1
+    elements attain it.  No greedy step, prefix or tie-break rule is used.
+    """
+    return min(
+        sum(ord_oracle(b, y - x) for x, y in combinations(A, 2))
+        for A in combinations(values, k + 1)
+    )
 
 
 def windowed_min(prefix, b, candidates):

@@ -138,7 +138,7 @@ def test_criterion_7_property_suites():
         "maxmin",
     ):
         rep = run_suite(name, seed=97, scale=1.0)
-        assert rep.passed, f"{name}: {[i.as_dict() for i in rep.failures[:3]]}"
+        assert rep.passed, f"{name}: {rep.failures[:3]}"
         if name == "majorization":
             dominance = [i for i in rep.instances if i.name == "prefix-sum-dominance"]
             assert len(dominance) >= 200

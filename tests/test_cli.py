@@ -598,6 +598,22 @@ def test_verify_results_are_byte_identical(capsys):
     assert digest == VERIFY_RESULTS_SHA256
 
 
+# sha256 of the whole stdout of the same command in the other two formats
+VERIFY_OUTPUT_SHA256 = {
+    "text": "669a9441b071c7d6c2c06f91e6ccee23d32792ee6e725d8d98551e2f8ac57c5b",
+    "csv": "925bd5bc6aee41035ba341c4b58abbd96a06d3b5e6990a39af7af3dd02fa43c0",
+}
+
+
+@pytest.mark.parametrize("fmt", VERIFY_OUTPUT_SHA256)
+def test_verify_text_and_csv_are_byte_identical(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--seed", "7", "--scale", "0.1", "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_OUTPUT_SHA256[fmt]
+
+
 def _pinned_cli_argvs():
     fmts = ("text", "csv", "json")
     bases = ("auto", "upto:12", "primes:13", "list:0,1,2,3,6", "range:2..9")

@@ -9,6 +9,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borderings.intsets import (
     AllIntegers,
@@ -39,7 +41,14 @@ from borderings.closedforms import alpha_P, alpha_Z
 import borderings.intsets as intsets_module
 import borderings.ordering as ordering_module
 
-from oracle import all_greedy_exponent_tuples, class_oracle_step, step_value, up_to, windowed_min
+from oracle import (
+    all_greedy_exponent_tuples,
+    class_oracle_step,
+    step_value,
+    subset_pair_minimum,
+    up_to,
+    windowed_min,
+)
 
 
 def as_ints(values):
@@ -246,6 +255,26 @@ class TestBOrdering:
             engine = b_ordering(ExplicitFinite(values), b, k)
             got = tuple(v.value if v.is_finite else None for v in engine.exponents)
             assert got in oracle, (values, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sets(st.integers(-40, 40), min_size=2, max_size=9),
+        st.sampled_from([*range(2, 13), 30]),
+    )
+    def test_prefix_sums_are_subset_minima(self, values, b):
+        values = sorted(values)
+        alphas = as_ints(exponent_sequence(ExplicitFinite(values), b, len(values) - 1).values)
+        for k in range(len(values)):
+            assert sum(alphas[: k + 1]) == subset_pair_minimum(values, b, k), (values, b, k)
+
+    def test_prefix_sums_are_subset_minima_on_larger_sets(self):
+        rng = random.Random(29)
+        for _ in range(6):
+            values = sorted(rng.sample(range(-500, 501), rng.randint(14, 18)))
+            b = rng.choice([2, 3, 4, 6, 10, 12])
+            alphas = as_ints(exponent_sequence(ExplicitFinite(values), b, 3).values)
+            for k in range(4):
+                assert sum(alphas[: k + 1]) == subset_pair_minimum(values, b, k), (values, b, k)
 
     def test_random_policy_same_exponents(self):
         values = [-7, -2, 0, 3, 12, 14]
