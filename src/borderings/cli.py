@@ -180,14 +180,14 @@ def cmd_tables(args) -> int:
     failed = False
     for w in which:
         text = tables.generate(w)
-        diff = tables.compare(w, text)
-        failed = failed or not diff.ok
+        mismatches = tables.compare(w, text)
+        failed = failed or bool(mismatches)
         if args.format == "json":
-            em.add(table=w, matches_golden=diff.ok, mismatches=diff.mismatches, lines=text.splitlines())
+            em.add(table=w, matches_golden=not mismatches, mismatches=mismatches, lines=text.splitlines())
             continue
-        print(f"# table {w}: {'matches golden' if diff.ok else 'MISMATCH'}")
+        print(f"# table {w}: {'MISMATCH' if mismatches else 'matches golden'}")
         sys.stdout.write(text)
-        for m in diff.mismatches:
+        for m in mismatches:
             print(f"# diff: {m}")
     if args.format == "json":
         em.emit()

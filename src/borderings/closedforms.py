@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .intsets import Primes
-from .numerics import digit_sum, floor_sum, omega, omega_totient, prime_factors
+from .numerics import digit_sum, floor_sum, omega_totient, prime_factors
 
 
 def alpha_AP(k: int, b: int, d: int = 1) -> int:
@@ -109,7 +109,7 @@ def equality_profile(k: int, m: int) -> tuple[int, ...]:
 
 def p_test_lower_bound(k: int, b: int) -> int:
     """Lower bound for summed exponent values of any primes test sequence up to k."""
-    w = omega(b)
+    w = omega_totient(b)[0]
     if k < w:
         raise ValueError(f"need k >= omega(b) = {w}, got k = {k}")
     return sum(alpha_P(j, b) for j in range(w, k + 1))

@@ -179,26 +179,9 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def totient(b: int) -> int:
-    """Euler's totient of b >= 1."""
-    if b < 1:
-        raise ValueError(f"totient needs b >= 1, got {b}")
-    result = b
-    for p in prime_factors(b):
-        result -= result // p
-    return result
-
-
-def omega(b: int) -> int:
-    """Number of distinct prime divisors of b >= 2."""
-    if b < 2:
-        raise ValueError(f"omega needs b >= 2, got {b}")
-    return len(prime_factors(b))
-
-
 @lru_cache(maxsize=4096)
 def omega_totient(b: int) -> tuple[int, int]:
-    """omega(b) and totient(b) for b >= 2, both read off one factorisation, kept per b."""
+    """omega(b), its number of distinct prime divisors, and Euler's totient of b >= 1, from one factorisation."""
     factors = prime_factors(b)
     return len(factors), math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
 

@@ -9,7 +9,6 @@ separators, and factored forms are prime-refined canonical text.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 from typing import Optional
 
 from .factored import BaseSet, group_digits
@@ -78,18 +77,8 @@ def golden(which: int) -> str:
     return ref.read_text()
 
 
-@dataclass
-class TableDiff:
-    which: int
-    mismatches: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def compare(which: int, text: Optional[str] = None) -> TableDiff:
-    """Line-level diff of a generated table (regenerated if not given) against its golden file."""
+def compare(which: int, text: Optional[str] = None) -> list[str]:
+    """The lines where a generated table (regenerated if not given) differs from its golden file."""
     gen_lines = (generate(which) if text is None else text).splitlines()
     gold_lines = golden(which).splitlines()
     mismatches = []
@@ -98,4 +87,4 @@ def compare(which: int, text: Optional[str] = None) -> TableDiff:
         h = gold_lines[i] if i < len(gold_lines) else "<missing>"
         if g != h:
             mismatches.append(f"line {i + 1}: generated {g!r} != golden {h!r}")
-    return TableDiff(which, mismatches)
+    return mismatches

@@ -2,18 +2,18 @@
 
 Each suite draws its instances from a single seeded RNG, so identical
 (seed, scale) runs check identical instances.  A failed instance carries
-enough parameters to rerun it by hand; failures indicate implementation
-bugs, not counterexamples to the underlying theory.
+enough parameters to rerun it by hand, and its detail names the first case
+that failed; failures indicate implementation bugs, not counterexamples to
+the underlying theory.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement, takewhile
+from itertools import combinations_with_replacement, count, product, takewhile
 
 from . import closedforms, tables
 from .factored import BaseSet, FactoredNumber
@@ -27,7 +27,7 @@ from .factorials import (
     row_product_direct,
 )
 from .intsets import AllIntegers, ExplicitFinite, Primes
-from .numerics import floor_sum, is_prime, ord_b, totient, omega
+from .numerics import floor_sum, is_prime, omega_totient, ord_b
 from .ordering import (
     CANONICAL,
     RandomTieBreak,
@@ -59,7 +59,6 @@ class SuiteReport:
     seed: int
     scale: float
     instances: list[Instance] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -69,8 +68,9 @@ class SuiteReport:
     def failures(self) -> list[Instance]:
         return [i for i in self.instances if not i.passed]
 
-    def add(self, name: str, params: dict, passed: bool, detail: str = "") -> None:
-        self.instances.append(Instance(name, params, bool(passed), detail))
+    def add(self, name: str, params: dict, miss: str) -> None:
+        """Record an instance that passes exactly when `miss`, its first failing case, is empty."""
+        self.instances.append(Instance(name, params, not miss, miss))
 
     def as_dict(self) -> dict:
         return {
@@ -118,21 +118,27 @@ def _tie_invariance(rng: random.Random, run, starts, reruns: int) -> str:
     return ""
 
 
+def _miss(cases, holds, say) -> str:
+    """say(*case) for the first case where holds(*case) is false, or "" if every case holds."""
+    return next((say(*case) for case in cases if not holds(*case)), "")
+
+
 def _closed_form_miss(values, formula, b: int) -> str:
     """The first k with values[k] != formula(k, b), or "" if there is none."""
-    for k, v in enumerate(values):
-        if v != (want := formula(k, b)):
-            return f"alpha_{k} = {v}, formula gives {want}"
-    return ""
+    return _miss(
+        ((k, v, formula(k, b)) for k, v in enumerate(values)),
+        lambda k, v, want: v == want,
+        "alpha_{} = {}, formula gives {}".format,
+    )
 
 
 def _superadditivity_miss(alphas) -> str:
     """The first (k, l) with alphas[k + l] < alphas[k] + alphas[l], or "" if there is none."""
-    for k in range(len(alphas)):
-        for ell in range(len(alphas) - k):
-            if alphas[k + ell] < alphas[k] + alphas[ell]:
-                return f"alpha_{k + ell} < alpha_{k} + alpha_{ell}"
-    return ""
+    return _miss(
+        ((k, ell) for k in range(len(alphas)) for ell in range(len(alphas) - k)),
+        lambda k, ell: alphas[k + ell] >= alphas[k] + alphas[ell],
+        lambda k, ell: f"alpha_{k + ell} < alpha_{k} + alpha_{ell}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +154,7 @@ def _suite_well_definedness(rep: SuiteReport, rng: random.Random) -> None:
             if detail := _tie_invariance(rng, partial(b_ordering, S, b, k), S.values, 4):
                 detail = f"b={b} {detail}"
                 break
-        rep.add("identical-exponents", {"set": _values_str(S.values), "k": k}, not detail, detail)
+        rep.add("identical-exponents", {"set": _values_str(S.values), "k": k}, detail)
 
 
 def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
@@ -165,12 +171,8 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
         length = rng.randint(2, 8)
         seq = [rng.choice(pool) for _ in range(length)]
         report = check_majorization(S, b, seq)
-        rep.add(
-            "prefix-sum-dominance",
-            {"set": S.spec, "b": b, "seq": _values_str(seq)},
-            report.ok,
-            f"violations at m={report.violations}" if not report.ok else "",
-        )
+        detail = "" if report.ok else f"violations at m={report.violations}"
+        rep.add("prefix-sum-dominance", {"set": S.spec, "b": b, "seq": _values_str(seq)}, detail)
     # equality case: initial b-orderings meet the invariants at every prefix
     for i in range(_count(40, rep.scale)):
         S = _random_finite_set(rng, max_size=10)
@@ -179,12 +181,8 @@ def _suite_majorization(rep: SuiteReport, rng: random.Random) -> None:
         run = b_ordering(S, b, k)
         report = check_majorization(S, b, run.elements)
         ok = report.ok and report.equality_positions == list(range(k + 1))
-        rep.add(
-            "equality-on-greedy-prefix",
-            {"set": _values_str(S.values), "b": b, "k": k},
-            ok,
-            f"equalities={report.equality_positions}" if not ok else "",
-        )
+        detail = "" if ok else f"violations at m={report.violations}, equalities={report.equality_positions}"
+        rep.add("equality-on-greedy-prefix", {"set": _values_str(S.values), "b": b, "k": k}, detail)
 
 
 def _suite_superadditivity(rep: SuiteReport, rng: random.Random) -> None:
@@ -192,11 +190,11 @@ def _suite_superadditivity(rep: SuiteReport, rng: random.Random) -> None:
         S = _random_finite_set(rng)
         b = rng.randint(2, 12)
         detail = _superadditivity_miss(exponent_sequence(S, b, len(S.values) + 2).values)
-        rep.add("superadditive", {"set": _values_str(S.values), "b": b}, not detail, detail)
+        rep.add("superadditive", {"set": _values_str(S.values), "b": b}, detail)
     for S, name, k_max in ((AllIntegers(), "Z", 60), (Primes(), "P", 40)):
         for b in range(2, 13):
             detail = _superadditivity_miss(exponent_sequence(S, b, k_max).values)
-            rep.add("superadditive", {"set": name, "b": b, "k_max": k_max}, not detail, detail)
+            rep.add("superadditive", {"set": name, "b": b, "k_max": k_max}, detail)
 
 
 def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
@@ -205,15 +203,18 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         b = rng.randint(2, 12)
         k_max = len(S.values) + 2
         alphas = exponent_sequence(S, b, k_max).values
-        nondecreasing = all(alphas[j] <= alphas[j + 1] for j in range(k_max))
         zeros = exponent_sequence(S, 0, k_max).values
         ones = exponent_sequence(S, 1, k_max).values
-        extreme = all(zeros[j] <= alphas[j] <= ones[j] for j in range(k_max + 1))
-        rep.add(
-            "nondecreasing+extreme-bounds",
-            {"set": _values_str(S.values), "b": b},
-            nondecreasing and extreme,
+        detail = _miss(
+            zip(count(), alphas, alphas[1:]),
+            lambda j, a, after: a <= after,
+            lambda j, a, after: f"alpha_{j} = {a} > alpha_{j + 1} = {after}",
+        ) or _miss(
+            zip(count(), alphas, zeros, ones),
+            lambda j, a, low, high: low <= a <= high,
+            "alpha_{} = {} outside [{}, {}], its values at b = 0 and 1".format,
         )
+        rep.add("nondecreasing+extreme-bounds", {"set": _values_str(S.values), "b": b}, detail)
     # set-antitone: a subset has pointwise larger exponents
     for i in range(_count(40, rep.scale)):
         big = _random_finite_set(rng, max_size=12).values
@@ -223,12 +224,12 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         k_max = len(small)
         a_small = exponent_sequence(ExplicitFinite(small), b, k_max).values
         a_big = exponent_sequence(ExplicitFinite(big), b, k_max).values
-        ok = all(a_small[j] >= a_big[j] for j in range(k_max + 1))
-        rep.add(
-            "set-antitone",
-            {"small": _values_str(small), "big": _values_str(big), "b": b},
-            ok,
+        detail = _miss(
+            zip(count(), a_small, a_big),
+            lambda j, low, high: low >= high,
+            "alpha_{} = {} on the subset < {} on the set".format,
         )
+        rep.add("set-antitone", {"small": _values_str(small), "big": _values_str(big), "b": b}, detail)
     # additive values never exceed multiplicative ones; equality at prime b
     for i in range(_count(60, rep.scale)):
         values = _random_finite_set(rng).values
@@ -237,15 +238,18 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         seq = [rng.choice(values) for _ in range(length)]
         add = evaluate_test_sequence(seq, b)
         mult = evaluate_multiplicative(seq, b)
-        ok = all(a <= m for a, m in zip(add, mult))
-        if ok and is_prime(b):
-            ok = all(a == m for a, m in zip(add, mult))
-        rep.add("additive-le-multiplicative", {"b": b, "seq": _values_str(seq)}, ok)
+        prime = is_prime(b)
+        detail = _miss(
+            zip(count(), add, mult),
+            lambda j, a, m: a == m if prime else a <= m,
+            "term {}: additive {}, multiplicative {}".format,
+        )
+        rep.add("additive-le-multiplicative", {"b": b, "seq": _values_str(seq)}, detail)
     # the natural ordering attains the Z invariants for every base at once
     naturals = list(range(41))
     for b in range(2, 13):
         detail = _closed_form_miss(evaluate_test_sequence(naturals, b), closedforms.alpha_Z, b)
-        rep.add("natural-order-attains-invariants", {"b": b, "k_max": 40}, not detail, detail)
+        rep.add("natural-order-attains-invariants", {"b": b, "k_max": 40}, detail)
 
 
 def _random_base_set(rng: random.Random) -> BaseSet:
@@ -268,15 +272,14 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
         T = _random_base_set(rng)
         n = rng.randint(1, len(S.values) - 1)
         g = gen_integer(S, T, n)
-        ok = not g.is_zero and g.value() >= 1
         ell = rng.randint(0, n)
         bn = gen_binomial(S, T, n, ell)
-        ok = ok and not bn.is_zero and bn.value() >= 1
-        rep.add(
-            "integrality",
-            {"set": _values_str(S.values), "bases": T.spec, "n": n, "l": ell},
-            ok,
+        detail = _miss(
+            ((f"[{n}]", g), (f"[{n} choose {ell}]", bn)),
+            lambda what, v: not v.is_zero and v.value() >= 1,
+            lambda what, v: f"{what} = {v.format_factored()}",
         )
+        rep.add("integrality", {"set": _values_str(S.values), "bases": T.spec, "n": n, "l": ell}, detail)
     # telescoping: the factorial is the product of the generalized integers
     for i in range(_count(25, rep.scale)):
         S = _random_finite_set(rng, max_size=9)
@@ -285,8 +288,9 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
         prod = FactoredNumber.one()
         for j in range(1, n + 1):
             prod = prod * gen_integer(S, T, j)
-        ok = prod == factorial(S, T, n)
-        rep.add("telescoping", {"set": _values_str(S.values), "bases": T.spec, "n": n}, ok)
+        fact = factorial(S, T, n)
+        detail = "" if prod == fact else f"[1]...[{n}] = {prod.format_factored()}, {n}! = {fact.format_factored()}"
+        rep.add("telescoping", {"set": _values_str(S.values), "bases": T.spec, "n": n}, detail)
     # base-set monotone and set-antitone factorial divisibility
     for i in range(_count(40, rep.scale)):
         S = _random_finite_set(rng)
@@ -295,46 +299,45 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
         k = rng.randint(0, len(S.values) - 1)
         f1 = factorial(S, BaseSet.explicit(t1), k)
         f2 = factorial(S, BaseSet.explicit(t2), k)
-        ok = f1.exponentwise_divides(f2) and f1.integer_divides(f2)
         big = _random_finite_set(rng, max_size=12).values
         small = sorted(rng.sample(big, rng.randint(2, max(2, len(big) - 1))))
         kk = rng.randint(0, len(small) - 1)
         T = _random_base_set(rng)
         f_small = factorial(ExplicitFinite(small), T, kk)
         f_big = factorial(ExplicitFinite(big), T, kk)
-        ok = ok and f_big.exponentwise_divides(f_small) and f_big.integer_divides(f_small)
-        rep.add(
-            "factorial-divisibility",
-            {"T1": t1, "T2": t2, "k": k, "small": _values_str(small), "kk": kk},
-            ok,
+        detail = _miss(
+            ((f"{k}! over T1 into T2", f1, f2), (f"{kk}! over {_values_str(big)} into small", f_big, f_small)),
+            lambda what, d, m: d.exponentwise_divides(m) and d.integer_divides(m),
+            lambda what, d, m: f"{what}: {d.format_factored()} does not divide {m.format_factored()}",
         )
+        rep.add("factorial-divisibility", {"T1": t1, "T2": t2, "k": k, "small": _values_str(small), "kk": kk}, detail)
     # pairwise-difference products are multiples of the factorial run
     for i in range(_count(40, rep.scale)):
         S = _random_finite_set(rng)
         T = BaseSet.range(2, rng.randint(2, 10))
         length = rng.randint(1, min(6, len(S.values)))
         seq = rng.sample(S.values, length)
-        ok = pairwise_multiple_check(S, T, seq)
-        rep.add(
-            "pairwise-multiple",
-            {"set": _values_str(S.values), "bases": T.spec, "seq": _values_str(seq)},
-            ok,
+        detail = _miss(
+            product(T.values),
+            lambda b: pairwise_multiple_check(S, BaseSet.range(b, b), seq),
+            lambda b: f"b={b}: ord_b over the pairwise differences < alpha_0 + ... + alpha_{length - 1}",
         )
+        rep.add("pairwise-multiple", {"set": _values_str(S.values), "bases": T.spec, "seq": _values_str(seq)}, detail)
     # the classical counterexample: gcd'ing generalized integers misbehaves...
     Z = AllIntegers()
     g4 = gen_integer(Z, BaseSet.auto(), 4).value()
     g6 = gen_integer(Z, BaseSet.auto(), 6).value()
     g2 = gen_integer(Z, BaseSet.auto(), 2).value()
     ok = (g4, g6, g2) == (16, 36, 2) and math.gcd(g4, g6) == 4 and math.gcd(g4, g6) != g2
-    rep.add("regular-divisibility-fails", {"values": [g4, g6, g2]}, ok)
+    detail = "" if ok else f"[4], [6], [2] = {g4}, {g6}, {g2}, want 16, 36, 2"
+    rep.add("regular-divisibility-fails", {"values": [g4, g6, g2]}, detail)
     # ...while every row binomial stays integral
-    ok = True
-    for k in range(31):
-        for ell in range(k + 1):
-            v = gen_binomial(Z, BaseSet.auto(), k, ell).value()
-            if v < 1:
-                ok = False
-    rep.add("row-binomials-integral", {"k_max": 30}, ok)
+    detail = _miss(
+        ((k, ell, gen_binomial(Z, BaseSet.auto(), k, ell).value()) for k in range(31) for ell in range(k + 1)),
+        lambda k, ell, v: v >= 1,
+        "[{} choose {}] = {}".format,
+    )
+    rep.add("row-binomials-integral", {"k_max": 30}, detail)
 
 
 def _digit_map(S: ExplicitFinite, b: int):
@@ -350,24 +353,12 @@ def _suite_transport(rep: SuiteReport, rng: random.Random) -> None:
         b = rng.randint(2, 10)
         alphas, cap, U = _digit_map(S, b)
         run = t_ordering(U, len(U) - 1)
-        ok = True
-        detail = ""
-        for j, (av, tv) in enumerate(zip(alphas, run.exponents)):
-            if av.is_finite:
-                if not (tv.exact and tv.floor == av.value):
-                    ok = False
-                    detail = f"k={j}: integer side {av}, series side {tv.render()}"
-                    break
-            elif tv.exact:
-                ok = False
-                detail = f"k={j}: integer side inf, series side {tv.render()}"
-                break
-        rep.add(
-            "digit-map-preserves-invariants",
-            {"set": _values_str(S.values), "b": b, "cap": cap},
-            ok,
-            detail,
+        detail = _miss(
+            zip(count(), alphas, run.exponents),
+            lambda j, av, tv: (tv.exact and tv.floor == av.value) if av.is_finite else not tv.exact,
+            lambda j, av, tv: f"k={j}: integer side {av}, series side {tv.render()}",
         )
+        rep.add("digit-map-preserves-invariants", {"set": _values_str(S.values), "b": b, "cap": cap}, detail)
 
 
 def _random_series_family(rng: random.Random, cap: int) -> list[TruncatedSeries]:
@@ -405,109 +396,121 @@ def _suite_maxmin(rep: SuiteReport, rng: random.Random) -> None:
                     f"witness {report.witness_min} vs alpha {report.alpha_k}; "
                     f"{report.sample_violations} sample violations"
                 )
-        rep.add("t-ordering-invariance+maxmin", {"family": family, "k": k}, not detail, detail)
+        rep.add("t-ordering-invariance+maxmin", {"family": family, "k": k}, detail)
+
+
+def _partition_minimum(k: int, m: int) -> tuple[int, list[tuple[int, ...]]]:
+    """By brute force: the least sum of C(p, 2) over m parts p summing to k, and every partition attaining it."""
+    best, best_parts = None, []
+    for parts in combinations_with_replacement(range(k + 1), m):
+        if sum(parts) != k:
+            continue
+        s = sum(p * (p - 1) // 2 for p in parts)
+        if best is None or s < best:
+            best, best_parts = s, [parts]
+        elif s == best:
+            best_parts.append(parts)
+    return best, best_parts
+
+
+def _floor_sum_forms(k: int, m: int) -> tuple[int, int, int, int, int]:
+    """k, m, then sum(i // m for i < k) by direct summation, by floor_sum and by the weighted form."""
+    q = k // m
+    weighted = (k - m * q) * (q + 1) * q // 2 + (m - k + m * q) * q * (q - 1) // 2
+    return k, m, sum(i // m for i in range(k)), floor_sum(k, m), weighted
 
 
 def _suite_closed_forms(rep: SuiteReport, rng: random.Random) -> None:
-    Z, P = AllIntegers(), Primes()
+    Z, P, auto = AllIntegers(), Primes(), BaseSet.auto()
     for S, k_max, formula, name in (
         (Z, _count(100, rep.scale), closedforms.alpha_Z, "greedy-matches-floor-sums-Z"),
         (P, _count(40, rep.scale), closedforms.alpha_P, "greedy-matches-totient-formula-P"),
     ):
         for b in range(2, 13):
             detail = _closed_form_miss(b_ordering(S, b, k_max).exponents, formula, b)
-            rep.add(name, {"b": b, "k_max": k_max}, not detail, detail)
+            rep.add(name, {"b": b, "k_max": k_max}, detail)
     # explicit witness orderings of the primes, built without the engine
     for b in range(2, 13):
-        e = 2 if totient(b) * b >= 25 else 3 if totient(b) * b * b >= 25 else 5
+        phi = omega_totient(b)[1]
+        e = 2 if phi * b >= 25 else 3 if phi * b * b >= 25 else 5
         seq = closedforms.prime_witness_sequence(b, e)
         detail = _closed_form_miss(evaluate_test_sequence(seq, b), closedforms.alpha_P, b)
-        rep.add("prime-witness-sequence", {"b": b, "e": e, "len": len(seq)}, not detail, detail)
-    ok = factorial(P, BaseSet.explicit([2, 3]), 3).value() == 24
-    rep.add("primes-factorial-3-is-24", {}, ok)
+        rep.add("prime-witness-sequence", {"b": b, "e": e, "len": len(seq)}, detail)
+    v = factorial(P, BaseSet.explicit([2, 3]), 3).value()
+    rep.add("primes-factorial-3-is-24", {}, "" if v == 24 else f"3! over P and bases 2, 3 is {v}")
     # dual beta implementations agree
-    ok = all(
-        closedforms.beta(k, ell, b) == closedforms.beta_digit(k, ell, b)
-        for k in range(0, _count(120, rep.scale))
-        for ell in range(k + 1)
-        for b in (2, 3, 5, 6, 10, 12)
+    k_max = _count(120, rep.scale)
+    cases = ((k, ell, b) for k in range(k_max) for ell in range(k + 1) for b in (2, 3, 5, 6, 10, 12))
+    detail = _miss(
+        ((k, ell, b, closedforms.beta(k, ell, b), closedforms.beta_digit(k, ell, b)) for k, ell, b in cases),
+        lambda k, ell, b, floors, digits: floors == digits,
+        "k={} l={} b={}: beta {}, beta_digit {}".format,
     )
-    rep.add("beta-floor-equals-beta-digit", {"k_max": _count(120, rep.scale)}, ok)
+    rep.add("beta-floor-equals-beta-digit", {"k_max": k_max}, detail)
     # generalized integers over Z factor through plain valuations
-    ok = all(
-        gen_integer(Z, BaseSet.auto(), n).exponent(b) == ord_b(b, n)
-        for n in range(1, 61)
-        for b in range(2, n + 1)
+    detail = _miss(
+        ((n, b, gen_integer(Z, auto, n).exponent(b), ord_b(b, n)) for n in range(1, 61) for b in range(2, n + 1)),
+        lambda n, b, e, v: e == v,
+        "[{}]: exponent of {} is {}, ord_b gives {}".format,
     )
-    rep.add("integer-exponents-are-valuations", {"n_max": 60}, ok)
+    rep.add("integer-exponents-are-valuations", {"n_max": 60}, detail)
     # partition-minimisation bound: brute force vs floor sums, with profiles
-    ok = True
-    detail = ""
-    for k in range(13):
-        for m in range(1, 7):
-            best, best_parts = None, []
-            for parts in combinations_with_replacement(range(k + 1), m):
-                if sum(parts) != k:
-                    continue
-                s = sum(p * (p - 1) // 2 for p in parts)
-                if best is None or s < best:
-                    best, best_parts = s, [parts]
-                elif s == best:
-                    best_parts.append(parts)
-            want = closedforms.lemma82_min(k, m)
-            profile = tuple(sorted(closedforms.equality_profile(k, m)))
-            if best != want or best_parts != [profile]:
-                ok = False
-                detail = f"k={k} m={m}: brute {best}/{best_parts} vs {want}/{profile}"
-    rep.add("partition-minimum-and-profile", {"k_max": 12, "m_max": 6}, ok, detail)
+    detail = _miss(
+        (
+            (k, m, *_partition_minimum(k, m), closedforms.lemma82_min(k, m),
+             tuple(sorted(closedforms.equality_profile(k, m))))
+            for k, m in product(range(13), range(1, 7))
+        ),
+        lambda k, m, best, parts, want, profile: best == want and parts == [profile],
+        "k={} m={}: brute {}/{} vs {}/{}".format,
+    )
+    rep.add("partition-minimum-and-profile", {"k_max": 12, "m_max": 6}, detail)
     # floor sums: direct summation, weighted form, and the compact identity
-    ok = True
-    for k in range(0, 201):
-        for m in range(1, 51):
-            direct = sum(i // m for i in range(k))
-            q = k // m
-            weighted = (k - m * q) * (q + 1) * q // 2 + (m - k + m * q) * q * (q - 1) // 2
-            if not (direct == floor_sum(k, m) == weighted):
-                ok = False
-    rep.add("floor-sum-forms-agree", {"k_max": 200, "m_max": 50}, ok)
-    # spot-document the bad compact variant: C(q,2) in place of C(q+1,2)
+    detail = _miss(
+        (_floor_sum_forms(k, m) for k, m in product(range(201), range(1, 51))),
+        lambda k, m, direct, closed, weighted: direct == closed == weighted,
+        "k={} m={}: direct {}, floor_sum {}, weighted {}".format,
+    )
+    rep.add("floor-sum-forms-agree", {"k_max": 200, "m_max": 50}, detail)
+    # spot-document the bad compact variant: C(q,2) in place of C(q+1,2); it passes with this note
     q = 7 // 3
     bad = 7 * q - 3 * (q * (q - 1) // 2)
-    rep.add(
-        "compact-identity-variant-is-wrong",
-        {"k": 7, "m": 3, "direct": 5, "bad_variant": bad},
-        floor_sum(7, 3) == 5 and bad == 11,
-        "the compact form needs C(q+1,2); the C(q,2) variant gives 11, not 5",
-    )
+    params = {"k": 7, "m": 3, "direct": 5, "bad_variant": bad}
+    note = "the compact form needs C(q+1,2); the C(q,2) variant gives 11, not 5"
+    ok = floor_sum(7, 3) == 5 and bad == 11
+    rep.instances.append(Instance("compact-identity-variant-is-wrong", params, ok, note))
     # cumulative bound for primes test sequences
-    ok = all(
-        closedforms.p_test_lower_bound(k, b)
-        == sum(closedforms.alpha_P(j, b) for j in range(k + 1))
-        for b in range(2, 13)
-        for k in range(omega(b), 41)
+    cases = ((b, k) for b in range(2, 13) for k in range(omega_totient(b)[0], 41))
+    detail = _miss(
+        (
+            (b, k, closedforms.p_test_lower_bound(k, b), sum(closedforms.alpha_P(j, b) for j in range(k + 1)))
+            for b, k in cases
+        ),
+        lambda b, k, bound, total: bound == total,
+        "b={} k={}: bound {}, sum of alpha_P {}".format,
     )
-    rep.add("p-test-bound-unfolds", {"k_max": 40}, ok)
+    rep.add("p-test-bound-unfolds", {"k_max": 40}, detail)
     # row products: digit formula vs direct binomial products, and beta sums
     n_max = _count(25, rep.scale)
-    ok = all(row_product(n) == row_product_direct(n) for n in range(1, n_max + 1))
-    rep.add("row-product-direct", {"n_max": n_max}, ok)
-    ok = all(
-        nu_bar(n, b) == sum(closedforms.beta(n, k, b) for k in range(n + 1))
-        for n in range(1, _count(60, rep.scale) + 1)
-        for b in range(2, n + 1)
+    detail = _miss(
+        ((n, row_product(n), row_product_direct(n)) for n in range(1, n_max + 1)),
+        lambda n, got, want: got == want,
+        lambda n, got, want: f"n={n}: digit formula {got.format_factored()}, direct {want.format_factored()}",
     )
-    rep.add("row-exponent-equals-beta-sum", {"n_max": _count(60, rep.scale)}, ok)
+    rep.add("row-product-direct", {"n_max": n_max}, detail)
+    n_max = _count(60, rep.scale)
+    cases = ((n, b) for n in range(1, n_max + 1) for b in range(2, n + 1))
+    detail = _miss(
+        ((n, b, nu_bar(n, b), sum(closedforms.beta(n, k, b) for k in range(n + 1))) for n, b in cases),
+        lambda n, b, nu, total: nu == total,
+        "n={} b={}: nu_bar {}, sum of beta {}".format,
+    )
+    rep.add("row-exponent-equals-beta-sum", {"n_max": n_max}, detail)
 
 
 def _suite_tables(rep: SuiteReport, rng: random.Random) -> None:
     for which in tables.TABLE_NAMES:
-        diff = tables.compare(which)
-        rep.add(
-            f"table-{which}",
-            {"table": which},
-            diff.ok,
-            "; ".join(diff.mismatches[:3]),
-        )
+        rep.add(f"table-{which}", {"table": which}, "; ".join(tables.compare(which)[:3]))
 
 
 _SUITES = {
@@ -530,12 +533,5 @@ def run_suite(name: str, seed: int = 0, scale: float = 1.0) -> SuiteReport:
     if not 0 < scale <= SCALE_MAX:
         raise ValueError(f"scale must satisfy 0 < scale <= {SCALE_MAX}, got {scale}")
     rep = SuiteReport(name, seed, scale)
-    rng = random.Random(seed)
-    t0 = time.perf_counter()
-    _SUITES[name](rep, rng)
-    rep.elapsed = time.perf_counter() - t0
+    _SUITES[name](rep, random.Random(seed))
     return rep
-
-
-def run_all(seed: int = 0, scale: float = 1.0) -> list[SuiteReport]:
-    return [run_suite(name, seed=seed, scale=scale) for name in SUITE_NAMES]

@@ -21,7 +21,7 @@ from borderings.closedforms import (
 from borderings.factored import BaseSet
 from borderings.factorials import factorial
 from borderings.intsets import Primes
-from borderings.numerics import digit_sum, floor_sum, omega, totient
+from borderings.numerics import digit_sum, floor_sum, omega_totient
 from borderings.ordering import b_ordering, evaluate_test_sequence
 
 from oracle import partition_minimum, up_to
@@ -99,7 +99,7 @@ class TestAlphaP:
         assert alpha_P(3, 2) == 3
         assert alpha_P(3, 3) == 1
         for b in range(2, 30):
-            for k in range(totient(b) + omega(b)):
+            for k in range(sum(omega_totient(b))):
                 assert alpha_P(k, b) == 0
 
     def test_base_is_factored_once(self, monkeypatch):
@@ -126,7 +126,7 @@ class TestAlphaP:
         # prime in each coprime class mod b^e, classes ascending
         for b, e in ((2, 5), (3, 3), (6, 2), (10, 2), (12, 2)):
             seq = prime_witness_sequence(b, e)
-            assert len(seq) == omega(b) + totient(b**e)
+            assert len(seq) == omega_totient(b)[0] + omega_totient(b**e)[1]
             assert len(set(seq)) == len(seq)
             vals = evaluate_test_sequence(seq, b)
             for k, v in enumerate(vals):
@@ -185,7 +185,7 @@ class TestPTestBound:
 
     def test_unfolds_to_cumulative_alpha(self):
         for b in range(2, 13):
-            for k in range(omega(b), 41):
+            for k in range(omega_totient(b)[0], 41):
                 assert p_test_lower_bound(k, b) == sum(alpha_P(j, b) for j in range(k + 1))
 
     def test_bounds_random_prime_sequences(self):
@@ -196,7 +196,7 @@ class TestPTestBound:
         rng = random.Random(6)
         for _ in range(40):
             b = rng.randint(2, 12)
-            k = rng.randint(omega(b), 8)
+            k = rng.randint(omega_totient(b)[0], 8)
             seq = [rng.choice(pool) for _ in range(k + 1)]
             total = 0
             vals = evaluate_test_sequence(seq, b)

@@ -18,7 +18,7 @@ from borderings.factored import (
     parse_base_spec,
 )
 from borderings.intsets import AllIntegers, ArithmeticProgression, NonnegativeIntegers, Primes
-from borderings.numerics import INF, ExtNat, omega, totient
+from borderings.numerics import INF, ExtNat, omega_totient
 
 
 class TestConventions:
@@ -173,17 +173,17 @@ class TestBaseSets:
         P = Primes()
         for k in (3, 5, 8, 12):
             bases = BaseSet.auto().resolve(P, k)
-            assert all(totient(b) + omega(b) <= k for b in bases)
+            assert all(sum(omega_totient(b)) <= k for b in bases)
             # nothing above the resolved list can still qualify
             top = max(bases)
             for b in range(top + 1, 2 * k * k + 2):
-                assert totient(b) + omega(b) > k
+                assert sum(omega_totient(b)) > k
         assert BaseSet.auto().resolve(P, 3) == (2, 3, 4)
 
     def test_auto_for_primes_sieve_matches_trial_division(self):
         # the sieve gives the same bases as filtering with totient and omega
         n = 2 * AUTO_K_MAX_P**2 + 1
-        weight = [0, 0] + [totient(b) + omega(b) for b in range(2, n + 1)]
+        weight = [0, 0] + [sum(omega_totient(b)) for b in range(2, n + 1)]
         for k in range(1, AUTO_K_MAX_P + 1):
             want = tuple(b for b in range(2, 2 * k * k + 2) if weight[b] <= k)
             assert BaseSet.auto().resolve(Primes(), k) == want, k

@@ -14,11 +14,10 @@ from borderings.numerics import (
     digits,
     floor_sum,
     is_prime,
-    omega,
+    omega_totient,
     ord_b,
     prime_factors,
     primes_up_to,
-    totient,
     totients_and_omegas,
 )
 
@@ -196,22 +195,21 @@ class TestFloorSum:
 
 class TestArithmeticFunctions:
     def test_examples(self):
-        assert totient(12) == 4
-        assert omega(12) == 2
-        assert totient(1) == 1
+        assert omega_totient(12) == (2, 4)
+        assert omega_totient(1)[1] == 1
         for p in (2, 3, 5, 7, 11, 13):
-            assert totient(p) == p - 1
+            assert omega_totient(p)[1] == p - 1
 
     def test_totient_prime_power_rule(self):
         for b in range(2, 30):
             for n in range(1, 5):
-                assert totient(b**n) == b ** (n - 1) * totient(b)
+                assert omega_totient(b**n)[1] == b ** (n - 1) * omega_totient(b)[1]
 
     def test_sieve_matches_trial_division(self):
         phi, omegas = totients_and_omegas(3000)
         assert len(phi) == len(omegas) == 3001
         for b in range(2, 3001):
-            assert (phi[b], omegas[b]) == (totient(b), omega(b)), b
+            assert (omegas[b], phi[b]) == omega_totient(b), b
 
     def test_primes(self):
         assert is_prime(2)

@@ -10,8 +10,9 @@ import pytest
 
 import borderings.verify as verify
 from borderings.cli import main
+from borderings.factored import FactoredNumber
 from borderings.numerics import ExtNat
-from borderings.verify import SCALE_MAX, SUITE_NAMES, run_all, run_suite
+from borderings.verify import SCALE_MAX, SUITE_NAMES, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -43,8 +44,8 @@ def test_report_structure():
     assert all(set(i) >= {"name", "params", "passed"} for i in d["instances"])
 
 
-def test_run_all_covers_every_suite():
-    reports = run_all(seed=1, scale=0.05)
+def test_every_suite_passes():
+    reports = [run_suite(name, seed=1, scale=0.05) for name in SUITE_NAMES]
     assert [r.suite for r in reports] == list(SUITE_NAMES)
     assert all(r.passed for r in reports)
 
@@ -55,7 +56,8 @@ def _reruns(*args, **kwargs):
 
 
 # (suite, function verify calls, which of its calls to corrupt, the result
-# field, how to corrupt it, the instance family that must then fail)
+# field (None for the whole result), how to corrupt it, the instance family
+# that must then fail)
 FAULTS = {
     "well-definedness": (
         "well-definedness",
@@ -89,6 +91,30 @@ FAULTS = {
         lambda e: [*e[:3], e[3] + 1, *e[4:]],
         "greedy-matches-floor-sums-Z",
     ),
+    "monotonicity": (
+        "monotonicity",
+        "exponent_sequence",
+        lambda S, b, k: b >= 2,
+        "values",
+        lambda v: [v[0], ExtNat(99), *v[2:]],
+        "nondecreasing+extreme-bounds",
+    ),
+    "integrality": (
+        "divisibility",
+        "gen_binomial",
+        lambda *args: True,
+        None,
+        lambda v: FactoredNumber.zero(),
+        "integrality",
+    ),
+    "row-product": (
+        "closed-forms",
+        "row_product",
+        lambda n: n == 2,
+        None,
+        lambda v: v * FactoredNumber({2: 1}),
+        "row-product-direct",
+    ),
 }
 
 
@@ -104,7 +130,7 @@ def _inject(monkeypatch, fault):
         if hit or not when(*args, **kwargs):
             return out
         hit.append(True)
-        return SimpleNamespace(**{field: corrupt(getattr(out, field))})
+        return corrupt(out) if field is None else SimpleNamespace(**{field: corrupt(getattr(out, field))})
 
     monkeypatch.setattr(verify, name, patched)
     return suite
