@@ -13,26 +13,29 @@ above a finite set's diameter, or the greedy engine's residue walk, which
 holds every unused member of any other finite set at its exact value.
 
 Exit codes: 0 success, 1 property or table-comparison failure,
-2 usage/spec error or an input over one of the limits below.
+2 usage/spec error or an input over one of the limits below, 141 stdout
+closed by its reader before the output was written (as `| head` does).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 
 from . import __version__, tables, verify
 from .factored import FactoredNumber, group_digits, parse_base_spec
 from .factorials import factorial, gen_binomial, gen_integer, row_product
 from .intsets import SearchExhausted, parse_set_spec
-from .numerics import ExtNat
 from .ordering import exponent_sequence
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_CLOSED_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 # Largest value, in bits, the CLI prints as a decimal.  Python's int to
 # decimal conversion is quadratic: on a 2-vCPU Xeon under Python 3.11 a
@@ -74,52 +77,6 @@ def _decimal(value: FactoredNumber) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-def _render_extnat(v: ExtNat, fmt: str) -> str:
-    if v.is_finite:
-        return str(v.value)
-    return "∞" if fmt == "text" else "inf"
-
-
-class _Emitter:
-    """Collects rows and emits them in the selected format."""
-
-    def __init__(self, fmt: str, config: dict, columns: list[str]):
-        self.fmt = fmt
-        self.config = config
-        self.columns = columns
-        self.rows: list[dict] = []
-
-    def add(self, **row) -> None:
-        self.rows.append(row)
-
-    def header_line(self) -> str:
-        parts = [f"{k}={v}" for k, v in self.config.items()]
-        return f"# borderings {__version__} | " + " ".join(parts)
-
-    def emit(self, out=None) -> None:
-        out = out if out is not None else sys.stdout
-        if self.fmt == "json":
-            doc = {"version": __version__, "config": self.config, "results": self.rows}
-            print(json.dumps(doc, indent=2), file=out)
-            return
-        print(self.header_line(), file=out)
-        if self.fmt == "csv":
-            print(",".join(self.columns), file=out)
-            for row in self.rows:
-                print(",".join(_csv_cell(row.get(c, "")) for c in self.columns), file=out)
-        else:
-            widths = {
-                c: max([len(c)] + [len(str(r.get(c, ""))) for r in self.rows])
-                for c in self.columns
-            }
-            print("  ".join(c.ljust(widths[c]) for c in self.columns), file=out)
-            for row in self.rows:
-                print(
-                    "  ".join(str(row.get(c, "")).ljust(widths[c]) for c in self.columns),
-                    file=out,
-                )
-
-
 def _csv_cell(v) -> str:
     s = str(v)
     if "," in s or '"' in s:
@@ -127,12 +84,30 @@ def _csv_cell(v) -> str:
     return s
 
 
-def _header(args, **params) -> dict:
-    """command + parameters + format (+ seed)."""
-    header = {"command": args.command, **params, "format": args.format}
+def _emit(args, params: dict, columns: list[str], rows: list[dict], lines=None) -> None:
+    """Print one run's output under its reproducibility header; the CLI's only writer to stdout.
+
+    The header holds the command, params and format, plus the seed when args
+    has one.  json prints one {"version", "config", "results"} document of
+    rows; text and csv print the `# borderings` header line, then `lines`
+    when given, else the rows as CSV or as aligned columns.
+    """
+    config = {"command": args.command, **params, "format": args.format}
     if hasattr(args, "seed"):
-        header["seed"] = args.seed
-    return header
+        config["seed"] = args.seed
+    if args.format == "json":
+        print(json.dumps({"version": __version__, "config": config, "results": rows}, indent=2))
+        return
+    print(f"# borderings {__version__} | " + " ".join(f"{k}={v}" for k, v in config.items()))
+    if lines is None:  # one line at a time: exponents prints up to EXPONENTS_K_MAX + 1 rows
+        table = itertools.chain([columns], ([str(row.get(c, "")) for c in columns] for row in rows))
+        if args.format == "csv":
+            lines = (",".join(map(_csv_cell, cells)) for cells in table)
+        else:
+            widths = [max([len(c)] + [len(str(row.get(c, ""))) for row in rows]) for c in columns]
+            lines = ("  ".join(s.ljust(w) for s, w in zip(cells, widths)) for cells in table)
+    for line in lines:
+        print(line)
 
 
 def cmd_exponents(args) -> int:
@@ -140,11 +115,10 @@ def cmd_exponents(args) -> int:
         raise ValueError(f"exponents is limited to k <= {EXPONENTS_K_MAX}, got k = {args.k}")
     S = parse_set_spec(args.set)
     seq = exponent_sequence(S, args.base, args.k)
-    header = _header(args, set=S.spec, base=args.base, k=args.k, source=seq.source)
-    em = _Emitter(args.format, header, ["i", "alpha"])
-    for i, v in enumerate(seq.values):
-        em.add(i=i, alpha=_render_extnat(v, args.format))
-    em.emit()
+    infinity = "∞" if args.format == "text" else "inf"
+    rows = [{"i": i, "alpha": str(v.value) if v.is_finite else infinity} for i, v in enumerate(seq.values)]
+    params = {"set": S.spec, "base": args.base, "k": args.k, "source": seq.source}
+    _emit(args, params, ["i", "alpha"], rows)
     return EXIT_OK
 
 
@@ -161,85 +135,67 @@ def cmd_factored(args) -> int:
     compute, names, _ = _FACTORED[args.command]
     numbers = {name: getattr(args, name) for name in names}
     value = compute(S, T, *numbers.values())
-    header = _header(args, set=S.spec, bases=T.spec, **numbers)
-    em = _Emitter(args.format, header, ["decimal", "factored", "factored_bases"])
-    em.add(
-        decimal=_decimal(value),
-        factored=value.refine_to_primes().format_factored(),
-        factored_bases=value.format_factored(),
-    )
-    em.emit()
+    row = {
+        "decimal": _decimal(value),
+        "factored": value.refine_to_primes().format_factored(),
+        "factored_bases": value.format_factored(),
+    }
+    _emit(args, {"set": S.spec, "bases": T.spec, **numbers}, list(row), [row])
     return EXIT_OK
 
 
 def cmd_tables(args) -> int:
     which = tables.TABLE_NAMES if args.which == "all" else (int(args.which),)
-    em = _Emitter(args.format, _header(args, which=args.which), [])
-    if args.format != "json":
-        print(em.header_line())
-    failed = False
+    rows, lines = [], []
     for w in which:
         text = tables.generate(w)
         mismatches = tables.compare(w, text)
-        failed = failed or bool(mismatches)
-        if args.format == "json":
-            em.add(table=w, matches_golden=not mismatches, mismatches=mismatches, lines=text.splitlines())
-            continue
-        print(f"# table {w}: {'MISMATCH' if mismatches else 'matches golden'}")
-        sys.stdout.write(text)
-        for m in mismatches:
-            print(f"# diff: {m}")
-    if args.format == "json":
-        em.emit()
-    return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
+        rows.append(
+            {"table": w, "matches_golden": not mismatches, "mismatches": mismatches, "lines": text.splitlines()}
+        )
+        lines.append(f"# table {w}: {'MISMATCH' if mismatches else 'matches golden'}")
+        lines += text.splitlines() + [f"# diff: {m}" for m in mismatches]
+    _emit(args, {"which": args.which}, [], rows, lines)
+    return EXIT_PROPERTY_FAILURE if any(row["mismatches"] for row in rows) else EXIT_OK
 
 
 def cmd_rowproduct(args) -> int:
     if args.n > ROWPRODUCT_N_MAX:
         raise ValueError(f"rowproduct is limited to n <= {ROWPRODUCT_N_MAX}, got n = {args.n}")
     value = row_product(args.n, args.x)
-    header = _header(args, n=args.n, x=args.x if args.x is not None else "")
-    em = _Emitter(args.format, header, ["n", "x", "decimal", "factored", "digits"])
     decimal = _decimal(value)
-    em.add(
-        n=args.n,
-        x=args.x if args.x is not None else args.n,
-        decimal=decimal,
-        factored=value.refine_to_primes().format_factored(),
-        digits=len(decimal.replace(",", "")),
-    )
-    em.emit()
+    row = {
+        "n": args.n,
+        "x": args.x if args.x is not None else args.n,
+        "decimal": decimal,
+        "factored": value.refine_to_primes().format_factored(),
+        "digits": len(decimal.replace(",", "")),
+    }
+    _emit(args, {"n": args.n, "x": args.x if args.x is not None else ""}, list(row), [row])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    header = _header(args, suite=args.suite, scale=args.scale)
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = [verify.run_suite(name, seed=args.seed, scale=args.scale) for name in names]
-    all_passed = all(r.passed for r in reports)
-    em = _Emitter(args.format, header, ["suite", "instance", "passed", "params", "detail"])
-    if args.format == "text":
-        print(em.header_line())
+    columns = ["suite", "instance", "passed", "params", "detail"]
+    rows, lines = [], None
+    if args.format == "json":
+        rows = [r.as_dict() for r in reports]
+    elif args.format == "csv":
+        rows = [
+            dict(zip(columns, (r.suite, i.name, i.passed, json.dumps(i.params, sort_keys=True), i.detail)))
+            for r in reports
+            for i in r.instances
+        ]
+    else:
+        lines = []
         for r in reports:
             tag = "PASS" if r.passed else "FAIL"
-            print(f"{tag} {r.suite}: {len(r.instances)} instances, {len(r.failures)} failed")
-            for inst in r.failures:
-                print(f"  FAIL {inst.name} {json.dumps(inst.params, sort_keys=True)} {inst.detail}")
-        return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
-    for r in reports:
-        if args.format == "json":
-            em.add(**r.as_dict())
-            continue
-        for inst in r.instances:
-            em.add(
-                suite=r.suite,
-                instance=inst.name,
-                passed=inst.passed,
-                params=json.dumps(inst.params, sort_keys=True),
-                detail=inst.detail,
-            )
-    em.emit()
-    return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
+            lines.append(f"{tag} {r.suite}: {len(r.instances)} instances, {len(r.failures)} failed")
+            lines += [f"  FAIL {i.name} {json.dumps(i.params, sort_keys=True)} {i.detail}" for i in r.failures]
+    _emit(args, {"suite": args.suite, "scale": args.scale}, columns, rows, lines)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_PROPERTY_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,10 +262,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalise --version/-h to 0
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
     except (ValueError, SearchExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the exit-time flush of
+        # what is still buffered cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -448,8 +448,9 @@ def _suite_closed_forms(rep: SuiteReport, rng: random.Random) -> None:
     )
     rep.add("beta-floor-equals-beta-digit", {"k_max": k_max}, detail)
     # generalized integers over Z factor through plain valuations
+    integers = {n: gen_integer(Z, auto, n) for n in range(2, 61)}
     detail = _miss(
-        ((n, b, gen_integer(Z, auto, n).exponent(b), ord_b(b, n)) for n in range(1, 61) for b in range(2, n + 1)),
+        ((n, b, integer.exponent(b), ord_b(b, n)) for n, integer in integers.items() for b in range(2, n + 1)),
         lambda n, b, e, v: e == v,
         "[{}]: exponent of {} is {}, ord_b gives {}".format,
     )

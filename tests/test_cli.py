@@ -400,6 +400,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.stdout.split("# table 2: matches golden\n", 1)[1] == tables.golden(2)
 
 
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # about 1 MB of output, more than a pipe buffer holds, so the write after
+    # the reader has gone fails whatever the timing
+    src = str(pathlib.Path(borderings.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "borderings", "exponents", "--set", "ap:0,1", "--base", "2", "--k", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# borderings ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+
+
 class TestRowProduct:
     def test_values(self, capsys):
         code, out, _ = run_cli(capsys, "rowproduct", "--n", "2")
@@ -611,6 +626,21 @@ def test_verify_text_and_csv_are_byte_identical(capsys, fmt):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_OUTPUT_SHA256[fmt]
+
+
+# sha256 of the whole stdout of `tables --which all` in csv and json; the text
+# bytes are pinned by CI
+TABLES_OUTPUT_SHA256 = {
+    "csv": "72117907a76ac2ef7ff383d7713f8ac9c87305d229cf1bcc02e6e061b0bf4bc0",
+    "json": "788467a898ec7c47e81daaf243d8ee53ba40779c2d5d9d0faa26976a321c2c5b",
+}
+
+
+@pytest.mark.parametrize("fmt", TABLES_OUTPUT_SHA256)
+def test_tables_csv_and_json_are_byte_identical(capsys, fmt):
+    code, out, _ = run_cli(capsys, "tables", "--which", "all", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_OUTPUT_SHA256[fmt]
 
 
 def _pinned_cli_argvs():
