@@ -50,8 +50,7 @@ def gen_integer(S: IntegerSet, T: BaseSet, n: int) -> FactoredNumber:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     bases = T.resolve(S, n)
-    card = S.cardinality
-    if card.is_finite and n >= card.value and any(b != 1 for b in bases):
+    if S.cardinality is not None and n >= S.cardinality and any(b != 1 for b in bases):
         return FactoredNumber.zero()
     return _quotient(S, bases, (n, n - 1))
 
@@ -60,9 +59,8 @@ def gen_binomial(S: IntegerSet, T: BaseSet, k: int, ell: int) -> FactoredNumber:
     """The generalized binomial coefficient (k over ell) for (S, T)."""
     if not 0 <= ell <= k:
         raise ValueError(f"need 0 <= ell <= k, got ell={ell}, k={k}")
-    card = S.cardinality
-    if card.is_finite and k >= card.value:
-        raise ValueError(f"k = {k} is not below |S| = {card.value}")
+    if S.cardinality is not None and k >= S.cardinality:
+        raise ValueError(f"k = {k} is not below |S| = {S.cardinality}")
     return _quotient(S, T.resolve(S, k), (k, ell, k - ell))
 
 

@@ -1,7 +1,7 @@
 """Subsets of Z with membership, canonical enumeration and residue-class knowledge.
 
 The canonical element order used everywhere downstream is (|a|, nonnegative
-before negative).  Every set answers residue-class questions exactly.
+before negative).  Every infinite set answers residue-class questions exactly.
 """
 
 from __future__ import annotations
@@ -11,18 +11,11 @@ import math
 from itertools import count, islice
 from typing import Iterator, Optional
 
-from .numerics import INF, ExtNat, is_prime, primes_up_to
-
-
-SEARCH_CAP = 10**7  # largest candidate a search for a prime in a residue class tries
+from .numerics import is_prime, primes_up_to
 
 
 class SetSpecError(ValueError):
     """Raised for malformed set-spec strings or invalid set parameters."""
-
-
-class SearchExhausted(RuntimeError):
-    """A search for a prime in a residue class passed SEARCH_CAP without an answer."""
 
 
 def canonical_key(a: int) -> tuple[int, int]:
@@ -33,16 +26,13 @@ def canonical_key(a: int) -> tuple[int, int]:
 class IntegerSet:
     """Base class for subsets of Z.
 
-    Subclasses provide exact membership, enumeration in canonical order,
-    residue-class members for any modulus m >= 2, and a smallest-element
-    search within a residue class.
+    Subclasses provide exact membership and enumeration in canonical order.
+    Residue questions are asked of infinite sets only: the members of a
+    class for any modulus m >= 2, and the class's smallest member.
     """
 
     spec: str  # the set-spec string this set round-trips to
-
-    @property
-    def cardinality(self) -> ExtNat:
-        return INF
+    cardinality: Optional[int] = None  # the number of members; None for infinitely many
 
     def contains(self, a: int) -> bool:
         raise NotImplementedError
@@ -60,8 +50,7 @@ class IntegerSet:
     def pick_in_class(self, r: int, m: int) -> Optional[int]:
         """Smallest member (canonical order) congruent to r mod m.
 
-        Returns None when the class is provably exhausted; raises
-        SearchExhausted if a search passes SEARCH_CAP.
+        Returns None when the class has no member.
         """
         raise NotImplementedError
 
@@ -87,27 +76,16 @@ class ExplicitFinite(IntegerSet):
         step = vals[1] - vals[0] if len(vals) > 1 else 1
         self.step = step if all(y - x == step for x, y in zip(vals, vals[1:])) else None
         self.values = tuple(vals)
+        self.cardinality = len(vals)
         self._members = frozenset(vals)
         self._canonical = tuple(sorted(vals, key=canonical_key))
         self.spec = spec if spec is not None else "list:" + ",".join(map(str, vals))
-
-    @property
-    def cardinality(self) -> ExtNat:
-        return ExtNat(len(self.values))
 
     def contains(self, a: int) -> bool:
         return a in self._members
 
     def iter_canonical(self) -> Iterator[int]:
         return iter(self._canonical)
-
-    def residue_status(self, r: int, m: int) -> tuple[int, ...]:
-        r = _check_modulus(r, m)
-        return tuple(a for a in self._canonical if a % m == r)
-
-    def pick_in_class(self, r, m):
-        members = self.residue_status(r, m)
-        return members[0] if members else None
 
 
 class AllIntegers(IntegerSet):
@@ -175,12 +153,11 @@ class Primes(IntegerSet):
         members = self.residue_status(r, m)
         if members is not None:
             return members[0] if members else None
+        # Dirichlet: the class holds a prime, so the search ends
         x = r if r > 1 else r + m
-        while x <= SEARCH_CAP:
-            if is_prime(x):
-                return x
+        while not is_prime(x):
             x += m
-        raise SearchExhausted(f"no prime in class {r} mod {m} below cap {SEARCH_CAP}")
+        return x
 
 
 class ArithmeticProgression(IntegerSet):

@@ -139,7 +139,7 @@ def _initial_element(S: IntegerSet, policy: TieBreakPolicy) -> int:
 
 
 def _first_unused(S: IntegerSet, used: set[int]) -> Optional[int]:
-    if S.cardinality.is_finite and len(used) >= S.cardinality.value:
+    if S.cardinality is not None and len(used) >= S.cardinality:
         return None
     for a in S.iter_canonical():
         if a not in used:
@@ -259,7 +259,7 @@ class _GreedyState:
         mod, mod1 = b**depth, b ** (depth + 1)
         entries: dict[int, tuple] = {}
         finite: dict[int, tuple] = {}
-        if S.cardinality.is_finite:  # only its root is ever opened
+        if S.cardinality is not None:  # only its root is ever opened
             classes = [(r, S.iter_canonical())]
         else:
             counts = self.counts(depth + 1)
@@ -281,8 +281,7 @@ class _GreedyState:
                 entries[r1] = (counts[r1], 0, r1)
             else:
                 # a realized class holds no prefix element, so its smallest
-                # member is never excluded and depends on S alone; a
-                # SearchExhausted propagates, and the node is not stored
+                # member is never excluded and depends on S alone
                 w = S.pick_in_class(r1, mod1)
                 entries[r1] = (0, 1, canonical_key(w), w)
         node = self.nodes[mod + r] = [None, entries, finite]
@@ -403,7 +402,7 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
         raise ValueError(f"base must be >= 0, got {min(bases)}")
     if min(ks) < 0:
         raise ValueError(f"k must be >= 0, got {min(ks)}")
-    n = S.cardinality.value if S.cardinality.is_finite else None
+    n = S.cardinality
     inside = [n is None or k < n for k in ks]
     form = step = width = None
     if isinstance(S, AllIntegers):

@@ -81,6 +81,23 @@ def test_criterion_4_closed_form_vs_greedy_primes():
     )
 
 
+def test_greedy_over_primes_runs_deep():
+    # the searches for a class's least prime pass 10^7 here, though no prime
+    # either run picks reaches 10^6; each ends by Dirichlet's theorem
+    t0 = time.perf_counter()
+    P = Primes()
+    for b, k in ((6, 15200), (12, 7000)):
+        run = b_ordering(P, b, k)
+        assert len(run.exponents) == k + 1, (b, k)
+        for i, v in enumerate(run.exponents):
+            assert v.is_finite and v.value == alpha_P(i, b), (b, i)
+    _report(
+        "addendum: certified greedy equals totient formula on P (b = 6, k <= 15,200; b = 12, k <= 7,000)",
+        time.perf_counter() - t0,
+        60.0,
+    )
+
+
 def test_criterion_5_well_definedness_at_desk_scale():
     t0 = time.perf_counter()
     rng = random.Random(2024)

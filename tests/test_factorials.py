@@ -202,8 +202,7 @@ class TestOneRouteCallPerQuery:
     @pytest.mark.parametrize("spec", ROUTE_SETS)
     def test_factored_functions_match_per_base_alphas(self, spec):
         S = parse_set_spec(spec)
-        card = S.cardinality
-        top = card.value if card.is_finite else 8
+        top = 8 if S.cardinality is None else S.cardinality
         for T in (ROUTE_BASES, AUTO) if spec in ("Z", "N", "P") else (ROUTE_BASES,):
             for k in range(top + 1):
                 assert factorial(S, T, k) == alpha_quotient(S, T.resolve(S, k), k), k

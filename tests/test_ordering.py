@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import heapq
 import random
@@ -19,7 +18,6 @@ from borderings.intsets import (
     IntegerSet,
     NonnegativeIntegers,
     Primes,
-    SearchExhausted,
     canonical_key,
     parse_set_spec,
 )
@@ -38,7 +36,6 @@ from borderings.ordering import (
     pairwise_valuation_sum,
 )
 from borderings.closedforms import alpha_P, alpha_Z
-import borderings.intsets as intsets_module
 import borderings.ordering as ordering_module
 
 from oracle import (
@@ -677,29 +674,6 @@ class TestMemoizedFrontier:
             assert counts, name
             assert max(counts.values()) == 1, (name, counts.most_common(3))
 
-    def test_tiny_search_cap_still_raises(self, monkeypatch):
-        run = b_ordering(Primes(), 6, 40)
-        default_n = b_ordering(NonnegativeIntegers(), 6, 40)
-        monkeypatch.setattr(intsets_module, "SEARCH_CAP", 20)
-        with pytest.raises(SearchExhausted):
-            b_ordering(Primes(), 6, 40)
-        # N's least class member is the residue itself, found with no search
-        assert b_ordering(NonnegativeIntegers(), 6, 40) == default_n
-        # a failed search is not remembered as an answer: the step raises again
-        state = ordering_module._GreedyState(Primes(), 6)
-        for a in run.elements:
-            try:
-                state.step(CANONICAL)
-            except SearchExhausted:
-                break
-            state.append(a)
-        else:
-            pytest.fail("no step needed a witness beyond the cap")
-        stored = copy.deepcopy((state.prefix, state.levels, state.nodes))
-        with pytest.raises(SearchExhausted):
-            state.step(CANONICAL)
-        assert (state.prefix, state.levels, state.nodes) == stored
-
 
 class TestPersistentFrontier:
     # sha256 of (elements, exponents, certified), recorded from the engine
@@ -769,29 +743,6 @@ class TestPersistentFrontier:
                             assert kept == summary, (S.spec, i, cid)
                             compared += 1
             assert compared > 2 * (k // 20), S.spec
-
-    @pytest.mark.parametrize("S,b,k,cap", [(NonnegativeIntegers(), 2, 400, 300), (Primes(), 2, 300, 500)])
-    def test_small_search_cap_raises_and_never_returns_a_wrong_element(self, monkeypatch, S, b, k, cap):
-        # witnesses are asked for every realized subclass of an opened class,
-        # so a small cap may raise some steps before a tied witness needs it
-        run = b_ordering(S, b, k)
-        monkeypatch.setattr(intsets_module, "SEARCH_CAP", cap)
-        if isinstance(S, NonnegativeIntegers):
-            # N needs no search: any cap gives the default-cap run
-            assert b_ordering(S, b, k) == run
-            return
-        state = ordering_module._GreedyState(S, b)
-        for i, a in enumerate(run.elements):
-            try:
-                step = state.step(CANONICAL)
-            except SearchExhausted:
-                break
-            assert (step.element, step.value) == (a, run.exponents[i]), i
-            state.append(a)
-        else:
-            pytest.fail("the cap never stopped the run")
-        with pytest.raises(SearchExhausted):
-            b_ordering(S, b, k)
 
     @pytest.mark.parametrize(
         "first,step,extra", [(0, 8, [2, 6, -6, 18, 3, 7]), (-9, 27, [0, 1, 2, 4, 5, 10, 13, 40, -14])]
