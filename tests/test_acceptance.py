@@ -11,6 +11,8 @@ import math
 import random
 import time
 
+import pytest
+
 from borderings.closedforms import alpha_P, alpha_Z, equality_profile, lemma82_min
 from borderings.factored import BaseSet
 from borderings.factorials import factorial, gen_binomial, gen_integer
@@ -81,18 +83,17 @@ def test_criterion_4_closed_form_vs_greedy_primes():
     )
 
 
-def test_greedy_over_primes_runs_deep():
+@pytest.mark.parametrize("b,k", [(6, 15200), (12, 7000)])
+def test_greedy_over_primes_runs_deep(b, k):
     # the searches for a class's least prime pass 10^7 here, though no prime
     # either run picks reaches 10^6; each ends by Dirichlet's theorem
     t0 = time.perf_counter()
-    P = Primes()
-    for b, k in ((6, 15200), (12, 7000)):
-        run = b_ordering(P, b, k)
-        assert len(run.exponents) == k + 1, (b, k)
-        for i, v in enumerate(run.exponents):
-            assert v.is_finite and v.value == alpha_P(i, b), (b, i)
+    run = b_ordering(Primes(), b, k)
+    assert len(run.exponents) == k + 1
+    for i, v in enumerate(run.exponents):
+        assert v.is_finite and v.value == alpha_P(i, b), i
     _report(
-        "addendum: certified greedy equals totient formula on P (b = 6, k <= 15,200; b = 12, k <= 7,000)",
+        f"addendum: certified greedy equals totient formula on P (b = {b}, k <= {k:,})",
         time.perf_counter() - t0,
         60.0,
     )

@@ -24,6 +24,10 @@ from borderings.intsets import (
 from oracle import up_to
 
 
+def _is_prime_by_trial(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 class TestParsing:
     def test_grammar(self):
         assert isinstance(parse_set_spec("Z"), AllIntegers)
@@ -222,6 +226,27 @@ class TestPickInClass:
                     for x in up_to(S, abs(a)):
                         if canonical_key(x) < canonical_key(a):
                             assert x % m != r
+
+    def test_primes_match_a_trial_division_oracle(self):
+        # every class mod m <= 60: a coprime class's least prime, or a
+        # non-coprime class's one prime or None
+        bound = 10**4
+        primes = [x for x in range(2, bound) if _is_prime_by_trial(x)]
+        for m in range(2, 61):
+            for r in range(m):
+                want = next((p for p in primes if p % m == r), None)
+                if want is None:
+                    assert math.gcd(r, m) > 1, (r, m)
+                assert Primes().pick_in_class(r, m) == want, (r, m)
+
+    @pytest.mark.parametrize("r,m", [(1, 10**7 + 1), (4, 10**7 + 19), (10**7 - 1, 2 * 10**7), (12345, 3 * 10**7 + 1)])
+    def test_primes_search_past_ten_million(self, r, m):
+        # r is not prime, so every candidate the search tries past it exceeds
+        # 10^7; it steps by m until a prime and returns the least one
+        assert math.gcd(r, m) == 1
+        a = Primes().pick_in_class(r, m)
+        assert a is not None and a % m == r and _is_prime_by_trial(a)
+        assert all(not _is_prime_by_trial(x) for x in range(r, a, m))
 
     def test_progression_matches_a_brute_force_oracle(self):
         # the witness is computed, not searched for; `cap` is still drawn so
