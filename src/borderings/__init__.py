@@ -6,6 +6,10 @@ they share, and the factored generalized factorials, integers and
 binomial coefficients over arbitrary finite base sets, with closed-form
 fast paths for the integers and the primes and a verification harness
 covering the supporting theory at desk scale.
+
+The harness, `borderings.verify`, is imported on demand: by
+`import borderings.verify`, or by the `borderings verify` command.
+`import borderings` and every other command never load it.
 """
 
 __version__ = "0.1.0"
@@ -56,4 +60,4 @@ from .series import (
     phi_b,
     t_ordering,
 )
-from . import closedforms, tables, verify
+from . import closedforms, tables

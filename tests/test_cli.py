@@ -162,6 +162,34 @@ class TestParserReuse:
             assert cli_module._parser.cache_info().misses == 1
 
 
+# (exit code, sha256 of stdout, sha256 of stderr) of the parser's help and of
+# its usage and scale errors, at 80 columns; argparse's wording and layout
+# change between Python versions, and these bytes are those of Python 3.11
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+PARSER_OUTPUT_SHA256 = {
+    ("--help",): (0, "d96bb6d70eebbdc252d01441f37d65a936e38b723bd28d13e5157d790e70ebaf", EMPTY_SHA256),
+    ("exponents", "--help"): (0, "e134d83a7c6710008d0b2c8d47ab633f8cdd67cbf313ad9e929a60f758b208a5", EMPTY_SHA256),
+    ("factorial", "--help"): (0, "e826e6160294626f206473f2c3f7064fbff2aca30fe30068785598f08c2f0386", EMPTY_SHA256),
+    ("integer", "--help"): (0, "5ee9ea9667b0a56fb725c0883b1438745eb7ce738db823a55ea66ca95831f580", EMPTY_SHA256),
+    ("binomial", "--help"): (0, "e93b57c7b6f418b94a5fcf2693d85154292207b7b8f210cd52095e1c8a1c55d8", EMPTY_SHA256),
+    ("tables", "--help"): (0, "a4d110923edbe456e8bbf11bdad4a077a69c828bf459a17a5cc1f2698004685e", EMPTY_SHA256),
+    ("rowproduct", "--help"): (0, "4f89fe90310ccece1c868cc3316d75457e7f230d6a731498b270382ff012d37a", EMPTY_SHA256),
+    ("verify", "--help"): (0, "b260e0f10e633b5605eaa505118c330e946acc754fda729c8a2af895abd47762", EMPTY_SHA256),
+    ("verify", "--suite", "nope"): (2, EMPTY_SHA256, "07fe7dbd50112eed5135dd34df04969df236b1b379b789d4f91fa088f7b83a15"),
+    ("verify", "--scale", "0"): (2, EMPTY_SHA256, "c0f5fe75e471f4af3624920fab45490c72e65f4b55ae68efe07676c3ef3a0286"),
+    ("verify", "--scale", "nan"): (2, EMPTY_SHA256, "4c6caccfa3a74ceeef4a271df91464aa659dbc7b0536e3353356d1c9f0a4bd8c"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the pinned help and error bytes are Python 3.11's")
+@pytest.mark.parametrize("argv", PARSER_OUTPUT_SHA256, ids=" ".join)
+def test_help_and_usage_errors_are_byte_identical(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run_cli(capsys, *argv)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (code, *digests) == PARSER_OUTPUT_SHA256[argv]
+
+
 # stderr after "error: " for base specs that must exit 2
 BAD_BASE_SPECS = {
     "upto:1": "bad base spec 'upto:1': base cutoff must be >= 2, got 1",
