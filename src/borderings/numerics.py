@@ -1,9 +1,9 @@
 """Extended naturals, base-b valuations, digit expansions and small arithmetic functions.
 
 Everything here is exact integer arithmetic on Python's unbounded ints; no
-floating point is used anywhere.  Valuations take values in N ∪ {+inf}:
-inside the library a plain int, with None for +inf, and :class:`ExtNat`
-where a value leaves it.
+floating point is used anywhere.  Valuations take values in N ∪ {+inf}: a
+plain int, with None for +inf, from `ord_b` through every greedy step, and
+:class:`ExtNat` where `alphas`, `exponent_sequence` and others hand one out.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import closedforms
 from .numerics import INF, ZERO, ExtNat, ord_b
@@ -63,19 +63,20 @@ class RandomTieBreak(TieBreakPolicy):
 CANONICAL = CanonicalTieBreak()
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
+    """One greedy step: the element chosen and its value, None for inf."""
+
     element: int
-    value: ExtNat
+    value: Optional[int]
 
 
 @dataclass
 class BOrdering:
-    """A computed b-ordering with its exponent sequence."""
+    """A computed b-ordering with its exponent sequence, None for inf."""
 
     base: int
     elements: list[int]
-    exponents: list[ExtNat]
+    exponents: list[Optional[int]]
     strategy: str
 
     @property
@@ -209,12 +210,12 @@ class _GreedyState:
     def step(self, policy: TieBreakPolicy) -> StepResult:
         S, b = self.S, self.b
         if not self.prefix:
-            return StepResult(_initial_element(S, policy), ZERO)
+            return StepResult(_initial_element(S, policy), 0)
         if b < 2:
             nxt = _first_unused(S, set(self.prefix)) if b == 0 else None
             if nxt is None:  # b = 1, or b = 0 with S used up
-                return StepResult(next(iter(S.iter_canonical())), INF)
-            return StepResult(nxt, ZERO)
+                return StepResult(next(iter(S.iter_canonical())), None)
+            return StepResult(nxt, 0)
         return self._branch_and_bound(policy)
 
     def _branch_and_bound(self, policy: TieBreakPolicy) -> StepResult:
@@ -228,7 +229,7 @@ class _GreedyState:
         """
         root = self.nodes.get(1) or self._open(0, 0)
         if not (root[1] or root[2]):
-            return StepResult(next(iter(self.S.iter_canonical())), INF)
+            return StepResult(next(iter(self.S.iter_canonical())), None)
         value, _, _, element = self._summary(root)
         if not isinstance(policy, CanonicalTieBreak):
             b, nodes = self.b, self.nodes
@@ -247,7 +248,7 @@ class _GreedyState:
                         else:
                             pool.append(a)
             element = policy.choose(pool)
-        return StepResult(element, ExtNat(value))
+        return StepResult(element, value)
 
     def _open(self, r: int, depth: int) -> list:
         """The node of the class r mod b^depth, asking S about each subclass once.
@@ -354,15 +355,12 @@ def b_ordering(
         raise ValueError(f"base must be >= 0, got {b}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if start is not None and not S.contains(start):
+        raise ValueError(f"start element {start} is not in {S.spec}")
     state = _GreedyState(S, b)
-    exponents: list[ExtNat] = []
+    exponents: list[Optional[int]] = []
     for i in range(k + 1):
-        if i == 0 and start is not None:
-            if not S.contains(start):
-                raise ValueError(f"start element {start} is not in {S.spec}")
-            step = StepResult(start, ZERO)
-        else:
-            step = greedy_step(state, b, S, policy)
+        step = StepResult(start, 0) if i == 0 and start is not None else greedy_step(state, b, S, policy)
         state.append(step.element)
         exponents.append(step.value)
     return BOrdering(b, state.prefix, exponents, policy.name)
@@ -395,8 +393,8 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
     x = k attains it (see `closedforms.alpha_AP`).  A base above a finite
     set's diameter divides no difference of its members, so every index
     below |S| is 0.  Any other base gets one canonical greedy run up to
-    max(ks).  For a finite S each index from |S| on is a certified INF, as
-    every later step repeats an element.
+    max(ks).  For a finite S each index from |S| on is None, a certified inf,
+    as every later step repeats an element.
     """
     if any(b < 0 for b in bases):
         raise ValueError(f"base must be >= 0, got {min(bases)}")
@@ -428,7 +426,7 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
         else:
             # a step inside S has a finite value: some member is not yet used
             run = b_ordering(S, b, max(ks) if n is None else min(max(ks), n - 1)).exponents
-            rows.append(("greedy", [run[k].value if i else None for k, i in zip(ks, inside)]))
+            rows.append(("greedy", [run[k] if i else None for k, i in zip(ks, inside)]))
     return rows
 
 

@@ -1,0 +1,102 @@
+"""Mutation check: each recorded mutant of the library must fail the tests named for it.
+
+Run from anywhere with `python tests/mutants.py` (needs pytest and
+hypothesis).  It copies `src/`, `tests/` and `pyproject.toml` to a temporary
+directory, checks that every named test passes on the unmutated copy, then
+applies one mutant at a time and requires `pytest -x -q` on its node ids to
+fail.  Exit status 0 means every mutant was killed; otherwise each survivor
+is named.  pytest does not collect this file (it is not `test_*.py`);
+`tests/test_imports.py` checks that every `before` text occurs exactly once
+in the current source, so a refactor that moves mutated code fails there
+until this list is brought up to date.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORDERING = "src/borderings/ordering.py"
+
+_FINITE_RUNS = "tests/test_ordering.py::TestFiniteRuns::test_runs_are_reproduced"
+_SUBSET_MINIMA = "tests/test_ordering.py::TestBOrdering::test_prefix_sums_are_subset_minima_on_larger_sets"
+_BELOW_ROOT = "tests/test_ordering.py::TestPersistentFrontier::test_finite_members_below_the_root"
+_APPEND = "finite[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)"
+
+# (file under the repository root, exact text before, text after, node ids that must fail)
+MUTANTS = [
+    # the excess update of a finite member in _GreedyState.append
+    (ORDERING, _APPEND, "finite[f] = (excess + ord_b(b, f - a) - depth + 1, 1, key, f)",
+     [_FINITE_RUNS, _SUBSET_MINIMA]),
+    (ORDERING, _APPEND, "finite[f] = (excess + min(ord_b(b, f - a) - depth, 1), 1, key, f)",
+     [_FINITE_RUNS, _SUBSET_MINIMA]),
+    # a finite S sits at the root, where depth is 0: only members below it see `- depth`
+    (ORDERING, _APPEND, "finite[f] = (excess + ord_b(b, f - a), 1, key, f)", [_BELOW_ROOT]),
+    # the same update where _open scores a finitely-met class
+    (ORDERING, "excess += v - depth", "excess += v", [_BELOW_ROOT]),
+    # lower bounds sorted after exact entries of equal total
+    (ORDERING,
+     "top = min(node[1].values() or node[2].values())",
+     "top = min(node[1].values() or node[2].values(), key=lambda e: (e[0], 1 - e[1], e[2:]))",
+     ["tests/test_ordering.py::TestGreedyStep::test_certified_steps_match_window_oracle",
+      "tests/test_ordering.py::TestGreedyStep::test_adversarial_prefixes_match_wide_window"]),
+    # the finite cut of invariants reads index |S| as inside S
+    (ORDERING, "inside = [n is None or k < n for k in ks]", "inside = [n is None or k <= n for k in ks]",
+     ["tests/test_factorials.py::TestOneRouteCallPerQuery"]),
+    # a b = 1 step is worth 0, not infinity
+    (ORDERING,
+     "return StepResult(next(iter(S.iter_canonical())), None)",
+     "return StepResult(next(iter(S.iter_canonical())), 0)",
+     ["tests/test_ordering.py::TestBOrdering::test_degenerate_bases"]),
+]
+
+
+def _pytest(where: Path, ids) -> int:
+    # no bytecode cache: a mutant of the same size written within the
+    # second of the last import would otherwise load the stale .pyc
+    env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids]
+    return subprocess.run(cmd, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _name(path: str, before: str, after: str) -> str:
+    return f"{path}: {before!r} -> {after!r}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        where = Path(tmp)
+        for sub in ("src", "tests"):
+            shutil.copytree(ROOT / sub, where / sub, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", where)
+        ids = list(dict.fromkeys(i for *_, mutant_ids in MUTANTS for i in mutant_ids))
+        if code := _pytest(where, ids):
+            print(f"the named tests do not pass unmutated (pytest exit {code})")
+            return 1
+        survivors = []
+        for path, before, after, mutant_ids in MUTANTS:
+            target = where / path
+            text = target.read_text()
+            if text.count(before) != 1:
+                print(f"not found exactly once: {_name(path, before, after)}")
+                return 1
+            target.write_text(text.replace(before, after))
+            code = _pytest(where, mutant_ids)
+            target.write_text(text)
+            # exit 1 is a failing test; any other exit is a broken run, not a kill
+            print(f"{'killed' if code == 1 else f'SURVIVED (pytest exit {code})'}: {_name(path, before, after)}")
+            if code != 1:
+                survivors.append(_name(path, before, after))
+        print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+        for name in survivors:
+            print(f"survivor: {name}")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,7 +40,7 @@ class TestAlphaZ:
 
         for b in (2, 5, 9):
             run = b_ordering(AllIntegers(), b, 45)
-            assert [v.value for v in run.exponents] == [alpha_Z(k, b) for k in range(46)]
+            assert run.exponents == [alpha_Z(k, b) for k in range(46)]
 
 
 class TestAlphaAP:
@@ -119,7 +119,7 @@ class TestAlphaP:
         P = Primes()
         for b in (2, 3, 6, 12):
             run = b_ordering(P, b, 25)
-            assert [v.value for v in run.exponents] == [alpha_P(k, b) for k in range(26)]
+            assert run.exponents == [alpha_P(k, b) for k in range(26)]
 
     def test_witness_sequences(self):
         # the explicit construction: prime divisors of b, then the smallest

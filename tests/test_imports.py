@@ -1,4 +1,6 @@
-"""Source checks: every import in the library is used and sits at module level, but for one named exception."""
+"""Source checks: every import in the library is used and sits at module level, but for one named
+exception, and every mutant `tests/mutants.py` applies names one place in the current source.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import pytest
 import borderings
 import borderings.cli as cli
 import borderings.verify as verify
+from mutants import MUTANTS, ROOT
 
 SOURCES = sorted(Path(borderings.__file__).parent.glob("*.py"))
 
@@ -144,3 +147,12 @@ def test_the_parser_repeats_the_verify_constants():
     # the parser lists the suites in the order `--suite all` runs them
     assert cli.VERIFY_SUITES == verify.SUITE_NAMES
     assert cli.VERIFY_SCALE_MAX == verify.SCALE_MAX
+
+
+def test_every_mutant_names_one_place():
+    # mutants.py applies each mutant by its exact text: code that moves must
+    # move its mutants with it, or the rerun would stop testing anything
+    for path, before, after, ids in MUTANTS:
+        assert (ROOT / path).read_text().count(before) == 1, (path, before)
+        assert before != after and ids, (path, before)
+        assert all((ROOT / i.partition("::")[0]).is_file() for i in ids), ids
