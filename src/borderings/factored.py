@@ -10,24 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .intsets import AllIntegers, NonnegativeIntegers, Primes, parse_range
-from .numerics import ExtNat, prime_factors, primes_up_to, totients_and_omegas
+from .intsets import parse_range
+from .numerics import ExtNat, prime_factors, primes_up_to
 
 
 class BaseSetError(ValueError):
     """Raised when a base-set spec cannot be resolved to a finite list."""
 
 
-# Largest k that `auto` bases resolve for.  Z and N take every base up to k,
-# one closed-form point value each; P sieves totient and omega up to
-# 2k^2 + 1.  On a 2-vCPU Xeon under Python 3.11 the Z factorial takes about
-# 0.01 s at k = 1000, the P sieve about 0.015 s at k = 100 and 0.07 s at
-# k = 200.
-AUTO_K_MAX_Z = 1000
-AUTO_K_MAX_P = 100
-
-# Largest cutoff of upto:/primes:, widest range: and longest list: a base spec may name.
+# Largest cutoff of upto:/primes:/auto, widest range: and longest list: a base spec may name.
 # The list is built in full and every base costs one point value;
 # `factorial --set Z --bases upto:10000 --k 3` takes about 0.4 s.
 BASE_SPEC_MAX = 10**4
@@ -182,11 +175,12 @@ class BaseSet:
     """A finite set of allowed bases, or the `auto` marker resolved per (S, k).
 
     `spec` is the base-spec text that parses back to this set; `values` is
-    the ascending base list, or None for `auto`.  Auto resolution uses the
-    proven cutoffs: bases above k contribute exponent 0 for S = Z, and
-    bases with totient(b) + omega(b) > k contribute 0 for S = P.  Other
-    sets need an explicit cutoff, and k above AUTO_K_MAX_Z (Z, N) or
-    AUTO_K_MAX_P (P) is refused before any base is built.
+    the ascending base list, or None for `auto`.  `auto` takes every base
+    from 2 up to the diameter of the first k+1 canonical members of S: by
+    the majorization theorem no larger base carries a nonzero alpha_0..k,
+    so the product over them is the product over all of N.  A finite S
+    with k >= |S| resolves to (2,), where alpha_k is inf and k! is 0.  A
+    cutoff above BASE_SPEC_MAX is refused, k itself before S is read.
     """
 
     spec: str
@@ -232,31 +226,18 @@ class BaseSet:
             return self.values
         if k is None:
             raise BaseSetError("auto bases need the index k to resolve")
-        if isinstance(S, (AllIntegers, NonnegativeIntegers)):
-            _check_auto_k(k, AUTO_K_MAX_Z, S)
-            return tuple(range(2, k + 1))
-        if isinstance(S, Primes):
-            _check_auto_k(k, AUTO_K_MAX_P, S)
-            # totient(b) >= sqrt(b/2), so bases up to 2k^2 + 1 cover all
-            # that can still satisfy totient(b) + omega(b) <= k
-            phi, omega = totients_and_omegas(2 * k * k + 1)
-            return tuple(b for b in range(2, len(phi)) if phi[b] + omega[b] <= k)
-        raise BaseSetError(
-            "auto bases are only defined for S in {Z, N, P}; give an explicit cutoff"
-        )
+        _check_size("k for auto bases", k)  # k+1 distinct integers span at least k
+        members = list(islice(S.iter_canonical(), k + 1))
+        if len(members) <= k:
+            return (2,)  # k >= |S|: alpha_k(S, b) is inf at every base b >= 2
+        width = max(members) - min(members)
+        _check_size("auto base cutoff", width)
+        return tuple(range(2, width + 1))
 
 
 def _check_size(what: str, n: int) -> None:
     if n > BASE_SPEC_MAX:
         raise BaseSetError(f"{what} {n} is over the limit {BASE_SPEC_MAX}")
-
-
-def _check_auto_k(k: int, limit: int, S) -> None:
-    if k > limit:
-        raise BaseSetError(
-            f"auto bases for S = {S.spec} are limited to k <= {limit}, got k = {k}; "
-            "give an explicit base list"
-        )
 
 
 def parse_base_spec(spec: str) -> BaseSet:

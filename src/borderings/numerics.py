@@ -186,17 +186,6 @@ def omega_totient(b: int) -> tuple[int, int]:
     return len(factors), math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
 
 
-def totients_and_omegas(n: int) -> tuple[list[int], list[int]]:
-    """totient(b) and omega(b) for every 0 <= b <= n, from one sieve (entries 0, 1 unused)."""
-    phi, omegas = list(range(n + 1)), [0] * (n + 1)
-    for p in range(2, n + 1):
-        if not omegas[p]:  # no smaller prime divides p
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-                omegas[m] += 1
-    return phi, omegas
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (n < 2 is not prime)."""
     if n < 2:

@@ -22,11 +22,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDERING = "src/borderings/ordering.py"
+FACTORED = "src/borderings/factored.py"
+SERIES = "src/borderings/series.py"
 
 _FINITE_RUNS = "tests/test_ordering.py::TestFiniteRuns::test_runs_are_reproduced"
 _SUBSET_MINIMA = "tests/test_ordering.py::TestBOrdering::test_prefix_sums_are_subset_minima_on_larger_sets"
 _BELOW_ROOT = "tests/test_ordering.py::TestPersistentFrontier::test_finite_members_below_the_root"
 _APPEND = "finite[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)"
+_AUTO = "tests/test_factored.py::TestBaseSets::test_auto_matches_a_cutoff_above_the_diameter"
+_HORNER = [
+    "tests/test_series.py::TestPolynomials::test_eval_examples",
+    "tests/test_series.py::TestIntegerKernels::test_evaluation_matches_fraction_horner",
+]
 
 # (file under the repository root, exact text before, text after, node ids that must fail)
 MUTANTS = [
@@ -53,6 +60,27 @@ MUTANTS = [
      "return StepResult(next(iter(S.iter_canonical())), None)",
      "return StepResult(next(iter(S.iter_canonical())), 0)",
      ["tests/test_ordering.py::TestBOrdering::test_degenerate_bases"]),
+    # auto bases from the first k members, or stopping one short of their diameter
+    (FACTORED,
+     "members = list(islice(S.iter_canonical(), k + 1))",
+     "members = list(islice(S.iter_canonical(), k))",
+     [_AUTO]),
+    (FACTORED, "return tuple(range(2, width + 1))", "return tuple(range(2, width))", [_AUTO]),
+    # d^k for every build_qk coefficient, whatever its power of x
+    (SERIES,
+     "_fractions(c, d ** (k - i))",
+     "_fractions(c, d ** k)",
+     ["tests/test_series.py::TestPolynomials::test_qk_basics",
+      "tests/test_series.py::TestIntegerKernels::test_qk_matches_fraction_product"]),
+    # Horner's scale left at 1, or the product denominator without it
+    (SERIES, "        scale *= d\n", "", _HORNER),
+    (SERIES, "_fractions(acc, d * scale)", "_fractions(acc, d)", _HORNER),
+    # _convolve reads one coefficient of c past the truncation
+    (SERIES,
+     "for j, y in enumerate(c[: n - i], i):",
+     "for j, y in enumerate(c[: n - i + 1], i):",
+     ["tests/test_series.py::TestTruncatedSeries::test_exact_rational_arithmetic",
+      "tests/test_series.py::TestIntegerKernels::test_product_matches_fraction_convolution"]),
 ]
 
 

@@ -139,3 +139,14 @@ def partition_minimum(k: int, m: int):
         elif s == best:
             best_parts.append(parts)
     return best, best_parts
+
+
+def totients_and_omegas(n: int) -> tuple[list[int], list[int]]:
+    """totient(b) and omega(b) for every 0 <= b <= n, from one sieve (entries 0, 1 unused)."""
+    phi, omegas = list(range(n + 1)), [0] * (n + 1)
+    for p in range(2, n + 1):
+        if not omegas[p]:  # no smaller prime divides p
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+                omegas[m] += 1
+    return phi, omegas

@@ -16,7 +16,6 @@ import pytest
 
 import borderings
 import borderings.cli as cli_module
-import borderings.factored as factored_module
 import borderings.factorials as factorials_module
 import borderings.ordering as ordering_module
 import borderings.verify as verify_module
@@ -24,8 +23,6 @@ from borderings import tables
 from borderings.cli import DECIMAL_BITS_MAX, EXPONENTS_K_MAX, ROWPRODUCT_N_MAX, build_parser, main
 from borderings.closedforms import alpha_Z
 from borderings.factored import (
-    AUTO_K_MAX_P,
-    AUTO_K_MAX_Z,
     BASE_SPEC_MAX,
     FactoredNumber,
     group_digits,
@@ -295,33 +292,45 @@ class TestFactoredCommands:
             assert calls == 0, query  # closed forms serve Z and P
             assert json.loads(out)["results"] == expected(*ks), query
 
-    def test_auto_bases_rejected_off_ZP(self, capsys):
-        code, _, err = run_cli(
-            capsys, "factorial", "--set", "ap:1,4", "--bases", "auto", "--k", "3"
-        )
-        assert code == 2 and "auto" in err
+    def test_auto_bases_on_every_set_kind(self, capsys, tmp_path):
+        # auto stops at the diameter of the first k+1 members; a cutoff far
+        # above it prints the same numbers
+        path = tmp_path / "set.txt"
+        path.write_text("3\n-1\n4\n")
+        for spec in ("P", "ap:1,4", "ap:-20,6", "list:3,1,4", "range:-2..2", f"file:{path}"):
+            for query in (("factorial", "--k", "3"), ("integer", "--n", "2"), ("binomial", "--k", "2", "--l", "1")):
+                results = []
+                for bases in ("auto", "range:2..200"):
+                    code, out, err = run_cli(capsys, *query, "--set", spec, "--bases", bases, "--format", "json")
+                    assert code == 0, (spec, query, err)
+                    results.append(json.loads(out)["results"])
+                assert results[0] == results[1], (spec, query)
 
     @pytest.mark.parametrize(
-        "query,spec,limit",
-        [
-            (("factorial", "--k"), "P", AUTO_K_MAX_P),
-            (("integer", "--n"), "Z", AUTO_K_MAX_Z),
-            (("binomial", "--l", "1", "--k"), "N", AUTO_K_MAX_Z),
-        ],
+        "query,spec",
+        [(("factorial", "--k"), "P"), (("integer", "--n"), "Z"), (("binomial", "--l", "1", "--k"), "N")],
     )
-    def test_auto_bases_over_the_k_limit_exit_2_before_any_work(
-        self, capsys, monkeypatch, query, spec, limit
-    ):
+    def test_auto_bases_over_the_k_limit_exit_2_before_any_work(self, capsys, monkeypatch, query, spec):
         def no_work(*args, **kwargs):
             raise AssertionError("base resolution started work past the k limit")
 
-        monkeypatch.setattr(factored_module, "totients_and_omegas", no_work)
+        monkeypatch.setattr(type(parse_set_spec(spec)), "iter_canonical", no_work)
         monkeypatch.setattr(factorials_module, "invariants", no_work)
         code, out, err = run_cli(
-            capsys, *query, str(limit + 1), "--set", spec, "--bases", "auto"
+            capsys, *query, str(BASE_SPEC_MAX + 1), "--set", spec, "--bases", "auto"
         )
-        assert code == 2 and out == ""
-        assert f"k <= {limit}" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: k for auto bases {BASE_SPEC_MAX + 1} is over the limit {BASE_SPEC_MAX}\n"
+
+    def test_auto_bases_over_the_width_limit_exit_2_before_any_work(self, capsys, monkeypatch):
+        # k = 2 is small, but 0, 10000, 20000 span 20000
+        def no_work(*args, **kwargs):
+            raise AssertionError("factorial started work past the width limit")
+
+        monkeypatch.setattr(factorials_module, "invariants", no_work)
+        code, out, err = run_cli(capsys, "factorial", "--set", "ap:0,10000", "--bases", "auto", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: auto base cutoff 20000 is over the limit {BASE_SPEC_MAX}\n"
 
     def test_oversized_base_spec_exits_2_before_any_work(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):
@@ -349,7 +358,7 @@ class TestFactoredCommands:
     def test_auto_bases_print_up_to_the_k_limit(self, capsys):
         # 1000!_Z has 32,363 bits, past Python's default str-digit limit
         code, out, err = run_cli(
-            capsys, "factorial", "--set", "Z", "--bases", "auto", "--k", str(AUTO_K_MAX_Z),
+            capsys, "factorial", "--set", "Z", "--bases", "auto", "--k", "1000",
             "--format", "json",
         )
         assert code == 0, err

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 import borderings.factored as factored_module
 from borderings.factored import (
-    AUTO_K_MAX_P,
-    AUTO_K_MAX_Z,
     BASE_SPEC_MAX,
     BaseSet,
     BaseSetError,
@@ -17,8 +15,19 @@ from borderings.factored import (
     group_digits,
     parse_base_spec,
 )
-from borderings.intsets import AllIntegers, ArithmeticProgression, NonnegativeIntegers, Primes
-from borderings.numerics import INF, ExtNat, omega_totient
+from borderings.factorials import factorial, gen_binomial, gen_integer
+from borderings.intsets import AllIntegers, ArithmeticProgression, Primes, parse_set_spec
+from borderings.numerics import INF, ExtNat, primes_up_to
+from borderings.ordering import invariants
+from oracle import totients_and_omegas
+
+# one set of each kind `auto` resolves for, with the largest k each test asks
+# of it; `file:` is read from a temporary file holding FILE_MEMBERS
+FILE_MEMBERS = (3, -1, 4, 1, -5, 9, 2, -6)
+AUTO_SETS = {
+    "Z": 8, "N": 8, "P": 8, "ap:3,7": 8, "ap:-20,6": 8,
+    "list:-9,0,4,5,12,31,-40": 7, "range:-3..8": 12, "file:": len(FILE_MEMBERS),
+}
 
 
 class TestConventions:
@@ -170,42 +179,79 @@ class TestBaseSets:
         assert BaseSet.auto().resolve(Z, 1) == ()
 
     def test_auto_for_primes_cutoff(self):
-        P = Primes()
-        for k in (3, 5, 8, 12):
-            bases = BaseSet.auto().resolve(P, k)
-            assert all(sum(omega_totient(b)) <= k for b in bases)
-            # nothing above the resolved list can still qualify
-            top = max(bases)
-            for b in range(top + 1, 2 * k * k + 2):
-                assert sum(omega_totient(b)) > k
-        assert BaseSet.auto().resolve(P, 3) == (2, 3, 4)
+        # the first k+1 primes span p_(k+1) - 2
+        for k in (0, 5, 8, 12):
+            assert BaseSet.auto().resolve(Primes(), k) == tuple(range(2, primes_up_to(100)[k] - 1)), k
+        assert BaseSet.auto().resolve(Primes(), 3) == (2, 3, 4, 5)
 
-    def test_auto_for_primes_sieve_matches_trial_division(self):
-        # the sieve gives the same bases as filtering with totient and omega
-        n = 2 * AUTO_K_MAX_P**2 + 1
-        weight = [0, 0] + [sum(omega_totient(b)) for b in range(2, n + 1)]
-        for k in range(1, AUTO_K_MAX_P + 1):
-            want = tuple(b for b in range(2, 2 * k * k + 2) if weight[b] <= k)
-            assert BaseSet.auto().resolve(Primes(), k) == want, k
+    def test_auto_for_primes_matches_the_totient_support(self):
+        # alpha_k(P, b) > 0 exactly when totient(b) + omega(b) <= k.  Every
+        # such b lies below 6,803 for k <= 1228: totient(b) >= sqrt(b/2) puts b
+        # below 2k^2 < 2*3*5*...*19, so b has at most 7 prime factors and
+        # totient(b)/b >= (1/2)(2/3)(4/5)(6/7)(10/11)(12/13)(16/17) > 0.1805
+        phi, omegas = totients_and_omegas(BASE_SPEC_MAX)
+        for k in [*range(101), 1228]:
+            support = [b for b in range(2, BASE_SPEC_MAX + 1) if phi[b] + omegas[b] <= k]
+            assert factorial(Primes(), BaseSet.auto(), k) == factorial(Primes(), BaseSet.explicit(support), k), k
 
-    @pytest.mark.parametrize(
-        "S,limit",
-        [(AllIntegers(), AUTO_K_MAX_Z), (NonnegativeIntegers(), AUTO_K_MAX_Z), (Primes(), AUTO_K_MAX_P)],
-    )
-    def test_auto_refuses_k_past_its_limit_before_any_work(self, monkeypatch, S, limit):
-        def no_work(n):
-            raise AssertionError("the totient sieve ran past the k limit")
+    @pytest.mark.parametrize("spec", sorted(AUTO_SETS))
+    def test_auto_refuses_k_past_its_limit_before_any_work(self, monkeypatch, tmp_path, spec):
+        S = _auto_set(spec, tmp_path)
 
-        monkeypatch.setattr(factored_module, "totients_and_omegas", no_work)
-        with pytest.raises(BaseSetError, match=f"k <= {limit}"):
-            BaseSet.auto().resolve(S, limit + 1)
+        def no_work(*args, **kwargs):
+            raise AssertionError("auto bases read the set past the k limit")
+
+        monkeypatch.setattr(type(S), "iter_canonical", no_work)
+        with pytest.raises(BaseSetError, match=f"k for auto bases {BASE_SPEC_MAX + 1} is over the limit"):
+            BaseSet.auto().resolve(S, BASE_SPEC_MAX + 1)
 
     def test_limits_cover_what_the_library_asks_for(self):
         # verify and the CLI tests resolve auto bases up to k = 48 for Z and
-        # k = 26 for P; the limits stay well above both
-        assert AUTO_K_MAX_Z >= 48 and AUTO_K_MAX_P >= 26
-        assert BaseSet.auto().resolve(AllIntegers(), AUTO_K_MAX_Z)[-1] == AUTO_K_MAX_Z
-        assert BaseSet.auto().resolve(Primes(), 26)[-1] == 72
+        # k = 26 for P; the width limit stays well above both
+        assert BaseSet.auto().resolve(AllIntegers(), 48)[-1] == 48
+        assert BaseSet.auto().resolve(Primes(), 26)[-1] == 101  # 103 - 2
+        # the largest k each resolves for: Z spans k, P spans p_(k+1) - 2
+        assert BaseSet.auto().resolve(AllIntegers(), BASE_SPEC_MAX)[-1] == BASE_SPEC_MAX
+        assert BaseSet.auto().resolve(Primes(), 1228)[-1] == 9971  # 9973 - 2
+        with pytest.raises(BaseSetError, match="auto base cutoff 10005 is over the limit"):
+            BaseSet.auto().resolve(Primes(), 1229)  # 10007 - 2
+        # a small k whose members span far: 0, 10000, 20000
+        assert BaseSet.auto().resolve(parse_set_spec("ap:0,5000"), 2)[-1] == BASE_SPEC_MAX
+        with pytest.raises(BaseSetError, match="auto base cutoff 20000 is over the limit"):
+            BaseSet.auto().resolve(parse_set_spec("ap:0,10000"), 2)
+
+    @pytest.mark.parametrize("spec", sorted(AUTO_SETS))
+    def test_auto_matches_a_cutoff_above_the_diameter(self, tmp_path, spec):
+        S, top = _auto_set(spec, tmp_path), AUTO_SETS[spec]
+        wide = BaseSet.range(2, 300)  # three times every diameter here, or more
+        assert all(b < 100 for k in range(top + 2) for b in BaseSet.auto().resolve(S, k))
+        for k in range(top + 2):
+            assert factorial(S, BaseSet.auto(), k) == factorial(S, wide, k), k
+            if k >= 1:
+                assert gen_integer(S, BaseSet.auto(), k) == gen_integer(S, wide, k), k
+        for k in range(min(top, 6) + 1):
+            for ell in range(k + 1):
+                assert gen_binomial(S, BaseSet.auto(), k, ell) == gen_binomial(S, wide, k, ell), (k, ell)
+
+    @pytest.mark.parametrize("spec", sorted(AUTO_SETS))
+    def test_no_base_above_the_width_carries_an_exponent(self, tmp_path, spec):
+        S, top = _auto_set(spec, tmp_path), AUTO_SETS[spec]
+        for k in range(min(top, S.cardinality or top + 1)):
+            bases = BaseSet.auto().resolve(S, k)
+            width = bases[-1] if bases else 1
+            above = range(width + 1, width + 41)
+            for b, (_, values) in zip(above, invariants(S, above, range(k + 1))):
+                assert values == [0] * (k + 1), (k, b)
+
+    def test_finite_set_past_its_size_gives_zero(self):
+        for spec in ("list:5", "list:0", "list:1,2,3", "list:-9,0,4,5,12,31,-40"):
+            S = parse_set_spec(spec)
+            n = S.cardinality
+            assert BaseSet.auto().resolve(S, n - 1) == tuple(range(2, max(S.values) - min(S.values) + 1))
+            for k in (n, n + 1, n + 5):
+                assert BaseSet.auto().resolve(S, k) == (2,)
+                assert factorial(S, BaseSet.auto(), k) == FactoredNumber.zero(), (spec, k)
+                assert gen_integer(S, BaseSet.auto(), k) == FactoredNumber.zero(), (spec, k)
 
     def test_prime_cutoff_below_two_is_rejected(self):
         for cutoff in (-3, 0, 1):
@@ -245,9 +291,8 @@ class TestBaseSets:
         with pytest.raises(BaseSetError, match=over):
             BaseSet.explicit(range(BASE_SPEC_MAX + 1))
 
-    def test_auto_needs_known_set(self):
-        with pytest.raises(BaseSetError):
-            BaseSet.auto().resolve(ArithmeticProgression(1, 4), 5)
+    def test_auto_needs_the_index_k(self):
+        assert BaseSet.auto().resolve(ArithmeticProgression(1, 4), 5) == tuple(range(2, 21))
         with pytest.raises(BaseSetError):
             BaseSet.auto().resolve(AllIntegers(), None)
 
@@ -260,3 +305,11 @@ class TestBaseSets:
         for bad in ("nope", "upto:x", "range:4", "list:a"):
             with pytest.raises(BaseSetError):
                 parse_base_spec(bad)
+
+
+def _auto_set(spec: str, tmp_path):
+    if spec == "file:":
+        path = tmp_path / "set.txt"
+        path.write_text("".join(f"{a}\n" for a in FILE_MEMBERS))
+        spec += str(path)
+    return parse_set_spec(spec)

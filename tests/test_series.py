@@ -38,6 +38,8 @@ class TestTruncatedSeries:
         g = series(Fraction(1, 3), 0, 2)
         assert (f + g).coeffs[0] == Fraction(5, 6)
         assert (f * g).coeffs[:3] == (Fraction(1, 6), Fraction(1, 3), Fraction(1))
+        ones = series(*[1] * 8)
+        assert (ones * ones).coeffs == tuple(map(Fraction, range(1, 9)))  # every term up to the cap, none past it
         assert (f - f).ord_t().exact is False
 
     def test_float_coefficients_are_refused(self):
@@ -98,6 +100,9 @@ class TestPolynomials:
         assert eval_poly(q1, f).ord_t().exact is False  # root
         g = series(1, 1)
         assert eval_poly(q1, g) == g - f
+        # (x - 1/2)(x - t/3): each power of x keeps its own power of the denominator
+        q2 = build_qk([series(Fraction(1, 2)), series(0, Fraction(1, 3))])
+        assert q2.coeffs == (series(0, Fraction(1, 6)), series(Fraction(-1, 2), Fraction(-1, 3)), series(1))
 
     def test_eval_examples(self):
         x_sq = SeriesPolynomial((TruncatedSeries.zero(8), TruncatedSeries.zero(8), series(1)))
@@ -105,6 +110,9 @@ class TestPolynomials:
         assert eval_poly(x_sq, t) == series(0, 0, 1)
         const = SeriesPolynomial((series(2, 3),))
         assert eval_poly(const, t) == series(2, 3)
+        # x^2 + x/3 + 1 at 1/2: Horner's scale must divide back out
+        p = SeriesPolynomial((series(1), series(Fraction(1, 3)), series(1)))
+        assert eval_poly(p, series(Fraction(1, 2))) == series(Fraction(17, 12))
 
     def test_primitivity(self):
         q = build_qk([phi_b(3, 2, 8), phi_b(5, 2, 8)])
