@@ -179,7 +179,10 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=4096)
+# One entry per base: held above factored.BASE_SPEC_MAX (10**4), the most bases
+# a query can name, so a repeated query over its full base list hits every
+# time instead of evicting each base before its next use.
+@lru_cache(maxsize=1 << 14)
 def omega_totient(b: int) -> tuple[int, int]:
     """omega(b), its number of distinct prime divisors, and Euler's totient of b >= 1, from one factorisation."""
     factors = prime_factors(b)

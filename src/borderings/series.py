@@ -4,6 +4,12 @@ Coefficients are given as int or Fraction and held as Fraction; anything
 else (a float, say) is refused rather than turned into a binary fraction.
 Products and polynomial evaluation run on integer numerators over one
 common denominator and return to Fraction once per output coefficient.
+Inside, an integer series of length n is packed into one int at t = 2^w
+(Kronecker substitution): a product is one int multiply, and Horner's rule
+runs in Z/2^(n*w), the image of Z[t]/t^n.  The width w is one bit more than
+a bound on every output coefficient, so the n balanced base-2^w digits of the
+result are its coefficients, and ord_t is the index of the digit that holds
+the lowest set bit.
 
 Everything is truncated at a degree cap; a vanishing truncation never
 pretends to be exact.  Orders below the cap are reported exactly, orders
@@ -148,22 +154,40 @@ class TruncatedSeries:
         return f"TruncatedSeries({body}; cap={self.cap})"
 
 
-def _scaled(seqs, n: int) -> tuple[list[list[int]], int]:
-    """Each coefficient sequence cut to n terms, as integer numerators over one denominator d."""
+def _scaled(seqs, n: Optional[int] = None) -> tuple[list[list[int]], int]:
+    """Each coefficient sequence, cut to n terms if n is given, as integer numerators over one denominator d."""
     d = math.lcm(*{c.denominator for cs in seqs for c in cs[:n]})
     return [[c.numerator * (d // c.denominator) for c in cs[:n]] for cs in seqs], d
 
 
-def _convolve(a: list[int], c: list[int]) -> list[int]:
-    """The product of two integer coefficient lists, truncated to the length of a."""
-    n = len(a)
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(c[: n - i], i):
-                if y:
-                    out[j] += x * y
+def _pack(cs: list[int], w: int) -> int:
+    """The integer series cs at t = 2^w: sum of cs[i] * 2^(w*i)."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << w) + c
+    return acc
+
+
+def _unpack(v: int, w: int, n: int) -> list[int]:
+    """The n lowest balanced base-2^w digits of v, each in [-2^(w-1), 2^(w-1))."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(n):
+        c = v & mask
+        if c >= half:
+            c -= 1 << w
+        out.append(c)
+        v = (v - c) >> w
     return out
+
+
+def _convolve(a: list[int], c: list[int]) -> list[int]:
+    """The product of two integer coefficient lists of one length, truncated to it.
+
+    w is one bit more than ||a||_1 * max|c|, a bound on every output coefficient.
+    """
+    w = (sum(map(abs, a)) * max(map(abs, c))).bit_length() + 1
+    return _unpack(_pack(a, w) * _pack(c, w), w, len(a))
 
 
 def _fractions(nums: list[int], d: int) -> tuple:
@@ -213,35 +237,52 @@ def build_qk(prefix: Sequence[TruncatedSeries], cap: Optional[int] = None) -> Se
     """The monic product of (x - f_j) over the prefix; the empty product is 1.
 
     With every f_j = F_j / d, the x^i coefficient after j factors is
-    B_i / d^(j-i) for integer series B_i, and a factor x - F/d maps B_i to
-    B_(i-1) - B_i*F: no denominator enters until the end.
+    B_i / d^(j-i) for integer series B_i (see _qk_rows): no denominator
+    enters until the end.
     """
     if cap is None:
         cap = min((f.cap for f in prefix), default=8)
     if cap < 1:
         raise ValueError("a truncated series needs a positive cap")
     Fs, d = _scaled([f.truncate(cap).coeffs for f in prefix], cap)
-    zero = [0] * cap
-    coeffs = [[1] + zero[1:]]
-    for F in Fs:
-        coeffs = [[x - y for x, y in zip(lo, _convolve(c, F))] for lo, c in zip([zero] + coeffs, coeffs + [zero])]
     k = len(Fs)
     return SeriesPolynomial(
-        tuple(TruncatedSeries._exact(_fractions(c, d ** (k - i))) for i, c in enumerate(coeffs))
+        tuple(TruncatedSeries._exact(_fractions(c, d ** (k - i))) for i, c in enumerate(_qk_rows(Fs, cap)))
     )
 
 
-def _horner(C: list[list[int]], f: TruncatedSeries, n: int) -> tuple[list[int], int]:
-    """(A_0, s) with A_0 = s * sum_i C_i * f^i mod t^n, for integer series C_i and n <= f.cap.
+def _qk_rows(Fs: list[list[int]], n: int) -> list[list[int]]:
+    """The integer rows B_0..B_k of the product of (y - F_j) mod t^n, lowest power of y first.
 
-    With f = F / d, A_k = C_k and A_i = A_(i+1)*F + C_i*d^(k-i) give s = d^k.
+    A factor y - F maps B_i to B_(i-1) - B_i*F.
     """
-    (F,), d = _scaled((f.coeffs,), n)
-    acc, scale = C[-1][:n], 1
-    for c in reversed(C[:-1]):
-        scale *= d
-        acc = [x + y * scale for x, y in zip(_convolve(acc, F), c)]
-    return acc, scale
+    zero = [0] * n
+    rows = [[1] + zero[1:]]
+    for F in Fs:
+        rows = [[x - y for x, y in zip(lo, _convolve(c, F[:n]))] for lo, c in zip([zero] + rows, rows + [zero])]
+    return rows
+
+
+def _horner(C: list[list[int]], F: list[int], d: int, n: int) -> tuple[int, int]:
+    """(A_0 packed at t = 2^w, w) with A_0 = d^k * sum_i C_i * (F/d)^i mod t^n.
+
+    A_k = C_k, A_i = A_(i+1)*F + C_i*d^(k-i) runs on ints mod 2^(n*w): t -> 2^w
+    is a ring map from Z[t]/t^n.  A_i's coefficients are at most B_i in size,
+    B_k = max|C_k|, B_i = B_(i+1)*||F||_1 + max|C_i|*d^(k-i); w is one bit
+    more than B_0.  C's rows and F need at least n terms.
+    """
+    k = len(C) - 1
+    norm = sum(map(abs, F[:n]))
+    bound = 0
+    for i in range(k, -1, -1):
+        bound = bound * norm + max(map(abs, C[i][:n])) * d ** (k - i)
+    w = bound.bit_length() + 1
+    mask = (1 << n * w) - 1
+    P = _pack(F[:n], w)
+    acc = 0
+    for i in range(k, -1, -1):
+        acc = (acc * P + _pack(C[i][:n], w) * d ** (k - i)) & mask
+    return acc, w
 
 
 def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None) -> TruncatedSeries:
@@ -249,9 +290,10 @@ def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None
     n = min(f.cap, min(c.cap for c in p.coeffs), f.cap if cap is None else cap)
     if n < 1:
         raise ValueError("a truncated series needs a positive cap")
-    C, d = _scaled([c.coeffs for c in p.coeffs], n)
-    acc, scale = _horner(C, f, n)
-    return TruncatedSeries._exact(_fractions(acc, d * scale))
+    C, dp = _scaled([c.coeffs for c in p.coeffs], n)
+    (F,), d = _scaled((f.coeffs,), n)
+    acc, w = _horner(C, F, d, n)
+    return TruncatedSeries._exact(_fractions(_unpack(acc, w, n), dp * d ** (len(C) - 1)))
 
 
 @dataclass
@@ -326,15 +368,20 @@ def random_primitive_polynomial(rng: random.Random, degree: int, cap: int) -> Se
     zero-padded to `cap`, rejection sampled until the result is primitive
     with a nonzero leading coefficient.
     """
-    pad = (Fraction(0),) * max(0, cap - T_DEGREE - 1)
+    rows = _random_rows(rng, degree, cap)
+    return SeriesPolynomial(tuple(TruncatedSeries._exact(tuple(map(Fraction, r))) for r in rows))
+
+
+def _random_rows(rng: random.Random, degree: int, cap: int) -> list[list[int]]:
+    """The integer rows of random_primitive_polynomial, lowest power of x first."""
+    pad = [0] * max(0, cap - T_DEGREE - 1)
     while True:
-        coeffs = []
-        for _ in range(degree + 1):
-            cs = tuple(Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND)) for _ in range(T_DEGREE + 1))
-            coeffs.append(TruncatedSeries._exact(cs[:cap] + pad))
-        p = SeriesPolynomial(tuple(coeffs))
-        if coeffs[degree].ord_t().exact and p.is_t_primitive():
-            return p
+        rows = [
+            [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(T_DEGREE + 1)][:cap] + pad
+            for _ in range(degree + 1)
+        ]
+        if any(rows[degree]) and any(r[0] for r in rows):
+            return rows
 
 
 @dataclass
@@ -351,28 +398,30 @@ class MaxMinReport:
         return self.witness_equal and self.sample_violations == 0
 
 
-def _min_order_over(U: Sequence[TruncatedSeries], p: SeriesPolynomial) -> TOrderValue:
-    """The least ord_t(p(f)) over U; raises CapError if truncation leaves it ambiguous.
+def _min_order_over(Fs: list[list[int]], d: int, C: list[list[int]]) -> TOrderValue:
+    """The least ord_t(p(f)) over f = F/d for F in Fs, for p with integer rows C (or a multiple).
 
-    Once an exact minimum m is known, later members are evaluated mod t^m
-    only: an order below m is exact there, and one at or above m cannot
-    change the result (an unresolved floor >= m raises nothing either).
+    p(f) is known mod t^n, n the least length of F and the rows.  Raises
+    CapError if truncation leaves the minimum ambiguous.  Once an exact
+    minimum m is known, later members are evaluated mod t^m only: an order
+    below m is exact there, and one at or above m cannot change the result
+    (an unresolved floor >= m raises nothing either).
     """
-    own = min(c.cap for c in p.coeffs)
-    C, _ = _scaled([c.coeffs for c in p.coeffs], own)  # p times a constant: same orders
+    own = min(map(len, C))
     best: Optional[TOrderValue] = None
     floors_unresolved: list[int] = []
-    for f in U:
+    for F in Fs:
         if best is not None and best.floor == 0:
             return best  # nothing lies below order 0
-        acc, _ = _horner(C, f, min(f.cap, own) if best is None else min(f.cap, own, best.floor))
-        i = next((i for i, v in enumerate(acc) if v), None)
-        o = TOrderValue.at_least(len(acc)) if i is None else TOrderValue.of(i)
-        if o.exact:
+        n = min(len(F), own) if best is None else min(len(F), own, best.floor)
+        acc, w = _horner(C, F, d, n)
+        if acc:
+            # the lowest nonzero digit's lowest set bit: a digit below 2^(w-1) sets one of its own bits
+            o = TOrderValue.of(((acc & -acc).bit_length() - 1) // w)
             if best is None or o.floor < best.floor:
                 best = o
         else:
-            floors_unresolved.append(o.floor)
+            floors_unresolved.append(n)
     if best is None:
         return TOrderValue.at_least(min(floors_unresolved))
     if any(fl < best.floor for fl in floors_unresolved):
@@ -392,21 +441,23 @@ def maxmin_check(
     its minimum order over U; (b) every sampled primitive polynomial of
     degree k has minimum order <= alpha_k(U).  The full maximisation over
     all primitive polynomials is not machine-checkable and not attempted.
+    U is scaled once to numerators F over one d.  d^k * q_k(F/d) = prod (F - F_j),
+    so q_k's orders are its integer rows' at F itself, with denominator 1.
     """
     run = t_ordering(U, k)
     alpha = run.exponents[k]
     if not alpha.exact:
         raise CapError(f"alpha_{k}(U) not resolved below the cap (>= {alpha.floor})")
-    qk = build_qk(run.elements[:k])
-    witness = _min_order_over(U, qk)
+    Fs, d = _scaled([f.coeffs for f in U])
+    prefix = [Fs[i] for i in run.indices[:k]]
+    witness = _min_order_over(Fs, 1, _qk_rows(prefix, min(map(len, prefix), default=8)))
     witness_equal = witness.must_equal(alpha.floor)
 
     rng = random.Random(seed)
     cap = min(f.cap for f in U)
     violations = 0
     for _ in range(samples):
-        p = random_primitive_polynomial(rng, k, cap)
-        if not _min_order_over(U, p).must_le(alpha.floor):
+        if not _min_order_over(Fs, d, _random_rows(rng, k, cap)).must_le(alpha.floor):
             violations += 1
     return MaxMinReport(
         alpha_k=alpha.floor,

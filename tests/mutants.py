@@ -34,6 +34,7 @@ _HORNER = [
     "tests/test_series.py::TestPolynomials::test_eval_examples",
     "tests/test_series.py::TestIntegerKernels::test_evaluation_matches_fraction_horner",
 ]
+_PACKED = "tests/test_series.py::TestPackedKernels::"
 
 # (file under the repository root, exact text before, text after, node ids that must fail)
 MUTANTS = [
@@ -73,13 +74,25 @@ MUTANTS = [
      ["tests/test_series.py::TestPolynomials::test_qk_basics",
       "tests/test_series.py::TestIntegerKernels::test_qk_matches_fraction_product"]),
     # Horner's scale left at 1, or the product denominator without it
-    (SERIES, "        scale *= d\n", "", _HORNER),
-    (SERIES, "_fractions(acc, d * scale)", "_fractions(acc, d)", _HORNER),
-    # _convolve reads one coefficient of c past the truncation
+    (SERIES, "_pack(C[i][:n], w) * d ** (k - i)", "_pack(C[i][:n], w)", _HORNER),
+    (SERIES, "_fractions(_unpack(acc, w, n), dp * d ** (len(C) - 1))", "_fractions(_unpack(acc, w, n), dp)",
+     _HORNER),
+    # q_k's integer rows evaluated at F/d instead of at the numerators F
+    (SERIES, "_min_order_over(Fs, 1, _qk_rows(", "_min_order_over(Fs, d, _qk_rows(",
+     ["tests/test_series.py::TestMaxMin::test_fraction_families"]),
+    # packing widths one bit short: an output equal to the bound unpacks with the wrong sign
     (SERIES,
-     "for j, y in enumerate(c[: n - i], i):",
-     "for j, y in enumerate(c[: n - i + 1], i):",
-     ["tests/test_series.py::TestTruncatedSeries::test_exact_rational_arithmetic",
+     "(sum(map(abs, a)) * max(map(abs, c))).bit_length() + 1",
+     "(sum(map(abs, a)) * max(map(abs, c))).bit_length()",
+     [_PACKED + "test_product_at_the_width_edge"]),
+    (SERIES, "w = bound.bit_length() + 1", "w = bound.bit_length()",
+     [_PACKED + "test_evaluation_at_the_width_edge"]),
+    # ord_t read off the lowest set bit with digits taken one bit narrower
+    (SERIES, "((acc & -acc).bit_length() - 1) // w", "((acc & -acc).bit_length() - 1) // (w - 1)",
+     [_PACKED + "test_order_read_from_the_lowest_set_bit"]),
+    # balanced digits read as plain ones: negative coefficients come out as 2^w + c
+    (SERIES, "        if c >= half:\n            c -= 1 << w\n", "",
+     [_PACKED + "test_product_at_the_width_edge",
       "tests/test_series.py::TestIntegerKernels::test_product_matches_fraction_convolution"]),
 ]
 

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borderings.factored import BASE_SPEC_MAX, parse_base_spec
+from borderings.factorials import factorial
+from borderings.intsets import Primes
 from borderings.numerics import (
     INF,
     ExtNat,
@@ -204,6 +207,16 @@ class TestArithmeticFunctions:
         for b in range(2, 30):
             for n in range(1, 5):
                 assert omega_totient(b**n)[1] == b ** (n - 1) * omega_totient(b)[1]
+
+    def test_cache_holds_a_full_base_list(self):
+        # P's auto list for k = 1228 has 9,970 bases; a cache smaller than the
+        # list evicts every base before the repeat reaches it again
+        assert omega_totient.cache_info().maxsize > BASE_SPEC_MAX
+        auto = parse_base_spec("auto")
+        factorial(Primes(), auto, 1228)
+        misses = omega_totient.cache_info().misses
+        factorial(Primes(), auto, 1228)
+        assert omega_totient.cache_info().misses == misses
 
     def test_sieve_matches_trial_division(self):
         # the sieve is a test oracle for the cached per-base factorisation

@@ -201,6 +201,18 @@ class TestMaxMin:
         rep = maxmin_check(U, 0, samples=10, seed=1)
         assert rep.ok and rep.alpha_k == 0
 
+    def test_fraction_families(self):
+        # a common shift or a unit factor moves no order of a difference:
+        # the same alpha and witness, each taken over one denominator d > 1
+        U = [phi_b(v, 3, 8) for v in (-7, -2, 0, 4, 5, 13)]
+        ref = maxmin_check(U, 3, samples=10, seed=5)
+        shift, unit = TruncatedSeries.constant(Fraction(1, 2), 8), TruncatedSeries.constant(Fraction(-2, 3), 8)
+        for V in ([f + shift for f in U], [f * unit for f in U], [f * unit + shift for f in U]):
+            rep = maxmin_check(V, 3, samples=10, seed=5)
+            assert rep.ok and (rep.alpha_k, rep.witness_min) == (ref.alpha_k, ref.witness_min)
+            qk = build_qk(t_ordering(V, 3).elements[:3])
+            assert full_min_order(V, qk) == TOrderValue.of(rep.witness_min)
+
     def test_superadditive_and_antitone(self):
         rng = random.Random(21)
         for _ in range(20):
@@ -302,6 +314,13 @@ def mixed_caps(draw, entries=coeffs):
     return U, build_qk([r])
 
 
+def min_order_over(U, p):
+    """_min_order_over on U and p scaled to integer rows, as maxmin_check calls it."""
+    Fs, d = series_module._scaled([f.coeffs for f in U])
+    C, _ = series_module._scaled([c.coeffs for c in p.coeffs])
+    return series_module._min_order_over(Fs, d, C)
+
+
 def full_min_order(U, p):
     """_min_order_over as it was: every member evaluated at its own cap."""
     best, unresolved = None, []
@@ -342,9 +361,9 @@ class TestOrderKernels:
             want = full_min_order(U, p)
         except CapError:
             with pytest.raises(CapError):
-                series_module._min_order_over(U, p)
+                min_order_over(U, p)
         else:
-            assert series_module._min_order_over(U, p) == want
+            assert min_order_over(U, p) == want
 
     def test_unresolved_member_below_the_exact_minimum_raises(self):
         # p(f) = f: the cap-8 member has exact order 5, the cap-3 member
@@ -355,10 +374,10 @@ class TestOrderKernels:
             with pytest.raises(CapError):
                 full_min_order(U, p)
             with pytest.raises(CapError):
-                series_module._min_order_over(U, p)
+                min_order_over(U, p)
         # an unresolved member at or above the minimum leaves it exact
         U = [exact, series(cap=6), series(0, 0, 0, 0, 0, 0, 2, cap=9)]
-        assert series_module._min_order_over(U, p) == full_min_order(U, p) == TOrderValue.of(5)
+        assert min_order_over(U, p) == full_min_order(U, p) == TOrderValue.of(5)
 
     def test_internal_ops_keep_fraction_coefficients(self):
         f, g = series(1, Fraction(1, 2), cap=4), series(3, cap=5)
@@ -436,7 +455,10 @@ def polynomials(draw, entries=rationals):
     return SeriesPolynomial(tuple(draw(st.lists(operands(entries), min_size=1, max_size=5))))
 
 
-any_entries = st.sampled_from([rationals, integer_coeffs])
+# integers past one machine word: widths of many words
+large = st.integers(min_value=-(2**70), max_value=2**70)
+
+any_entries = st.sampled_from([rationals, integer_coeffs, large])
 
 
 def assert_same(h, want):
@@ -477,3 +499,79 @@ class TestIntegerKernels:
         for cap in (0, -2):
             with pytest.raises(ValueError):
                 eval_poly(p, series(3), cap)
+
+
+def fraction_draw(rng, degree, cap):
+    """random_primitive_polynomial as it was: rows of Fractions, rejected as series."""
+    bound, t_degree = series_module.COEFF_BOUND, series_module.T_DEGREE
+    pad = (Fraction(0),) * max(0, cap - t_degree - 1)
+    while True:
+        rows = []
+        for _ in range(degree + 1):
+            cs = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(t_degree + 1))
+            rows.append(TruncatedSeries(cs[:cap] + pad))
+        p = SeriesPolynomial(tuple(rows))
+        if rows[degree].ord_t().exact and p.is_t_primitive():
+            return p
+
+
+class TestPackedKernels:
+    """Series packed at t = 2^w: the width bound met with equality, signs, and order reads."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("sa, sc", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+    def test_product_at_the_width_edge(self, n, sa, sc):
+        # every coefficient +-max: the top output is n*7*5 = ||a||_1 * max|c|,
+        # the bound the width is one bit above
+        f, g = series(*[sa * 7] * n, cap=n), series(*[sc * 5] * n, cap=n)
+        assert (f * g).coeffs[-1] == sa * sc * n * 35
+        assert_same(f * g, fraction_mul(f, g))
+        # with denominators the numerators 21 and -10 over 6 meet their bound
+        f, g = series(*[Fraction(sa * 7, 2)] * n, cap=n), series(*[Fraction(sc * -5, 3)] * n, cap=n)
+        assert (f * g).coeffs[-1] == Fraction(sa * sc * -n * 210, 36)
+        assert_same(f * g, fraction_mul(f, g))
+
+    def test_product_with_zero(self):
+        for n in (1, 4):
+            f = series(*range(-2, n - 2), cap=n)
+            assert_same(f * TruncatedSeries.zero(n), TruncatedSeries.zero(n))
+            assert_same(TruncatedSeries.zero(n) * f, TruncatedSeries.zero(n))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_evaluation_at_the_width_edge(self, n, sign):
+        # p = C_1 x + C_0 with every coefficient 7 at f = 5/2 in every term:
+        # 2*p(f) tops out at 7*(5n) + 7*2 = B_0, the bound of the width
+        row = series(*[sign * 7] * n, cap=n)
+        p, f = SeriesPolynomial((row, row)), series(*[Fraction(5, 2)] * n, cap=n)
+        assert eval_poly(p, f).coeffs[-1] == Fraction(sign * (35 * n + 14), 2)
+        assert_same(eval_poly(p, f), fraction_eval(p, f))
+        # n = 1, degree 3: Horner's bound ((3*4 + 3)*4 + 3)*4 + 3 = 255 is the value
+        p = SeriesPolynomial(tuple(series(sign * 3, cap=1) for _ in range(4)))
+        assert eval_poly(p, series(4, cap=1)) == series(sign * 255, cap=1)
+
+    def test_evaluation_at_zero_and_of_zero(self):
+        p = SeriesPolynomial((series(-3, 1, cap=4), series(2, cap=4), series(5, 5, cap=4)))
+        assert_same(eval_poly(p, TruncatedSeries.zero(4)), series(-3, 1, cap=4))
+        zero = SeriesPolynomial((TruncatedSeries.zero(4),) * 3)
+        assert_same(eval_poly(zero, series(1, Fraction(1, 2), cap=4)), TruncatedSeries.zero(4))
+
+    def test_order_read_from_the_lowest_set_bit(self):
+        # p = x at f = c*t^j + t^(j+1): order j, whatever the lowest set bit of c
+        p = SeriesPolynomial((series(cap=8), series(1, cap=8)))
+        for j in range(6):
+            for c in (1, -1, 2, 6, -8, 2**40):
+                U = [series(*[0] * j, c, 1, cap=8)]
+                assert min_order_over(U, p) == full_min_order(U, p) == TOrderValue.of(j)
+        assert min_order_over([series(cap=8)], p) == TOrderValue.at_least(8)
+
+    def test_row_draw_makes_the_fraction_draws(self):
+        for seed in range(20):
+            for degree, cap in ((0, 1), (1, 2), (2, 4), (3, 8), (4, 16)):
+                rng, want_rng = random.Random(seed), random.Random(seed)
+                want = fraction_draw(want_rng, degree, cap)
+                assert series_module._random_rows(rng, degree, cap) == [
+                    [c.numerator for c in row.coeffs] for row in want.coeffs
+                ]
+                assert rng.getstate() == want_rng.getstate()
+                assert random_primitive_polynomial(random.Random(seed), degree, cap) == want
