@@ -50,12 +50,9 @@ from .factorials import (
 )
 from .series import (
     CapError,
-    SeriesPolynomial,
     TOrderValue,
     TruncatedSeries,
-    build_qk,
     congruence_check,
-    eval_poly,
     maxmin_check,
     phi_b,
     t_ordering,

@@ -2,8 +2,9 @@
 
 Coefficients are given as int or Fraction and held as Fraction; anything
 else (a float, say) is refused rather than turned into a binary fraction.
-Products and polynomial evaluation run on integer numerators over one
-common denominator and return to Fraction once per output coefficient.
+A product runs on integer numerators over one common denominator and
+returns to Fraction once per output coefficient; the max-min check holds
+its polynomials in x as integer rows, one per power of x, throughout.
 Inside, an integer series of length n is packed into one int at t = 2^w
 (Kronecker substitution): a product is one int multiply, and Horner's rule
 runs in Z/2^(n*w), the image of Z[t]/t^n.  The width w is one bit more than
@@ -96,28 +97,9 @@ class TruncatedSeries:
         object.__setattr__(f, "coeffs", cs)
         return f
 
-    @classmethod
-    def zero(cls, cap: int) -> "TruncatedSeries":
-        if cap < 1:
-            raise ValueError("a truncated series needs a positive cap")
-        return cls._exact((Fraction(0),) * cap)
-
-    @classmethod
-    def constant(cls, c, cap: int) -> "TruncatedSeries":
-        if cap < 1:
-            raise ValueError("a truncated series needs a positive cap")
-        return cls([c] + [Fraction(0)] * (cap - 1))
-
     @property
     def cap(self) -> int:
         return len(self.coeffs)
-
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        if cap > self.cap:
-            raise ValueError(f"cannot extend cap {self.cap} to {cap}")
-        if cap < 1:
-            raise ValueError("a truncated series needs a positive cap")
-        return TruncatedSeries._exact(self.coeffs[:cap])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return TruncatedSeries._exact(tuple(a + c for a, c in zip(self.coeffs, other.coeffs)))
@@ -131,7 +113,11 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cap, other.cap)
         (a, c), d = _scaled((self.coeffs, other.coeffs), n)
-        return TruncatedSeries._exact(_fractions(_convolve(a, c), d * d))
+        nums = _convolve(a, c)
+        if d == 1:
+            return TruncatedSeries._exact(tuple(map(Fraction, nums)))
+        d *= d
+        return TruncatedSeries._exact(tuple(Fraction(v, d) for v in nums))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -190,13 +176,6 @@ def _convolve(a: list[int], c: list[int]) -> list[int]:
     return _unpack(_pack(a, w) * _pack(c, w), w, len(a))
 
 
-def _fractions(nums: list[int], d: int) -> tuple:
-    """The coefficients nums / d, each divided back once."""
-    if d == 1:
-        return tuple(map(Fraction, nums))
-    return tuple(Fraction(v, d) for v in nums)
-
-
 def phi_b(a: int, b: int, cap: int) -> TruncatedSeries:
     """The base-b digit map: a -> sum of d_k t^k with d_k the digits of a.
 
@@ -213,42 +192,6 @@ def congruence_check(b: int, a1: int, a2: int, cap: int) -> bool:
     if rhs is None or rhs >= cap:
         return not lhs.exact  # both sides capped-infinite
     return lhs.exact and lhs.floor == rhs
-
-
-@dataclass(frozen=True)
-class SeriesPolynomial:
-    """A polynomial in x with truncated-series coefficients (index = x power)."""
-
-    coeffs: tuple[TruncatedSeries, ...]
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i].ord_t().exact:
-                return i
-        return 0
-
-    def is_t_primitive(self) -> bool:
-        """True iff some x-coefficient has a nonzero constant term."""
-        return any(c.ord_t() == TOrderValue.of(0) for c in self.coeffs)
-
-
-def build_qk(prefix: Sequence[TruncatedSeries], cap: Optional[int] = None) -> SeriesPolynomial:
-    """The monic product of (x - f_j) over the prefix; the empty product is 1.
-
-    With every f_j = F_j / d, the x^i coefficient after j factors is
-    B_i / d^(j-i) for integer series B_i (see _qk_rows): no denominator
-    enters until the end.
-    """
-    if cap is None:
-        cap = min((f.cap for f in prefix), default=8)
-    if cap < 1:
-        raise ValueError("a truncated series needs a positive cap")
-    Fs, d = _scaled([f.truncate(cap).coeffs for f in prefix], cap)
-    k = len(Fs)
-    return SeriesPolynomial(
-        tuple(TruncatedSeries._exact(_fractions(c, d ** (k - i))) for i, c in enumerate(_qk_rows(Fs, cap)))
-    )
 
 
 def _qk_rows(Fs: list[list[int]], n: int) -> list[list[int]]:
@@ -283,17 +226,6 @@ def _horner(C: list[list[int]], F: list[int], d: int, n: int) -> tuple[int, int]
     for i in range(k, -1, -1):
         acc = (acc * P + _pack(C[i][:n], w) * d ** (k - i)) & mask
     return acc, w
-
-
-def eval_poly(p: SeriesPolynomial, f: TruncatedSeries, cap: Optional[int] = None) -> TruncatedSeries:
-    """Exact truncated evaluation by Horner's rule, mod t^cap if a smaller cap is given."""
-    n = min(f.cap, min(c.cap for c in p.coeffs), f.cap if cap is None else cap)
-    if n < 1:
-        raise ValueError("a truncated series needs a positive cap")
-    C, dp = _scaled([c.coeffs for c in p.coeffs], n)
-    (F,), d = _scaled((f.coeffs,), n)
-    acc, w = _horner(C, F, d, n)
-    return TruncatedSeries._exact(_fractions(_unpack(acc, w, n), dp * d ** (len(C) - 1)))
 
 
 @dataclass
@@ -360,20 +292,12 @@ COEFF_BOUND = 3  # sampled coefficients have integer entries in [-COEFF_BOUND, C
 T_DEGREE = 3  # ... and t-degree at most T_DEGREE
 
 
-def random_primitive_polynomial(rng: random.Random, degree: int, cap: int) -> SeriesPolynomial:
-    """A random t-primitive polynomial of exact x-degree `degree`.
-
-    Coefficients are integer polynomials in t with entries in
-    [-COEFF_BOUND, COEFF_BOUND] and t-degree <= T_DEGREE, truncated or
-    zero-padded to `cap`, rejection sampled until the result is primitive
-    with a nonzero leading coefficient.
-    """
-    rows = _random_rows(rng, degree, cap)
-    return SeriesPolynomial(tuple(TruncatedSeries._exact(tuple(map(Fraction, r))) for r in rows))
-
-
 def _random_rows(rng: random.Random, degree: int, cap: int) -> list[list[int]]:
-    """The integer rows of random_primitive_polynomial, lowest power of x first."""
+    """Rows of a random t-primitive polynomial of x-degree `degree`, lowest power of x first.
+
+    Entries lie in [-COEFF_BOUND, COEFF_BOUND] up to t^T_DEGREE, cut or zero-padded to
+    `cap`; drawn again until the leading row and some constant term are nonzero.
+    """
     pad = [0] * max(0, cap - T_DEGREE - 1)
     while True:
         rows = [

@@ -85,9 +85,9 @@ class SuiteReport:
 
 
 # Largest --scale: every instance count grows with it, and the closed-forms
-# suite faster than linearly.  On a 2-vCPU Xeon under Python 3.11,
-# `verify --suite all --seed 7` takes about 1.6 s at scale 1, 3.6 s at 2
-# and 19 s at 5; closed-forms alone takes 112 s at 10.
+# suite faster than linearly.  Through the CLI on a shared 2-vCPU Xeon under
+# Python 3.11.7, `verify --suite all --seed 7` takes 0.75 s at scale 1, 1.9 s
+# at 2 and 12.7 s at 5 (best of 3); closed-forms alone took 112 s at 10.
 SCALE_MAX = 5.0
 
 

@@ -24,17 +24,16 @@ ROOT = Path(__file__).resolve().parent.parent
 ORDERING = "src/borderings/ordering.py"
 FACTORED = "src/borderings/factored.py"
 SERIES = "src/borderings/series.py"
+INTSETS = "src/borderings/intsets.py"
 
 _FINITE_RUNS = "tests/test_ordering.py::TestFiniteRuns::test_runs_are_reproduced"
 _SUBSET_MINIMA = "tests/test_ordering.py::TestBOrdering::test_prefix_sums_are_subset_minima_on_larger_sets"
 _BELOW_ROOT = "tests/test_ordering.py::TestPersistentFrontier::test_finite_members_below_the_root"
 _APPEND = "finite[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)"
 _AUTO = "tests/test_factored.py::TestBaseSets::test_auto_matches_a_cutoff_above_the_diameter"
-_HORNER = [
-    "tests/test_series.py::TestPolynomials::test_eval_examples",
-    "tests/test_series.py::TestIntegerKernels::test_evaluation_matches_fraction_horner",
-]
 _PACKED = "tests/test_series.py::TestPackedKernels::"
+_PICK = "tests/test_intsets.py::TestPickInClass::"
+_STATUS_SCAN = "tests/test_intsets.py::TestResidueStatus::test_consistency_with_scan"
 
 # (file under the repository root, exact text before, text after, node ids that must fail)
 MUTANTS = [
@@ -67,16 +66,21 @@ MUTANTS = [
      "members = list(islice(S.iter_canonical(), k))",
      [_AUTO]),
     (FACTORED, "return tuple(range(2, width + 1))", "return tuple(range(2, width))", [_AUTO]),
-    # d^k for every build_qk coefficient, whatever its power of x
-    (SERIES,
-     "_fractions(c, d ** (k - i))",
-     "_fractions(c, d ** k)",
+    # q_k's rows built from (y + F) factors
+    (SERIES, "[[x - y for x, y in zip(lo, _convolve(", "[[x + y for x, y in zip(lo, _convolve(",
      ["tests/test_series.py::TestPolynomials::test_qk_basics",
       "tests/test_series.py::TestIntegerKernels::test_qk_matches_fraction_product"]),
-    # Horner's scale left at 1, or the product denominator without it
-    (SERIES, "_pack(C[i][:n], w) * d ** (k - i)", "_pack(C[i][:n], w)", _HORNER),
-    (SERIES, "_fractions(_unpack(acc, w, n), dp * d ** (len(C) - 1))", "_fractions(_unpack(acc, w, n), dp)",
-     _HORNER),
+    # Horner's scale left at 1
+    (SERIES, "_pack(C[i][:n], w) * d ** (k - i)", "_pack(C[i][:n], w)",
+     ["tests/test_series.py::TestPolynomials::test_eval_examples",
+      "tests/test_series.py::TestIntegerKernels::test_evaluation_matches_fraction_horner"]),
+    # sample rows kept with a zero leading row, or with every constant term zero
+    (SERIES, "if any(rows[degree]) and any(r[0] for r in rows):", "if any(r[0] for r in rows):",
+     [_PACKED + "test_row_draw_has_its_degree_and_is_primitive",
+      _PACKED + "test_row_draw_makes_the_fraction_draws"]),
+    (SERIES, "if any(rows[degree]) and any(r[0] for r in rows):", "if any(rows[degree]):",
+     [_PACKED + "test_row_draw_has_its_degree_and_is_primitive",
+      "tests/test_series.py::TestMaxMin::test_k_zero"]),
     # q_k's integer rows evaluated at F/d instead of at the numerators F
     (SERIES, "_min_order_over(Fs, 1, _qk_rows(", "_min_order_over(Fs, d, _qk_rows(",
      ["tests/test_series.py::TestMaxMin::test_fraction_families"]),
@@ -94,6 +98,21 @@ MUTANTS = [
     (SERIES, "        if c >= half:\n            c -= 1 << w\n", "",
      [_PACKED + "test_product_at_the_width_edge",
       "tests/test_series.py::TestIntegerKernels::test_product_matches_fraction_convolution"]),
+    # Z's least member of a class taken as r, even where r - m is nearer 0
+    (INTSETS, "return r if canonical_key(r) <= canonical_key(neg) else neg", "return r",
+     [_PICK + "test_examples"]),
+    # a composite modulus's prime divisor g reported in a class other than g's
+    (INTSETS, "return (g,) if is_prime(g) and g % m == r else ()", "return (g,) if is_prime(g) else ()",
+     [_STATUS_SCAN]),
+    # a progression's class answered by the step alone, not by gcd(step, m)
+    (INTSETS, "return None if (r - self.first) % g == 0 else ()",
+     "return None if (r - self.first) % self.step == 0 else ()", [_STATUS_SCAN]),
+    # a progression's pick below 0 left as the least member >= 0
+    (INTSETS, "return min(x % d, x % d - d, key=canonical_key)", "return x % d",
+     [_PICK + "test_result_is_canonical_member"]),
+    # the index of a progression's class member off by one when m/g = 1
+    (INTSETS, "% mg if mg > 1 else 0", "% mg if mg > 1 else 1",
+     [_PICK + "test_progression_matches_a_brute_force_oracle"]),
 ]
 
 

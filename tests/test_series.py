@@ -14,15 +14,11 @@ from borderings.intsets import ExplicitFinite
 from borderings.ordering import RandomTieBreak, exponent_sequence
 from borderings.series import (
     CapError,
-    SeriesPolynomial,
     TOrderValue,
     TruncatedSeries,
-    build_qk,
     congruence_check,
-    eval_poly,
     maxmin_check,
     phi_b,
-    random_primitive_polynomial,
     t_ordering,
 )
 
@@ -46,7 +42,12 @@ class TestTruncatedSeries:
         with pytest.raises(TypeError):
             TruncatedSeries([0.5, 0, 0])
         with pytest.raises(TypeError):
-            TruncatedSeries.constant(0.1, 4)
+            TruncatedSeries([1, Fraction(1, 2), 0.1])
+
+    def test_an_empty_series_is_refused(self):
+        # the one positive-cap guard: every series is built through the constructor
+        with pytest.raises(ValueError):
+            TruncatedSeries([])
 
     def test_min_cap_discipline(self):
         f = series(1, 1, cap=4)
@@ -57,7 +58,7 @@ class TestTruncatedSeries:
     def test_ord_examples(self):
         assert series(0, 0, 1, 1).ord_t() == TOrderValue.of(2)
         assert series(3, -1).ord_t() == TOrderValue.of(0)
-        z = TruncatedSeries.zero(8).ord_t()
+        z = series(cap=8).ord_t()
         assert not z.exact and z.floor == 8
 
     def test_order_value_comparisons(self):
@@ -75,8 +76,13 @@ class TestDigitMap:
     def test_examples(self):
         assert phi_b(10, 3, 4) == series(1, 0, 1, 0, cap=4)
         assert phi_b(-1, 2, 4) == series(1, 1, 1, 1, cap=4)
-        assert phi_b(0, 7, 5) == TruncatedSeries.zero(5)
+        assert phi_b(0, 7, 5) == series(cap=5)
         assert phi_b(1, 7, 5) == series(1, cap=5)
+
+    def test_a_cap_below_one_is_refused(self):
+        for cap in (0, -1):
+            with pytest.raises(ValueError):
+                phi_b(5, 2, cap)
 
     def test_congruence_preservation_grid(self):
         for b in (2, 3, 6, 10, 12):
@@ -90,46 +96,33 @@ class TestDigitMap:
         assert congruence_check(5, 9, 9, 6)
 
 
+def ints(*coeffs, cap=8):
+    """An integer row: the coefficients, zero-padded to cap."""
+    return list(coeffs) + [0] * (cap - len(coeffs))
+
+
+def packed_eval(C, F, d, n):
+    """_horner's result unpacked: the numerators of p(F/d) over d^k mod t^n, p with integer rows C."""
+    return series_module._unpack(*series_module._horner(C, F, d, n), n)
+
+
 class TestPolynomials:
     def test_qk_basics(self):
-        q0 = build_qk([])
-        assert len(q0.coeffs) == 1 and q0.coeffs[0].coeffs[0] == 1
-        f = series(2, 1)
-        q1 = build_qk([f])
-        assert q1.degree == 1
-        assert eval_poly(q1, f).ord_t().exact is False  # root
-        g = series(1, 1)
-        assert eval_poly(q1, g) == g - f
-        # (x - 1/2)(x - t/3): each power of x keeps its own power of the denominator
-        q2 = build_qk([series(Fraction(1, 2)), series(0, Fraction(1, 3))])
-        assert q2.coeffs == (series(0, Fraction(1, 6)), series(Fraction(-1, 2), Fraction(-1, 3)), series(1))
+        assert series_module._qk_rows([], 8) == [ints(1)]
+        F = ints(2, 1)
+        q1 = series_module._qk_rows([F], 8)
+        assert q1 == [ints(-2, -1), ints(1)]
+        assert packed_eval(q1, F, 1, 8) == ints()  # a root
+        assert packed_eval(q1, ints(1, 1), 1, 8) == ints(-1)  # (1 + t) - (2 + t)
+        # (y - 3)(y - 2t), the numerators of (x - 1/2)(x - t/3) over d = 6
+        assert series_module._qk_rows([[3, 0], [0, 2]], 2) == [[0, 6], [-3, -2], [1, 0]]
 
     def test_eval_examples(self):
-        x_sq = SeriesPolynomial((TruncatedSeries.zero(8), TruncatedSeries.zero(8), series(1)))
-        t = series(0, 1)
-        assert eval_poly(x_sq, t) == series(0, 0, 1)
-        const = SeriesPolynomial((series(2, 3),))
-        assert eval_poly(const, t) == series(2, 3)
-        # x^2 + x/3 + 1 at 1/2: Horner's scale must divide back out
-        p = SeriesPolynomial((series(1), series(Fraction(1, 3)), series(1)))
-        assert eval_poly(p, series(Fraction(1, 2))) == series(Fraction(17, 12))
-
-    def test_primitivity(self):
-        q = build_qk([phi_b(3, 2, 8), phi_b(5, 2, 8)])
-        assert q.is_t_primitive()  # monic
-        p = SeriesPolynomial((series(0, 1), series(0, 2)))  # t*x + ... all divisible by t
-        assert not p.is_t_primitive()
-
-    def test_primitive_closed_under_product(self):
-        rng = random.Random(4)
-        for _ in range(25):
-            p = random_primitive_polynomial(rng, rng.randint(1, 3), 8)
-            q = random_primitive_polynomial(rng, rng.randint(1, 3), 8)
-            prod_coeffs = [TruncatedSeries.zero(8) for _ in range(len(p.coeffs) + len(q.coeffs) - 1)]
-            for i, a in enumerate(p.coeffs):
-                for j, b in enumerate(q.coeffs):
-                    prod_coeffs[i + j] = prod_coeffs[i + j] + a * b
-            assert SeriesPolynomial(tuple(prod_coeffs)).is_t_primitive()
+        t = ints(0, 1)
+        assert packed_eval([ints(), ints(), ints(1)], t, 1, 8) == ints(0, 0, 1)
+        assert packed_eval([ints(2, 3)], t, 1, 8) == ints(2, 3)
+        # 3 * (x^2 + x/3 + 1) at 1/2: Horner's scale d^(k-i) makes d^k p(F/d) = 4 * 17/4
+        assert packed_eval([[3], [1], [3]], [1], 2, 1) == [17]
 
 
 class TestTOrdering:
@@ -206,11 +199,11 @@ class TestMaxMin:
         # the same alpha and witness, each taken over one denominator d > 1
         U = [phi_b(v, 3, 8) for v in (-7, -2, 0, 4, 5, 13)]
         ref = maxmin_check(U, 3, samples=10, seed=5)
-        shift, unit = TruncatedSeries.constant(Fraction(1, 2), 8), TruncatedSeries.constant(Fraction(-2, 3), 8)
+        shift, unit = series(Fraction(1, 2)), series(Fraction(-2, 3))
         for V in ([f + shift for f in U], [f * unit for f in U], [f * unit + shift for f in U]):
             rep = maxmin_check(V, 3, samples=10, seed=5)
             assert rep.ok and (rep.alpha_k, rep.witness_min) == (ref.alpha_k, ref.witness_min)
-            qk = build_qk(t_ordering(V, 3).elements[:3])
+            qk = qk_rows(t_ordering(V, 3).elements[:3])
             assert full_min_order(V, qk) == TOrderValue.of(rep.witness_min)
 
     def test_superadditive_and_antitone(self):
@@ -283,21 +276,30 @@ def near(draw, base=None, min_cap=1, max_cap=9, entries=coeffs):
     return TruncatedSeries(kept[:cap] + tail)
 
 
+def scaled_rows(p):
+    """Integer rows of a nonzero multiple of the polynomial with series coefficients p."""
+    return series_module._scaled([c.coeffs for c in p])[0]
+
+
+def qk_rows(prefix):
+    """Integer rows of a multiple of q_k, the product of (x - f) over the prefix, from fraction_qk."""
+    return scaled_rows(fraction_qk(prefix, min(f.cap for f in prefix)))
+
+
 @st.composite
 def families(draw, entries=coeffs):
-    """A family U with mixed caps around one base series, and a polynomial p."""
+    """A family U with mixed caps around one base series, and the integer rows of a polynomial p."""
     base = draw(near(min_cap=6, entries=entries))
     U = [draw(near(base, min_cap=4, entries=entries)) for _ in range(draw(st.integers(1, 6)))]
     others = draw(st.lists(near(base, min_cap=4, entries=entries), min_size=1, max_size=3))
     # short copies of roots vanish below their own cap: the unresolved members
     for r in draw(st.lists(st.sampled_from(others), max_size=2)):
-        U.insert(draw(st.integers(0, len(U))), r.truncate(draw(st.integers(1, r.cap))))
+        U.insert(draw(st.integers(0, len(U))), TruncatedSeries(r.coeffs[: draw(st.integers(1, r.cap))]))
     kind = draw(st.integers(0, 2))
     if kind == 0:  # a product over members: vanishes on them
-        p = build_qk(U[: draw(st.integers(1, len(U)))])
-    else:  # a product over near series, or arbitrary coefficients
-        p = build_qk(others) if kind == 1 else SeriesPolynomial(tuple(others))
-    return U, p
+        return U, qk_rows(U[: draw(st.integers(1, len(U)))])
+    # a product over near series, or arbitrary coefficients
+    return U, qk_rows(others) if kind == 1 else scaled_rows(others)
 
 
 @st.composite
@@ -310,22 +312,22 @@ def mixed_caps(draw, entries=coeffs):
     r = draw(near(min_cap=6, entries=entries))
     U = [draw(near(r, min_cap=r.cap, entries=entries)) for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(1, 2))):
-        U.insert(draw(st.integers(0, len(U))), r.truncate(draw(st.integers(1, r.cap))))
-    return U, build_qk([r])
+        U.insert(draw(st.integers(0, len(U))), TruncatedSeries(r.coeffs[: draw(st.integers(1, r.cap))]))
+    return U, qk_rows([r])
 
 
-def min_order_over(U, p):
-    """_min_order_over on U and p scaled to integer rows, as maxmin_check calls it."""
+def min_order_over(U, C):
+    """_min_order_over on U scaled to numerators over one d, as maxmin_check calls it."""
     Fs, d = series_module._scaled([f.coeffs for f in U])
-    C, _ = series_module._scaled([c.coeffs for c in p.coeffs])
     return series_module._min_order_over(Fs, d, C)
 
 
-def full_min_order(U, p):
-    """_min_order_over as it was: every member evaluated at its own cap."""
+def full_min_order(U, C):
+    """_min_order_over as it was: every member evaluated at its own cap, here by fraction_eval."""
+    p = [TruncatedSeries(row) for row in C]
     best, unresolved = None, []
     for f in U:
-        o = eval_poly(p, f).ord_t()
+        o = fraction_eval(p, f).ord_t()
         if not o.exact:
             unresolved.append(o.floor)
         elif best is None or o.floor < best.floor:
@@ -368,7 +370,7 @@ class TestOrderKernels:
     def test_unresolved_member_below_the_exact_minimum_raises(self):
         # p(f) = f: the cap-8 member has exact order 5, the cap-3 member
         # vanishes below its cap, so its order may lie anywhere from 3 on
-        p = SeriesPolynomial((series(cap=8), series(1, cap=8)))
+        p = [ints(), ints(1)]
         exact, short = series(0, 0, 0, 0, 0, 1, cap=8), series(cap=3)
         for U in ([exact, short], [short, exact]):
             with pytest.raises(CapError):
@@ -381,15 +383,8 @@ class TestOrderKernels:
 
     def test_internal_ops_keep_fraction_coefficients(self):
         f, g = series(1, Fraction(1, 2), cap=4), series(3, cap=5)
-        for h in (f + g, f - g, -f, f * g, f.truncate(2), eval_poly(build_qk([g]), f)):
+        for h in (f + g, f - g, -f, f * g, g * g):
             assert all(type(c) is Fraction for c in h.coeffs)
-        for cap in (0, -1, -3):  # a negative cap must not slice coefficients off the end
-            with pytest.raises(ValueError):
-                f.truncate(cap)
-            with pytest.raises(ValueError):
-                TruncatedSeries.constant(5, cap)
-        with pytest.raises(ValueError):
-            TruncatedSeries.zero(0)
 
 
 # -- the integer kernels against the Fraction arithmetic they replace ---------
@@ -410,22 +405,22 @@ def fraction_mul(f, g):
 
 
 def fraction_eval(p, f, cap=None):
-    """eval_poly as it was: Horner's rule on Fraction series."""
-    own = min(f.cap, min(c.cap for c in p.coeffs))
+    """Horner's rule on Fraction series: p(f) for p a list of series, lowest power of x first."""
+    own = min(f.cap, min(c.cap for c in p))
     cap = own if cap is None else min(cap, own)
-    f = f.truncate(cap)
-    acc = TruncatedSeries.zero(cap)
-    for c in reversed(p.coeffs):
-        acc = fraction_mul(acc, f) + c.truncate(cap)
+    f = TruncatedSeries(f.coeffs[:cap])
+    acc = series(cap=cap)
+    for c in reversed(p):
+        acc = fraction_mul(acc, f) + TruncatedSeries(c.coeffs[:cap])
     return acc
 
 
 def fraction_qk(prefix, cap):
-    """build_qk with every product taken by fraction_mul."""
-    coeffs = [TruncatedSeries.constant(1, cap)]
+    """The series coefficients of the product of (x - f) over the prefix, every product taken by fraction_mul."""
+    coeffs = [series(1, cap=cap)]
     for f in prefix:
-        f = f.truncate(cap)
-        nxt = [TruncatedSeries.zero(cap) for _ in range(len(coeffs) + 1)]
+        f = TruncatedSeries(f.coeffs[:cap])
+        nxt = [series(cap=cap) for _ in range(len(coeffs) + 1)]
         for i, c in enumerate(coeffs):
             nxt[i + 1] = nxt[i + 1] + c
             nxt[i] = nxt[i] - fraction_mul(c, f)
@@ -446,13 +441,13 @@ def operands(draw, entries=rationals):
     """A series of cap 1..9; one draw in four is all zero."""
     cap = draw(st.integers(1, 9))
     if draw(st.integers(0, 3)) == 0:
-        return TruncatedSeries.zero(cap)
+        return series(cap=cap)
     return TruncatedSeries(draw(st.lists(entries, min_size=cap, max_size=cap)))
 
 
-@st.composite
-def polynomials(draw, entries=rationals):
-    return SeriesPolynomial(tuple(draw(st.lists(operands(entries), min_size=1, max_size=5))))
+def polynomials(entries=rationals):
+    """Series coefficients of a polynomial in x, lowest power first."""
+    return st.lists(operands(entries), min_size=1, max_size=5)
 
 
 # integers past one machine word: widths of many words
@@ -479,40 +474,42 @@ class TestIntegerKernels:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_evaluation_matches_fraction_horner(self, data):
+        # p = C/d_p and f = F/d_f: _horner's result is d_p * d_f^k * p(f) mod t^n
         entries = data.draw(any_entries)
         p, f = data.draw(polynomials(entries)), data.draw(operands(entries))
-        assert_same(eval_poly(p, f), fraction_eval(p, f))
-        cap = data.draw(st.integers(1, 10))
-        assert_same(eval_poly(p, f, cap), fraction_eval(p, f, cap))
+        own = min(f.cap, min(c.cap for c in p))
+        for n in (own, min(own, data.draw(st.integers(1, 10)))):
+            C, dp = series_module._scaled([c.coeffs for c in p], n)
+            (F,), d = series_module._scaled((f.coeffs,), n)
+            want = fraction_eval(p, f, n).coeffs
+            assert packed_eval(C, F, d, n) == [c * dp * d ** (len(p) - 1) for c in want]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_qk_matches_fraction_product(self, data):
+        # with every f_j = F_j/d, the x^i coefficient of q_k is B_i / d^(k-i)
         entries = data.draw(any_entries)
         prefix = data.draw(st.lists(operands(entries), max_size=4))
         cap = data.draw(st.integers(1, min((f.cap for f in prefix), default=8)))
-        for got, want in zip(build_qk(prefix, cap).coeffs, fraction_qk(prefix, cap), strict=True):
-            assert_same(got, want)
-
-    def test_evaluation_refuses_a_cap_below_one(self):
-        p = build_qk([series(1, 2)])
-        for cap in (0, -2):
-            with pytest.raises(ValueError):
-                eval_poly(p, series(3), cap)
+        Fs, d = series_module._scaled([f.coeffs for f in prefix], cap)
+        k = len(prefix)
+        got = series_module._qk_rows(Fs, cap)
+        want = fraction_qk(prefix, cap)
+        assert got == [[c * d ** (k - i) for c in q.coeffs] for i, q in enumerate(want)]
 
 
 def fraction_draw(rng, degree, cap):
-    """random_primitive_polynomial as it was: rows of Fractions, rejected as series."""
+    """The sample draw as it was: rows of Fractions, rejected as series."""
     bound, t_degree = series_module.COEFF_BOUND, series_module.T_DEGREE
     pad = (Fraction(0),) * max(0, cap - t_degree - 1)
     while True:
-        rows = []
+        drawn = []
         for _ in range(degree + 1):
             cs = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(t_degree + 1))
-            rows.append(TruncatedSeries(cs[:cap] + pad))
-        p = SeriesPolynomial(tuple(rows))
-        if rows[degree].ord_t().exact and p.is_t_primitive():
-            return p
+            drawn.append(TruncatedSeries(cs[:cap] + pad))
+        # exact x-degree `degree`, and t-primitive: some row has a nonzero constant term
+        if drawn[degree].ord_t().exact and any(r.ord_t() == TOrderValue.of(0) for r in drawn):
+            return drawn
 
 
 class TestPackedKernels:
@@ -534,44 +531,49 @@ class TestPackedKernels:
     def test_product_with_zero(self):
         for n in (1, 4):
             f = series(*range(-2, n - 2), cap=n)
-            assert_same(f * TruncatedSeries.zero(n), TruncatedSeries.zero(n))
-            assert_same(TruncatedSeries.zero(n) * f, TruncatedSeries.zero(n))
+            assert_same(f * series(cap=n), series(cap=n))
+            assert_same(series(cap=n) * f, series(cap=n))
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_evaluation_at_the_width_edge(self, n, sign):
         # p = C_1 x + C_0 with every coefficient 7 at f = 5/2 in every term:
         # 2*p(f) tops out at 7*(5n) + 7*2 = B_0, the bound of the width
-        row = series(*[sign * 7] * n, cap=n)
-        p, f = SeriesPolynomial((row, row)), series(*[Fraction(5, 2)] * n, cap=n)
-        assert eval_poly(p, f).coeffs[-1] == Fraction(sign * (35 * n + 14), 2)
-        assert_same(eval_poly(p, f), fraction_eval(p, f))
+        row = [sign * 7] * n
+        got = packed_eval([row, row], [5] * n, 2, n)
+        assert got[-1] == sign * (35 * n + 14)
+        p = [TruncatedSeries(row)] * 2
+        assert got == [2 * c for c in fraction_eval(p, series(*[Fraction(5, 2)] * n, cap=n)).coeffs]
         # n = 1, degree 3: Horner's bound ((3*4 + 3)*4 + 3)*4 + 3 = 255 is the value
-        p = SeriesPolynomial(tuple(series(sign * 3, cap=1) for _ in range(4)))
-        assert eval_poly(p, series(4, cap=1)) == series(sign * 255, cap=1)
+        assert packed_eval([[sign * 3]] * 4, [4], 1, 1) == [sign * 255]
 
     def test_evaluation_at_zero_and_of_zero(self):
-        p = SeriesPolynomial((series(-3, 1, cap=4), series(2, cap=4), series(5, 5, cap=4)))
-        assert_same(eval_poly(p, TruncatedSeries.zero(4)), series(-3, 1, cap=4))
-        zero = SeriesPolynomial((TruncatedSeries.zero(4),) * 3)
-        assert_same(eval_poly(zero, series(1, Fraction(1, 2), cap=4)), TruncatedSeries.zero(4))
+        p = [ints(-3, 1, cap=4), ints(2, cap=4), ints(5, 5, cap=4)]
+        assert packed_eval(p, ints(cap=4), 1, 4) == ints(-3, 1, cap=4)
+        # d^2 * 0 at f = (2 + t)/2
+        assert packed_eval([ints(cap=4)] * 3, ints(2, 1, cap=4), 2, 4) == ints(cap=4)
 
     def test_order_read_from_the_lowest_set_bit(self):
         # p = x at f = c*t^j + t^(j+1): order j, whatever the lowest set bit of c
-        p = SeriesPolynomial((series(cap=8), series(1, cap=8)))
+        p = [ints(), ints(1)]
         for j in range(6):
             for c in (1, -1, 2, 6, -8, 2**40):
                 U = [series(*[0] * j, c, 1, cap=8)]
                 assert min_order_over(U, p) == full_min_order(U, p) == TOrderValue.of(j)
         assert min_order_over([series(cap=8)], p) == TOrderValue.at_least(8)
 
+    def test_row_draw_has_its_degree_and_is_primitive(self):
+        # a zero leading row, or every constant term zero, is drawn again
+        for seed in range(20):
+            for degree, cap in ((1, 1), (0, 4), (2, 4)):
+                drawn = series_module._random_rows(random.Random(seed), degree, cap)
+                assert len(drawn) == degree + 1 and all(len(r) == cap for r in drawn)
+                assert any(drawn[degree]) and any(r[0] for r in drawn)
+
     def test_row_draw_makes_the_fraction_draws(self):
         for seed in range(20):
             for degree, cap in ((0, 1), (1, 2), (2, 4), (3, 8), (4, 16)):
                 rng, want_rng = random.Random(seed), random.Random(seed)
                 want = fraction_draw(want_rng, degree, cap)
-                assert series_module._random_rows(rng, degree, cap) == [
-                    [c.numerator for c in row.coeffs] for row in want.coeffs
-                ]
+                assert series_module._random_rows(rng, degree, cap) == [[c.numerator for c in r.coeffs] for r in want]
                 assert rng.getstate() == want_rng.getstate()
-                assert random_primitive_polynomial(random.Random(seed), degree, cap) == want
