@@ -8,9 +8,10 @@ add, and a subclass holding no prefix element attains it with its
 smallest member.  The walk always ends: every opened subclass holds a
 prefix element, so its bound grows by at least one per level.  A finite
 S is one finitely-met class at the root, which holds every unused member
-at its exact value, so its walk never goes below the root.  Each opened
-class is a node kept for the whole run; an append patches one entry in
-each node on its residue path and nothing else.
+at its exact value, bucketed by subclass, so its walk never goes below
+the root.  Each opened class is a node kept for the whole run; an append
+patches one entry, or one bucket, in each node on its residue path and
+nothing else.
 """
 
 from __future__ import annotations
@@ -158,16 +159,17 @@ class _GreedyState:
     under the class id b^l + r (it lies in [b^l, 2*b^l), so no two classes
     share one): [summary, entries, finite].  A member's excess is its value
     less the prefix counts of its class on levels 1..l, which all its
-    members share.  `finite` maps each S-member of a finitely-met
-    subclass outside the prefix to (excess, 1, canonical key, member); a
-    finite S is one such class at the root.  `entries` maps the residue
-    mod b^(l+1) of each infinite subclass to an exact entry, (count + the
-    subclass's summary excess, 1, key, member) where count is its prefix
-    count on level l+1 (a realized subclass, count 0, gives its smallest
-    member), or to a lower bound (count, 0, residue) for a subclass not
-    yet scored.  The summary is the least entry or finite member, or None
-    while unknown.  A node is opened once, and stored only after S has
-    answered all its questions.
+    members share.  `finite` maps the residue mod b^(l+1) of each
+    finitely-met subclass with a member outside the prefix to its bucket,
+    which maps each such member to (excess, 1, canonical key, member); a
+    finite S is one such class at the root.  `entries` maps that residue
+    to the bucket's least member, and the residue of each infinite
+    subclass to an exact entry, (count + the subclass's summary excess, 1,
+    key, member) where count is its prefix count on level l+1 (a realized
+    subclass, count 0, gives its smallest member), or to a lower bound
+    (count, 0, residue) for a subclass not yet scored.  The summary is the
+    least entry, or None while unknown.  A node is opened once, and
+    stored only after S has answered all its questions.
     """
 
     def __init__(self, S: IntegerSet, b: int):
@@ -178,7 +180,8 @@ class _GreedyState:
 
     def append(self, a: int) -> None:
         """Add a to the prefix.  Of the nodes, only those of the classes a lies in
-        change: each drops its summary and turns the entry a lies in into a lower bound.
+        change: each drops its summary and turns the entry a lies in into a lower
+        bound, or re-scores the bucket a lies in.
         """
         b, levels = self.b, self.levels
         for level, counts in levels.items():
@@ -188,17 +191,22 @@ class _GreedyState:
             node[0] = None
             mod *= b
             r1 = a % mod
-            if r1 not in node[1]:
-                # a is in a finitely-met subclass (or outside S): only its
-                # members move, as ord_b(f - a) = depth for any other f
-                finite = node[2]
-                finite.pop(a, None)
-                for f, (excess, _, key, _) in finite.items():
-                    if f % mod == r1:
-                        finite[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)
+            entries, bucket = node[1], node[2].get(r1)
+            if bucket is not None:
+                # only a's own subclass moves: ord_b(f - a) = depth for every
+                # other member f, which the prefix counts already carry
+                bucket.pop(a, None)
+                for f, (excess, _, key, _) in bucket.items():
+                    bucket[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)
+                if bucket:
+                    entries[r1] = min(bucket.values())
+                else:  # its last member is used
+                    del node[2][r1], entries[r1]
+                break
+            if r1 not in entries:  # a meets no unused member of S below here
                 break
             depth += 1
-            node[1][r1] = (levels[depth][r1], 0, r1)
+            entries[r1] = (levels[depth][r1], 0, r1)
             node = self.nodes.get(mod + r1)
         self.prefix.append(a)
 
@@ -224,11 +232,12 @@ class _GreedyState:
         The root summary holds the least value and its canonical member.
         Other policies draw from the full tie set, found by going down only
         into subclasses whose entry attains their class's summary; a
-        realized one gives its smallest member.  Once a finite S is used
-        up, later steps repeat its canonical first member at infinity.
+        realized one gives its smallest member, and a bucket every member
+        that attains it.  Once a finite S is used up, later steps repeat
+        its canonical first member at infinity.
         """
         root = self.nodes.get(1) or self._open(0, 0)
-        if not (root[1] or root[2]):
+        if not root[1]:
             return StepResult(next(iter(self.S.iter_canonical())), None)
         value, _, _, element = self._summary(root)
         if not isinstance(policy, CanonicalTieBreak):
@@ -237,13 +246,15 @@ class _GreedyState:
             while todo:
                 mod, cid = todo.pop()
                 (target, *_), entries, finite = nodes[cid]
-                pool.extend(f for excess, _, _, f in finite.values() if excess == target)
-                # under a current summary an entry equal to it is exact, and
-                # a scored subclass has a node; a realized one has none
+                # under a current summary an entry equal to it is exact; a
+                # finitely-met subclass has a bucket, a scored one a node,
+                # and a realized one neither
                 mod *= b
                 for r1, (total, *_, a) in entries.items():
                     if total == target:
-                        if mod + r1 in nodes:
+                        if r1 in finite:
+                            pool.extend(f for excess, _, _, f in finite[r1].values() if excess == target)
+                        elif mod + r1 in nodes:
                             todo.append((mod, mod + r1))
                         else:
                             pool.append(a)
@@ -254,7 +265,8 @@ class _GreedyState:
         """The node of the class r mod b^depth, asking S about each subclass once.
 
         A finite S is one finitely-met class: its root takes every member
-        from `iter_canonical` and asks S nothing, so the cost does not grow with b.
+        from `iter_canonical` and asks S nothing, so the cost does not grow with b;
+        only the subclasses its members lie in get a bucket.
         """
         S, b, prefix = self.S, self.b, self.prefix
         mod, mod1 = b**depth, b ** (depth + 1)
@@ -277,7 +289,7 @@ class _GreedyState:
                         if v > depth:
                             excess += v - depth
                     else:
-                        finite[f] = (excess, 1, canonical_key(f), f)
+                        finite.setdefault(f % mod1, {})[f] = (excess, 1, canonical_key(f), f)
             elif counts[r1]:
                 entries[r1] = (counts[r1], 0, r1)
             else:
@@ -285,6 +297,8 @@ class _GreedyState:
                 # member is never excluded and depends on S alone
                 w = S.pick_in_class(r1, mod1)
                 entries[r1] = (0, 1, canonical_key(w), w)
+        for r1, bucket in finite.items():
+            entries[r1] = min(bucket.values())
         node = self.nodes[mod + r] = [None, entries, finite]
         return node
 
@@ -301,10 +315,7 @@ class _GreedyState:
         depth, stack = 0, []
         while True:
             if node[0] is None:
-                # only the root of a finite S has no entries
-                top = min(node[1].values() or node[2].values())
-                if node[1] and node[2]:
-                    top = min(top, min(node[2].values()))
+                top = min(node[1].values())
                 if not top[1]:  # a lower bound: score that subclass, then come back
                     stack.append((node, top))
                     depth += 1

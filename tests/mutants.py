@@ -29,7 +29,7 @@ INTSETS = "src/borderings/intsets.py"
 _FINITE_RUNS = "tests/test_ordering.py::TestFiniteRuns::test_runs_are_reproduced"
 _SUBSET_MINIMA = "tests/test_ordering.py::TestBOrdering::test_prefix_sums_are_subset_minima_on_larger_sets"
 _BELOW_ROOT = "tests/test_ordering.py::TestPersistentFrontier::test_finite_members_below_the_root"
-_APPEND = "finite[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)"
+_APPEND = "bucket[f] = (excess + ord_b(b, f - a) - depth, 1, key, f)"
 _AUTO = "tests/test_factored.py::TestBaseSets::test_auto_matches_a_cutoff_above_the_diameter"
 _PACKED = "tests/test_series.py::TestPackedKernels::"
 _PICK = "tests/test_intsets.py::TestPickInClass::"
@@ -38,18 +38,23 @@ _STATUS_SCAN = "tests/test_intsets.py::TestResidueStatus::test_consistency_with_
 # (file under the repository root, exact text before, text after, node ids that must fail)
 MUTANTS = [
     # the excess update of a finite member in _GreedyState.append
-    (ORDERING, _APPEND, "finite[f] = (excess + ord_b(b, f - a) - depth + 1, 1, key, f)",
+    (ORDERING, _APPEND, "bucket[f] = (excess + ord_b(b, f - a) - depth + 1, 1, key, f)",
      [_FINITE_RUNS, _SUBSET_MINIMA]),
-    (ORDERING, _APPEND, "finite[f] = (excess + min(ord_b(b, f - a) - depth, 1), 1, key, f)",
+    (ORDERING, _APPEND, "bucket[f] = (excess + min(ord_b(b, f - a) - depth, 1), 1, key, f)",
      [_FINITE_RUNS, _SUBSET_MINIMA]),
     # a finite S sits at the root, where depth is 0: only members below it see `- depth`
-    (ORDERING, _APPEND, "finite[f] = (excess + ord_b(b, f - a), 1, key, f)", [_BELOW_ROOT]),
+    (ORDERING, _APPEND, "bucket[f] = (excess + ord_b(b, f - a), 1, key, f)", [_BELOW_ROOT]),
+    # a bucket's kept minimum left stale after an append re-scores the bucket
+    (ORDERING, "entries[r1] = min(bucket.values())\n                else:", "pass\n                else:",
+     [_FINITE_RUNS]),
     # the same update where _open scores a finitely-met class
     (ORDERING, "excess += v - depth", "excess += v", [_BELOW_ROOT]),
+    # members bucketed by their class mod b^l, not by their subclass mod b^(l+1)
+    (ORDERING, "finite.setdefault(f % mod1, {})", "finite.setdefault(f % mod, {})", [_FINITE_RUNS]),
     # lower bounds sorted after exact entries of equal total
     (ORDERING,
-     "top = min(node[1].values() or node[2].values())",
-     "top = min(node[1].values() or node[2].values(), key=lambda e: (e[0], 1 - e[1], e[2:]))",
+     "top = min(node[1].values())",
+     "top = min(node[1].values(), key=lambda e: (e[0], 1 - e[1], e[2:]))",
      ["tests/test_ordering.py::TestGreedyStep::test_certified_steps_match_window_oracle",
       "tests/test_ordering.py::TestGreedyStep::test_adversarial_prefixes_match_wide_window"]),
     # the finite cut of invariants reads index |S| as inside S

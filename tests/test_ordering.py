@@ -724,25 +724,34 @@ class TestPersistentFrontier:
         assert keys <= 16, keys
 
     def test_kept_summaries_equal_fresh_ones(self):
-        # an append drops only the summaries of the classes it lies in; every
-        # summary kept, and every finite member's excess, must equal the one
-        # a fresh state computes for the prefix
-        for S, b, k in [(Primes(), 6, 120), (AllIntegers(), 3, 100), (ArithmeticProgression(-20, 3), 6, 80)]:
+        # an append drops only the summaries of the classes it lies in and
+        # re-scores only the bucket it lies in; every summary kept, every
+        # bucket with each finite member's excess, and every bucket's kept
+        # minimum must equal the one a fresh state computes for the prefix
+        rng = random.Random(30)
+        lists = [parse_set_spec("list:" + ",".join(map(str, rng.sample(range(-1000, 1000), 48)))) for _ in range(2)]
+        runs = [(Primes(), 6, 120, 20), (AllIntegers(), 3, 100, 20), (ArithmeticProgression(-20, 3), 6, 80, 20)]
+        below = ProgressionPlus(ArithmeticProgression(0, 8), [2, 6, -6, 18, 3, 7])  # buckets below the root
+        runs += [(below, 2, 24, 1), (below, 6, 24, 1)]
+        runs += [(S, b, 46, 1) for S in lists for b in (2, 6, 10)]
+        for S, b, k, every in runs:
             state = ordering_module._GreedyState(S, b)
             compared = 0
             for i in range(k + 1):
                 state.append(state.step(CANONICAL).element)
-                if i % 20:
+                if i % every:
                     continue
                 state.step(CANONICAL)
                 fresh = ordering_module._GreedyState(S, b)
                 for a in state.prefix:
                     fresh.append(a)
                 fresh.step(CANONICAL)
-                for cid, (summary, _, finite) in fresh.nodes.items():
+                for cid, (summary, entries, finite) in fresh.nodes.items():
                     if cid in state.nodes:
-                        kept, _, kept_finite = state.nodes[cid]
-                        assert kept_finite == finite, (S.spec, i, cid)
+                        kept, kept_entries, kept_finite = state.nodes[cid]
+                        assert kept_finite == finite, (S.spec, b, i, cid)
+                        for r1, bucket in kept_finite.items():
+                            assert kept_entries[r1] == entries[r1] == min(bucket.values()), (S.spec, b, i, cid, r1)
                         if kept is not None and summary is not None:
                             assert kept == summary, (S.spec, i, cid)
                             compared += 1
