@@ -30,7 +30,6 @@ from .ordering import (
     BOrdering,
     ExponentSequence,
     RandomTieBreak,
-    alphas,
     b_ordering,
     check_majorization,
     evaluate_multiplicative,

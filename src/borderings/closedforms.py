@@ -3,8 +3,8 @@
 These serve both as fast paths and as independent oracles against the
 greedy engine: the Z formula is the geometric floor sum, the progression
 formula its gcd-reduced form, the P formula is driven by Euler's totient
-and the distinct-prime count, and the partition bound ties the P lower
-bound to the floor sums.
+and the distinct-prime count, and the partition bound, `numerics.floor_sum`
+with its minimising `equality_profile`, ties the P lower bound to the floor sums.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .intsets import Primes
-from .numerics import digit_sum, floor_sum, omega_totient, prime_factors
+from .numerics import digit_sum, omega_totient, prime_factors
 
 
 def alpha_AP(k: int, b: int, d: int = 1) -> int:
@@ -83,19 +83,6 @@ def alpha_P(k: int, b: int) -> int:
         total += n // m
         m *= b
     return total
-
-
-def lemma82_min(k: int, m: int) -> int:
-    """Minimum of sum C(n_i, 2) over partitions of k into m nonnegative parts.
-
-    Equals floor_sum(k, m); the brute-force partition oracle in the tests
-    confirms both the value and the uniqueness of the equality profile.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    return floor_sum(k, m)
 
 
 def equality_profile(k: int, m: int) -> tuple[int, ...]:

@@ -65,9 +65,6 @@ class FactoredNumber:
     def is_zero(self) -> bool:
         return 0 in self._exp
 
-    def bases(self) -> list[int]:
-        return sorted(self._exp)
-
     def exponent(self, b: int) -> ExtNat:
         return ExtNat(self._exp.get(b, 0))
 

@@ -3,7 +3,7 @@
 Everything here is exact integer arithmetic on Python's unbounded ints; no
 floating point is used anywhere.  Valuations take values in N ∪ {+inf}: a
 plain int, with None for +inf, from `ord_b` through every greedy step, and
-:class:`ExtNat` where `alphas`, `exponent_sequence` and others hand one out.
+:class:`ExtNat` where `exponent_sequence` and others hand one out.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import closedforms
 from .numerics import INF, ZERO, ExtNat, ord_b
@@ -140,15 +140,6 @@ def _initial_element(S: IntegerSet, policy: TieBreakPolicy) -> int:
     return next(iter(S.iter_canonical()))
 
 
-def _first_unused(S: IntegerSet, used: set[int]) -> Optional[int]:
-    if S.cardinality is not None and len(used) >= S.cardinality:
-        return None
-    for a in S.iter_canonical():
-        if a not in used:
-            return a
-    return None
-
-
 class _GreedyState:
     """The prefix of one greedy run and what its steps need, kept current on append.
 
@@ -177,6 +168,7 @@ class _GreedyState:
         self.prefix: list[int] = []
         self.levels: dict[int, Counter] = {}
         self.nodes: dict[int, list] = {}
+        self.unused = self._unused() if b == 0 else None  # the b = 0 cursor; it reads S from the first step on
 
     def append(self, a: int) -> None:
         """Add a to the prefix.  Of the nodes, only those of the classes a lies in
@@ -220,11 +212,26 @@ class _GreedyState:
         if not self.prefix:
             return StepResult(_initial_element(S, policy), 0)
         if b < 2:
-            nxt = _first_unused(S, set(self.prefix)) if b == 0 else None
+            nxt = next(self.unused, None) if b == 0 else None
             if nxt is None:  # b = 1, or b = 0 with S used up
                 return StepResult(next(iter(S.iter_canonical())), None)
             return StepResult(nxt, 0)
         return self._branch_and_bound(policy)
+
+    def _unused(self) -> Iterator[int]:
+        """S's members outside the prefix in canonical order, for b = 0, where each is worth 0.
+
+        A member is yielded again at each step until the prefix holds it;
+        the prefix only grows, so a member passed over is never needed again.
+        """
+        prefix, seen, synced = self.prefix, set(), 0
+        for a in self.S.iter_canonical():
+            while True:
+                seen.update(prefix[synced:])  # a prefix may repeat a member: count places, not members
+                synced = len(prefix)
+                if a in seen:
+                    break
+                yield a
 
     def _branch_and_bound(self, policy: TieBreakPolicy) -> StepResult:
         """Certified minimum of sum_j ord_b(a' - a_j) over S.
@@ -381,8 +388,6 @@ def b_ordering(
 class ExponentSequence:
     """The well-defined invariants alpha_0..alpha_k of (S, b)."""
 
-    set_spec: str
-    base: int
     values: list[ExtNat]
     source: str
 
@@ -390,6 +395,13 @@ class ExponentSequence:
     def certified_steps(self) -> list[bool]:
         """Always true per index: each value is a formula or a walk proof."""
         return [True] * len(self.values)
+
+
+# Most member updates a finite greedy query may make.  Each step of a run over
+# a finite S re-scores the unused members of one class mod b, so a run to
+# index k makes at most k times the size of S's largest class mod b of them,
+# at 0.2-0.3 us each on a 2-vCPU Xeon: the limit is about 3 s of greedy.
+GREEDY_WORK_MAX = 10**7
 
 
 def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[tuple[str, list]]:
@@ -405,7 +417,8 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
     set's diameter divides no difference of its members, so every index
     below |S| is 0.  Any other base gets one canonical greedy run up to
     max(ks).  For a finite S each index from |S| on is None, a certified inf,
-    as every later step repeats an element.
+    as every later step repeats an element; a finite run past GREEDY_WORK_MAX
+    is refused with ValueError before its first step.
     """
     if any(b < 0 for b in bases):
         raise ValueError(f"base must be >= 0, got {min(bases)}")
@@ -436,32 +449,31 @@ def invariants(S: IntegerSet, bases: Sequence[int], ks: Sequence[int]) -> list[t
             rows.append(("closed-form", [0 if i else None for i in inside]))
         else:
             # a step inside S has a finite value: some member is not yet used
-            run = b_ordering(S, b, max(ks) if n is None else min(max(ks), n - 1)).exponents
+            top = max(ks) if n is None else min(max(ks), n - 1)
+            if n is not None and top * n > GREEDY_WORK_MAX:  # else no class can pass the limit
+                work = top * max(Counter(a % b for a in S.iter_canonical()).values())
+                if work > GREEDY_WORK_MAX:
+                    raise ValueError(
+                        f"a greedy run to k = {top} over this set at b = {b} re-scores up to {work:,} members;"
+                        f" the limit is {GREEDY_WORK_MAX:,}"
+                    )
+            run = b_ordering(S, b, top).exponents
             rows.append(("greedy", [run[k] if i else None for k, i in zip(ks, inside)]))
     return rows
 
 
-def alphas(S: IntegerSet, b: int, ks: Sequence[int]) -> list[ExtNat]:
-    """alpha_k(S, b) for each k in ks (nonempty), computing only what they read."""
-    return [INF if v is None else ExtNat(v) for v in invariants(S, (b,), ks)[0][1]]
-
-
 def exponent_sequence(S: IntegerSet, b: int, k: int) -> ExponentSequence:
-    """alphas over 0..k, listed with the route that gave them."""
+    """alpha_0..alpha_k(S, b), listed with the route that gave them."""
     # a negative k reaches the check as itself, not as an empty range
     ((source, values),) = invariants(S, (b,), range(min(k, 0), k + 1))
-    return ExponentSequence(S.spec, b, [INF if v is None else ExtNat(v) for v in values], source)
+    return ExponentSequence([INF if v is None else ExtNat(v) for v in values], source)
 
 
 @dataclass
 class MajorizationReport:
     """Prefix-sum dominance of a test sequence over the set invariants."""
 
-    set_spec: str
-    base: int
-    sequence: tuple[int, ...]
     sequence_values: list[ExtNat]
-    invariant_values: list[ExtNat]
     equality_positions: list[int] = field(default_factory=list)
     violations: list[int] = field(default_factory=list)
 
@@ -484,7 +496,7 @@ def check_majorization(S: IntegerSet, b: int, seq: Sequence[int]) -> Majorizatio
             raise ValueError(f"sequence element {a} is not in {S.spec}")
     seq_values = evaluate_test_sequence(elements, b)
     inv = exponent_sequence(S, b, max(len(elements) - 1, 0))
-    report = MajorizationReport(S.spec, b, elements, seq_values, inv.values)
+    report = MajorizationReport(seq_values)
     seq_sums = list(accumulate(seq_values))
     inv_sums = list(accumulate(inv.values))
     for m in range(len(elements)):

@@ -10,7 +10,7 @@ Inside, an integer series of length n is packed into one int at t = 2^w
 runs in Z/2^(n*w), the image of Z[t]/t^n.  The width w is one bit more than
 a bound on every output coefficient, so the n balanced base-2^w digits of the
 result are its coefficients, and ord_t is the index of the digit that holds
-the lowest set bit.
+the lowest set bit, as it is of the difference of two packed t-ordering members.
 
 Everything is truncated at a degree cap; a vanishing truncation never
 pretends to be exact.  Orders below the cap are reported exactly, orders
@@ -85,39 +85,27 @@ class TruncatedSeries:
         for c in coeffs:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"series coefficients must be int or Fraction, got {c!r}")
-        cs = tuple(map(Fraction, coeffs))
-        if not cs:
+        self.coeffs = tuple(map(Fraction, coeffs))
+        if not self.coeffs:
             raise ValueError("a truncated series needs a positive cap")
-        object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def _exact(cls, cs: tuple) -> "TruncatedSeries":
-        """Wrap a nonempty tuple of Fractions as is: the internal ops' constructor."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "coeffs", cs)
-        return f
 
     @property
     def cap(self) -> int:
         return len(self.coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._exact(tuple(a + c for a, c in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries([a + c for a, c in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._exact(tuple(a - c for a, c in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries([a - c for a, c in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._exact(tuple(-c for c in self.coeffs))
+        return TruncatedSeries([-c for c in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cap, other.cap)
         (a, c), d = _scaled((self.coeffs, other.coeffs), n)
-        nums = _convolve(a, c)
-        if d == 1:
-            return TruncatedSeries._exact(tuple(map(Fraction, nums)))
-        d *= d
-        return TruncatedSeries._exact(tuple(Fraction(v, d) for v in nums))
+        return TruncatedSeries([Fraction(v, d * d) for v in _convolve(a, c)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -235,15 +223,18 @@ class TOrdering:
     indices: list[int]
     elements: list[TruncatedSeries]
     exponents: list[TOrderValue]
-    strategy: str
 
 
-def _order_of_difference(f: TruncatedSeries, g: TruncatedSeries) -> TOrderValue:
-    """ord_t(f - g), read off the first coefficient where f and g differ."""
-    for i, (a, c) in enumerate(zip(f.coeffs, g.coeffs)):
-        if a != c:
-            return TOrderValue.of(i)
-    return TOrderValue.at_least(min(f.cap, g.cap))
+def _order(v: int, w: int, n: int) -> TOrderValue:
+    """ord_t of an integer series packed at t = 2^w and known mod t^n, or at-least n if it vanishes there.
+
+    Each nonzero coefficient, below 2^w in size, sets a bit of its own digit.
+    """
+    if v:
+        o = ((v & -v).bit_length() - 1) // w
+        if o < n:
+            return TOrderValue.of(o)
+    return TOrderValue.at_least(n)
 
 
 def t_ordering(
@@ -265,12 +256,16 @@ def t_ordering(
     idx = start if start is not None else policy.choose(range(len(U)))
     if not 0 <= idx < len(U):
         raise ValueError(f"start index {idx} out of range")
+    Fs, _ = _scaled([f.coeffs for f in U])
+    # 2^w above twice the largest |numerator|, so above every coefficient of a difference
+    w = max(abs(c) for F in Fs for c in F).bit_length() + 1
+    members = [(_pack(F, w), len(F)) for F in Fs]
     indices = [idx]
     exponents = [TOrderValue.of(0)]
     sums = [TOrderValue.of(0)] * len(U)
     for _ in range(k):
-        last = U[indices[-1]]
-        sums = [s + _order_of_difference(f, last) for s, f in zip(sums, U)]
+        last, cap = members[indices[-1]]
+        sums = [s + _order(v - last, w, min(n, cap)) for s, (v, n) in zip(sums, members)]
         exact_vals = [s.floor for s in sums if s.exact]
         if exact_vals:
             vmin = min(exact_vals)
@@ -285,7 +280,7 @@ def t_ordering(
             chosen = policy.choose(range(len(U)))
         indices.append(chosen)
         exponents.append(sums[chosen])
-    return TOrdering(indices, [U[i] for i in indices], exponents, policy.name)
+    return TOrdering(indices, [U[i] for i in indices], exponents)
 
 
 COEFF_BOUND = 3  # sampled coefficients have integer entries in [-COEFF_BOUND, COEFF_BOUND]
@@ -339,13 +334,11 @@ def _min_order_over(Fs: list[list[int]], d: int, C: list[list[int]]) -> TOrderVa
             return best  # nothing lies below order 0
         n = min(len(F), own) if best is None else min(len(F), own, best.floor)
         acc, w = _horner(C, F, d, n)
-        if acc:
-            # the lowest nonzero digit's lowest set bit: a digit below 2^(w-1) sets one of its own bits
-            o = TOrderValue.of(((acc & -acc).bit_length() - 1) // w)
-            if best is None or o.floor < best.floor:
-                best = o
-        else:
-            floors_unresolved.append(n)
+        o = _order(acc, w, n)
+        if not o.exact:
+            floors_unresolved.append(o.floor)
+        elif best is None or o.floor < best.floor:
+            best = o
     if best is None:
         return TOrderValue.at_least(min(floors_unresolved))
     if any(fl < best.floor for fl in floors_unresolved):

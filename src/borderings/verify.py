@@ -458,7 +458,7 @@ def _suite_closed_forms(rep: SuiteReport, rng: random.Random) -> None:
     # partition-minimisation bound: brute force vs floor sums, with profiles
     detail = _miss(
         (
-            (k, m, *_partition_minimum(k, m), closedforms.lemma82_min(k, m),
+            (k, m, *_partition_minimum(k, m), floor_sum(k, m),
              tuple(sorted(closedforms.equality_profile(k, m))))
             for k, m in product(range(13), range(1, 7))
         ),

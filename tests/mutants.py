@@ -51,6 +51,9 @@ MUTANTS = [
     (ORDERING, "excess += v - depth", "excess += v", [_BELOW_ROOT]),
     # members bucketed by their class mod b^l, not by their subclass mod b^(l+1)
     (ORDERING, "finite.setdefault(f % mod1, {})", "finite.setdefault(f % mod, {})", [_FINITE_RUNS]),
+    # a scored subclass's entry sorted after a bucket's minimum of equal total and smaller key
+    (ORDERING, "node[1][r1] = (c + excess, 1, key, a)", "node[1][r1] = (c + excess, 2, key, a)",
+     ["tests/test_ordering.py::TestPersistentFrontier::test_scored_subclass_ties_a_bucket_canonically"]),
     # lower bounds sorted after exact entries of equal total
     (ORDERING,
      "top = min(node[1].values())",
@@ -97,8 +100,13 @@ MUTANTS = [
     (SERIES, "w = bound.bit_length() + 1", "w = bound.bit_length()",
      [_PACKED + "test_evaluation_at_the_width_edge"]),
     # ord_t read off the lowest set bit with digits taken one bit narrower
-    (SERIES, "((acc & -acc).bit_length() - 1) // w", "((acc & -acc).bit_length() - 1) // (w - 1)",
-     [_PACKED + "test_order_read_from_the_lowest_set_bit"]),
+    (SERIES, "o = ((v & -v).bit_length() - 1) // w", "o = ((v & -v).bit_length() - 1) // (w - 1)",
+     [_PACKED + "test_order_read_from_the_lowest_set_bit",
+      "tests/test_series.py::TestOrderKernels::test_order_of_a_packed_difference"]),
+    # t_ordering's packing width one bit short: a difference of 2^j and -2^j carries into the next digit
+    (SERIES, "w = max(abs(c) for F in Fs for c in F).bit_length() + 1",
+     "w = max(abs(c) for F in Fs for c in F).bit_length()",
+     ["tests/test_series.py::TestPackedTOrdering::test_t_ordering_at_the_width_edge"]),
     # balanced digits read as plain ones: negative coefficients come out as 2^w + c
     (SERIES, "        if c >= half:\n            c -= 1 << w\n", "",
      [_PACKED + "test_product_at_the_width_edge",

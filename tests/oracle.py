@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's greedy engine and closed forms:
 valuations are recomputed by repeated division, minima by exhaustive
-scans, and orderings by exploring every greedy branch.
+scans, and orderings by exploring every greedy branch.  The t-ordering
+reference takes only the library's order type and error from `series`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, takewhile
+
+from borderings.series import CapError, TOrderValue
 
 INFINITY = None  # oracle-side marker for an infinite valuation
 
@@ -84,6 +87,19 @@ def subset_pair_minimum(values, b, k):
     )
 
 
+def zero_base_step(prefix, S):
+    """A step at b = 0, where every unused member is worth 0, by a walk of S from its first member.
+
+    Returns (the first member outside the prefix, 0), or (S's first member,
+    INFINITY) once the prefix holds every member.
+    """
+    used = set(prefix)
+    for a in S.iter_canonical():
+        if a not in used:
+            return a, 0
+    return next(iter(S.iter_canonical())), INFINITY
+
+
 def windowed_min(prefix, b, candidates):
     """Exhaustive minimum of the step value over an explicit window."""
     best = INFINITY
@@ -150,3 +166,35 @@ def totients_and_omegas(n: int) -> tuple[list[int], list[int]]:
                 phi[m] -= phi[m] // p
                 omegas[m] += 1
     return phi, omegas
+
+
+def order_of_difference(f, g):
+    """ord_t(f - g), read off the first coefficient at which f and g differ, or at-least their least cap."""
+    for i, (a, c) in enumerate(zip(f.coeffs, g.coeffs)):
+        if a != c:
+            return TOrderValue.of(i)
+    return TOrderValue.at_least(min(f.cap, g.cap))
+
+
+def coefficient_t_ordering(U, k, policy, start=None):
+    """(indices, exponents) of the greedy t-ordering, each order read by order_of_difference.
+
+    Raises CapError where an unresolved candidate lies below the exact minimum.
+    """
+    indices = [start if start is not None else policy.choose(range(len(U)))]
+    exponents = [TOrderValue.of(0)]
+    sums = [TOrderValue.of(0)] * len(U)
+    for _ in range(k):
+        last = U[indices[-1]]
+        sums = [s + order_of_difference(f, last) for s, f in zip(sums, U)]
+        exact = [s.floor for s in sums if s.exact]
+        if exact:
+            vmin = min(exact)
+            if any(not s.exact and s.floor < vmin for s in sums):
+                raise CapError(f"a candidate is unresolved below the exact minimum {vmin}")
+            chosen = policy.choose([i for i, s in enumerate(sums) if s.exact and s.floor == vmin])
+        else:
+            chosen = policy.choose(range(len(U)))
+        indices.append(chosen)
+        exponents.append(sums[chosen])
+    return indices, exponents

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from borderings.closedforms import alpha_P, alpha_Z, equality_profile, lemma82_min
+from borderings.closedforms import alpha_P, alpha_Z, equality_profile
 from borderings.factored import BaseSet
 from borderings.factorials import factorial, gen_binomial, gen_integer
 from borderings.intsets import AllIntegers, ExplicitFinite, Primes, parse_set_spec
@@ -209,7 +209,7 @@ def test_criterion_9_partition_and_floor_sum_oracles():
     for k in range(13):
         for m in range(1, 7):
             best, minimizers = partition_minimum(k, m)
-            assert best == lemma82_min(k, m) == floor_sum(k, m), (k, m)
+            assert best == floor_sum(k, m), (k, m)
             assert minimizers == [tuple(sorted(equality_profile(k, m)))], (k, m)
     for k in range(201):
         for m in range(1, 51):

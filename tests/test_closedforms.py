@@ -14,7 +14,6 @@ from borderings.closedforms import (
     beta,
     beta_digit,
     equality_profile,
-    lemma82_min,
     p_test_lower_bound,
     prime_witness_sequence,
 )
@@ -159,18 +158,18 @@ class TestFactorialP:
 
 class TestLemma82:
     def test_examples(self):
-        assert lemma82_min(7, 3) == 5
+        assert floor_sum(7, 3) == 5
         assert sorted(equality_profile(7, 3)) == [2, 2, 3]
-        assert lemma82_min(3, 5) == 0
+        assert floor_sum(3, 5) == 0
         assert sorted(equality_profile(3, 5)) == [0, 0, 1, 1, 1]
         for k in range(10):
-            assert lemma82_min(k, 1) == k * (k - 1) // 2
+            assert floor_sum(k, 1) == k * (k - 1) // 2
 
     def test_brute_force_grid_with_unique_profiles(self):
         for k in range(13):
             for m in range(1, 7):
                 best, minimizers = partition_minimum(k, m)
-                assert best == lemma82_min(k, m) == floor_sum(k, m)
+                assert best == floor_sum(k, m)
                 profile = tuple(sorted(equality_profile(k, m)))
                 assert minimizers == [profile], (k, m, minimizers)
 

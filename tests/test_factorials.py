@@ -30,7 +30,7 @@ from borderings.intsets import (
     parse_set_spec,
 )
 from borderings.numerics import INF, ord_b
-from borderings.ordering import alphas, b_ordering, pairwise_valuation_sum
+from borderings.ordering import b_ordering, exponent_sequence, pairwise_valuation_sum
 
 Z = AllIntegers()
 AUTO = BaseSet.auto()
@@ -187,17 +187,17 @@ ROUTE_BASES = BaseSet.explicit([0, 1, 2, 3, 4, 6, 9, 10, 12, 17, 30])
 
 
 def alpha_quotient(S, bases, top, others=()):
-    """prod_b b^(alpha_top - sum of alpha_k over others), one alphas call per base and index."""
+    """prod_b b^(alpha_top - sum of alpha_k over others), one exponent_sequence call per base and index."""
     exps = {}
     for b in bases:
-        e = alphas(S, b, (top,))[0]
-        rest = [alphas(S, b, (k,))[0] for k in others]
+        e = exponent_sequence(S, b, top).values[top]
+        rest = [exponent_sequence(S, b, k).values[k] for k in others]
         exps[b] = e if not e.is_finite else e.value - sum(r.value for r in rest)
     return FactoredNumber(exps)
 
 
 class TestOneRouteCallPerQuery:
-    """The factorial layer asks for every base at once; per-base alphas are the oracle."""
+    """The factorial layer asks for every base at once; per-base, per-index sequences are the oracle."""
 
     @pytest.mark.parametrize("spec", ROUTE_SETS)
     def test_factored_functions_match_per_base_alphas(self, spec):
@@ -224,7 +224,7 @@ class TestOneRouteCallPerQuery:
             for T in (ROUTE_BASES, AUTO) if spec in ("Z", "N", "P") else (ROUTE_BASES,):
                 n = len(seq) - 1
                 want = all(
-                    pairwise_valuation_sum(seq, b) >= sum(alphas(S, b, (k,))[0] for k in range(n + 1))
+                    pairwise_valuation_sum(seq, b) >= sum(exponent_sequence(S, b, k).values[k] for k in range(n + 1))
                     for b in T.resolve(S, n)
                 )
                 assert pairwise_multiple_check(S, T, seq) is want, (seq, T.spec)

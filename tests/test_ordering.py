@@ -6,6 +6,7 @@ import hashlib
 import heapq
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from borderings.numerics import INF, ExtNat
 from borderings.ordering import (
     CANONICAL,
     RandomTieBreak,
-    alphas,
     b_ordering,
     check_majorization,
     evaluate_multiplicative,
@@ -45,6 +45,7 @@ from oracle import (
     subset_pair_minimum,
     up_to,
     windowed_min,
+    zero_base_step,
 )
 
 
@@ -230,6 +231,37 @@ class TestBOrdering:
         run1 = b_ordering(S, 1, 3)
         assert run1.exponents == [0, None, None, None]
 
+    @pytest.mark.parametrize("spec", ["Z", "N", "P", "ap:-7,3", "list:9,-4,0,5,12"])
+    def test_base_zero_takes_the_first_unused_member(self, spec):
+        # each step of the run and of a replay in a fresh state against a
+        # walk of S from its first member, past |S| for the list
+        S = parse_set_spec(spec)
+        members = list(islice(S.iter_canonical(), 5))
+        for start in (None, members[1], members[4]):
+            for seed in (None, 3):
+                for k in (0, 3, 9):
+                    policy = CANONICAL if seed is None else RandomTieBreak(seed)
+                    run = b_ordering(S, 0, k, policy, start=start)
+                    assert run.exponents[0] == 0 and start in (None, run.elements[0])
+                    for i in range(1, k + 1):
+                        want = zero_base_step(run.elements[:i], S)
+                        assert (run.elements[i], run.exponents[i]) == want, (spec, start, seed, k, i)
+                        assert greedy_step(run.elements[:i], 0, S, policy) == want, (spec, start, seed, k, i)
+
+    def test_base_zero_reads_each_member_once(self, monkeypatch):
+        # one cursor over S for the whole run, not a walk from its first member at each step
+        reads, original = [], AllIntegers.iter_canonical
+
+        def counting_iter(self):
+            for a in original(self):
+                reads.append(a)
+                yield a
+
+        monkeypatch.setattr(AllIntegers, "iter_canonical", counting_iter)
+        run = b_ordering(AllIntegers(), 0, 2000)
+        assert run.exponents == [0] * 2001 and len(set(run.elements)) == 2001
+        assert len(reads) <= 2001 + 2
+
     def test_start_element(self):
         S = ExplicitFinite([1, 4, 6, 9])
         run = b_ordering(S, 3, 3, start=9)
@@ -368,6 +400,11 @@ class TestExponentSequence:
         assert [v.value for v in seq.values] == [alpha_P(k, 6) for k in range(101)]
 
 
+def route_values(S, b, ks):
+    """alpha_k(S, b) for each k in ks through the one route, plain ints with None for inf."""
+    return invariants(S, (b,), ks)[0][1]
+
+
 class TestPointQuery:
     SETS = ["Z", "N", "P", "list:-7,0,3,4,12,20", "list:5", "range:-2..3", "ap:1,4", "ap:-3,6", "ap:0,8"]
 
@@ -379,9 +416,9 @@ class TestPointQuery:
             seq = exponent_sequence(S, b, 14)
             want = greedy(S, b, 14) if against_greedy else as_ints(seq.values)
             for k in (0, 1, 5, 9, 14):
-                assert as_ints(alphas(S, b, (k,))) == [want[k]], (spec, b, k)
-            assert as_ints(alphas(S, b, range(15))) == want
-            assert as_ints(alphas(S, b, (9, 2, 9))) == [want[9], want[2], want[9]]
+                assert route_values(S, b, (k,)) == [want[k]], (spec, b, k)
+            assert route_values(S, b, range(15)) == want
+            assert route_values(S, b, (9, 2, 9)) == [want[9], want[2], want[9]]
 
     def test_finite_set_runs_only_up_to_its_size(self, monkeypatch):
         S, steps = ExplicitFinite([1, 2, 4]), []  # not a progression: the greedy serves it
@@ -392,9 +429,9 @@ class TestPointQuery:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ordering_module, "greedy_step", counting_greedy_step)
-        assert alphas(S, 2, (10**9,)) == [INF]
+        assert route_values(S, 2, (10**9,)) == [None]
         assert len(steps) <= 3
-        assert alphas(S, 2, (2, 10**9)) == [ExtNat(1), INF]
+        assert route_values(S, 2, (2, 10**9)) == [1, None]
 
     def test_bases_above_the_diameter_take_the_closed_form(self, monkeypatch):
         # b above max(S) - min(S) divides no difference: 0 below |S|, INF from there
@@ -440,17 +477,43 @@ class TestPointQuery:
             seq = exponent_sequence(S, b, 14)
             assert source == seq.source
             assert all(type(v) is ExtNat for v in seq.values)
-            got = alphas(S, b, ks)
-            assert all(type(v) is ExtNat for v in got)
-            assert got == [seq.values[k] for k in ks] and as_ints(got) == values
+            assert as_ints(seq.values[k] for k in ks) == values
+
+    def test_an_over_limit_finite_greedy_is_refused_before_any_step(self, monkeypatch):
+        def no_append(self, a):
+            raise AssertionError("a greedy step ran")
+
+        monkeypatch.setattr(ordering_module._GreedyState, "append", no_append)
+        # not a progression, so the greedy serves it; at b = 2 the even class
+        # holds 2,301 members, and a run to k = 4,600 re-scores up to 4,600 * 2,301
+        S = ExplicitFinite([*range(4600), 10**6])
+        with pytest.raises(ValueError, match="re-scores up to 10,584,600 members; the limit is 10,000,000"):
+            exponent_sequence(S, 2, 4600)
+
+    def test_the_greedy_limit_is_inclusive(self, monkeypatch):
+        # list:0,1,2,3,4,10 at b = 2: k = 5 times its 4 even members
+        S, steps = ExplicitFinite([0, 1, 2, 3, 4, 10]), []
+        original = ordering_module.greedy_step
+
+        def counting_greedy_step(*args, **kwargs):
+            steps.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ordering_module, "greedy_step", counting_greedy_step)
+        monkeypatch.setattr(ordering_module, "GREEDY_WORK_MAX", 19)
+        with pytest.raises(ValueError, match="re-scores up to 20 members; the limit is 19"):
+            route_values(S, 2, (5,))
+        assert steps == []
+        monkeypatch.setattr(ordering_module, "GREEDY_WORK_MAX", 20)
+        assert route_values(S, 2, (5, 7)) == [greedy(S, 2, 5)[5], None]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            alphas(AllIntegers(), -1, (3,))
+            route_values(AllIntegers(), -1, (3,))
         with pytest.raises(ValueError):
-            alphas(ExplicitFinite([1, 2]), 2, (-1,))
+            route_values(ExplicitFinite([1, 2]), 2, (-1,))
         with pytest.raises(ValueError):
-            alphas(AllIntegers(), 2, (4, -1))
+            route_values(AllIntegers(), 2, (4, -1))
         with pytest.raises(ValueError, match="base must be >= 0, got -3"):
             invariants(AllIntegers(), (2, 0, -3), (4,))
 
@@ -774,6 +837,30 @@ class TestPersistentFrontier:
                 assert (run.exponents[i], run.elements[i]) == (best, minimizers[0]), (b, i)
             tied = b_ordering(S, b, 24, RandomTieBreak(5))
             assert tied.exponents == run.exponents
+
+    def test_scored_subclass_ties_a_bucket_canonically(self):
+        # an entry scored from a subclass's node and a bucket's least member
+        # can tie at one total: the canonical key alone must decide.  In the
+        # first set at b = 6, step 3 ties 13 (class 1 mod 6, infinite, scored)
+        # with 35 (class 5 mod 6, a bucket) at value 1, and 13 comes first
+        rng = random.Random(31)
+        sets = [ProgressionPlus(ArithmeticProgression(7, 6), [-17, -16, 17, 25, 35])]
+        for _ in range(8):
+            ap = ArithmeticProgression(rng.randint(-20, 20), rng.randint(2, 12))
+            sets.append(ProgressionPlus(ap, rng.sample(range(-40, 41), rng.randint(2, 7))))
+        for S in sets:
+            for b in (2, 3, 4, 6):
+                run = b_ordering(S, b, 25)
+                checked = 0
+                for i in range(1, 26):
+                    # up to 2,000 classes: the first 4 steps at least, in about 0.4 s in all
+                    found = class_oracle_step(run.elements[:i], b, S, 2000)
+                    if found is None:
+                        break
+                    assert (run.exponents[i], run.elements[i]) == found, (S.spec, b, i)
+                    checked += 1
+                assert checked >= 4, (S.spec, b, checked)
+        assert b_ordering(sets[0], 6, 3).elements == [7, -16, 17, 13]
 
     def test_walk_deeper_than_the_recursion_limit(self):
         # every class mod 2^l with l <= 1500 that meets the set holds the

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import coefficient_t_ordering
+
 from borderings import series as series_module
 from borderings.intsets import ExplicitFinite
-from borderings.ordering import RandomTieBreak, exponent_sequence
+from borderings.ordering import CANONICAL, RandomTieBreak, exponent_sequence
 from borderings.series import (
     CapError,
     TOrderValue,
@@ -342,11 +344,16 @@ def full_min_order(U, C):
 class TestOrderKernels:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_order_of_difference_reads_the_coefficients(self, data):
+    def test_order_of_a_packed_difference(self, data):
+        # numerators over one d, packed at the least w with 2^w above twice the largest one
         f = data.draw(near())
         g = data.draw(near(f))
-        assert series_module._order_of_difference(f, g) == (f - g).ord_t()
-        assert series_module._order_of_difference(g, f) == (g - f).ord_t()
+        (F, G), _ = series_module._scaled([f.coeffs, g.coeffs])
+        w = (2 * max(map(abs, F + G))).bit_length()
+        v = series_module._pack(F, w) - series_module._pack(G, w)
+        n = min(f.cap, g.cap)
+        assert series_module._order(v, w, n) == (f - g).ord_t()
+        assert series_module._order(-v, w, n) == (g - f).ord_t()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -577,3 +584,67 @@ class TestPackedKernels:
                 want = fraction_draw(want_rng, degree, cap)
                 assert series_module._random_rows(rng, degree, cap) == [[c.numerator for c in r.coeffs] for r in want]
                 assert rng.getstate() == want_rng.getstate()
+
+
+# -- t_ordering's packed order reads against the coefficient loop ---------------
+
+
+@st.composite
+def t_families(draw):
+    """(U, k, seed, start): members of caps 3..8 near one base series, with duplicates, and k past |U|."""
+    entries = draw(any_entries)
+    base = draw(near(min_cap=3, max_cap=8, entries=entries))
+    U = [draw(near(base, min_cap=3, max_cap=8, entries=entries)) for _ in range(draw(st.integers(1, 6)))]
+    for f in draw(st.lists(st.sampled_from(U), max_size=2)):
+        U.insert(draw(st.integers(0, len(U))), f)
+    k = draw(st.integers(0, len(U) + 2))
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    start = draw(st.one_of(st.none(), st.integers(0, len(U) - 1)))
+    return U, k, seed, start
+
+
+class TestPackedTOrdering:
+    @settings(max_examples=300, deadline=None)
+    @given(t_families())
+    def test_matches_the_coefficient_loop(self, case):
+        U, k, seed, start = case
+
+        def policy():
+            return CANONICAL if seed is None else RandomTieBreak(seed)
+
+        try:
+            want = coefficient_t_ordering(U, k, policy(), start)
+        except CapError:
+            with pytest.raises(CapError):
+                t_ordering(U, k, policy(), start)
+        else:
+            run = t_ordering(U, k, policy(), start)
+            assert (run.indices, run.exponents) == want
+            assert run.elements == [U[i] for i in run.indices]
+
+    @pytest.mark.parametrize("j", [0, 1, 5, 63, 64, 70])
+    def test_t_ordering_at_the_width_edge(self, j):
+        # 2^j and -2^j at index 1: their difference 2^(j+1) is twice the
+        # largest numerator, the bound 2^w must pass; at 2^w = 2^(j+1) it
+        # would carry into index 2
+        U = [series(1, 2**j, 0, 1, cap=5), series(1, -(2**j), 1, cap=5), series(1, 2**j, 0, 1, 3, cap=6)]
+        run = t_ordering(U, 2)
+        assert (run.indices, run.exponents) == coefficient_t_ordering(U, 2, CANONICAL)
+        assert run.exponents[1] == (U[1] - U[0]).ord_t() == TOrderValue.of(1)
+
+    def test_no_fraction_is_compared(self, monkeypatch):
+        # the orders are read from packed integers: neither loop compares two Fractions
+        digit = [phi_b(v, 2, 9) for v in range(6)]
+        integer = [series(1, 0, 1), series(0, 1), series(2, -1, 0, 1), series(-1, 2, 2), series(1, 1), series(0, 0, 1, -2)]
+        calls = []
+        original = Fraction.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+        for U in (digit, integer):
+            assert t_ordering(U, 5, RandomTieBreak(2)).exponents[5].exact
+            assert maxmin_check(U, 5, samples=20, seed=3).ok
+        assert calls == []
