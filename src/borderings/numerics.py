@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, total_ordering
+from itertools import compress
 
 
 @total_ordering
@@ -206,13 +207,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_flags(n: int) -> bytearray:
+    """Flags of 0..n-1, for n >= 3: flags[i] is 1 exactly when i is prime, by sieve of Eratosthenes.
+
+    The odd numbers start flagged, so each odd prime p strikes only its odd
+    multiples from p^2, stepping by 2p.
+    """
+    flags = bytearray(b"\0\1") * ((n + 1) // 2)
+    del flags[n:]
+    flags[1:3] = b"\0\1"
+    for p in range(3, math.isqrt(n - 1) + 1, 2):
+        if flags[p]:
+            flags[p * p :: 2 * p] = bytes(len(range(p * p, n, 2 * p)))
+    return flags
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    """All primes <= n, read off `prime_flags`."""
+    return list(compress(range(n + 1), prime_flags(n + 1))) if n >= 2 else []

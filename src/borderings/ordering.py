@@ -143,8 +143,10 @@ def _initial_element(S: IntegerSet, policy: TieBreakPolicy) -> int:
 class _GreedyState:
     """The prefix of one greedy run and what its steps need, kept current on append.
 
-    `levels` maps l to the counts of prefix residues mod b^l, filled from
-    the prefix on first use, then updated by each append.
+    `levels[l - 1]` maps each prefix residue mod b^l to its count, filled
+    from the prefix when the first node at depth l - 1 opens, then updated
+    by each append.  Levels open in order 1, 2, ...: a node at depth d opens
+    only from its parent at depth d - 1.
 
     The branch and bound keeps one node per opened class r mod b^l,
     under the class id b^l + r (it lies in [b^l, 2*b^l), so no two classes
@@ -166,7 +168,7 @@ class _GreedyState:
     def __init__(self, S: IntegerSet, b: int):
         self.S, self.b = S, b
         self.prefix: list[int] = []
-        self.levels: dict[int, Counter] = {}
+        self.levels: list[dict[int, int]] = []
         self.nodes: dict[int, list] = {}
         self.unused = self._unused() if b == 0 else None  # the b = 0 cursor; it reads S from the first step on
 
@@ -176,8 +178,11 @@ class _GreedyState:
         bound, or re-scores the bucket a lies in.
         """
         b, levels = self.b, self.levels
-        for level, counts in levels.items():
-            counts[a % b**level] += 1
+        mod = 1
+        for counts in levels:
+            mod *= b
+            r = a % mod
+            counts[r] = counts.get(r, 0) + 1
         node, depth, mod = self.nodes.get(1), 0, 1
         while node is not None:
             node[0] = None
@@ -197,15 +202,10 @@ class _GreedyState:
                 break
             if r1 not in entries:  # a meets no unused member of S below here
                 break
-            depth += 1
             entries[r1] = (levels[depth][r1], 0, r1)
+            depth += 1
             node = self.nodes.get(mod + r1)
         self.prefix.append(a)
-
-    def counts(self, level: int) -> Counter:
-        if level not in self.levels:
-            self.levels[level] = Counter(a % self.b**level for a in self.prefix)
-        return self.levels[level]
 
     def step(self, policy: TieBreakPolicy) -> StepResult:
         S, b = self.S, self.b
@@ -243,7 +243,7 @@ class _GreedyState:
         that attains it.  Once a finite S is used up, later steps repeat
         its canonical first member at infinity.
         """
-        root = self.nodes.get(1) or self._open(0, 0)
+        root = self.nodes.get(1) or self._open(0, 0, 1)
         if not root[1]:
             return StepResult(next(iter(self.S.iter_canonical())), None)
         value, _, _, element = self._summary(root)
@@ -268,46 +268,53 @@ class _GreedyState:
             element = policy.choose(pool)
         return StepResult(element, value)
 
-    def _open(self, r: int, depth: int) -> list:
-        """The node of the class r mod b^depth, asking S about each subclass once.
+    def _open(self, r: int, depth: int, mod: int) -> list:
+        """The node of the class r mod b^depth (`mod`), asking S about each subclass once.
 
         A finite S is one finitely-met class: its root takes every member
         from `iter_canonical` and asks S nothing, so the cost does not grow with b;
         only the subclasses its members lie in get a bucket.
         """
-        S, b, prefix = self.S, self.b, self.prefix
-        mod, mod1 = b**depth, b ** (depth + 1)
+        S, levels = self.S, self.levels
+        mod1 = mod * self.b
         entries: dict[int, tuple] = {}
-        finite: dict[int, tuple] = {}
+        finite: dict[int, dict] = {}
         if S.cardinality is not None:  # only its root is ever opened
-            classes = [(r, S.iter_canonical())]
+            self._bucket(finite, S.iter_canonical(), depth, mod1)
         else:
-            counts = self.counts(depth + 1)
-            classes = ((r1, S.residue_status(r1, mod1)) for r1 in range(r, mod1, mod))
-        for r1, members in classes:
-            if members is not None:
-                for f in members:
-                    # a prefix element outside the class adds less than depth to f's value
-                    excess = 0
-                    for c in prefix:
-                        v = ord_b(b, f - c)
-                        if v is None:
-                            break
-                        if v > depth:
-                            excess += v - depth
-                    else:
-                        finite.setdefault(f % mod1, {})[f] = (excess, 1, canonical_key(f), f)
-            elif counts[r1]:
-                entries[r1] = (counts[r1], 0, r1)
-            else:
-                # a realized class holds no prefix element, so its smallest
-                # member is never excluded and depends on S alone
-                w = S.pick_in_class(r1, mod1)
-                entries[r1] = (0, 1, canonical_key(w), w)
+            if len(levels) == depth:  # the first node at this depth
+                levels.append(dict(Counter(c % mod1 for c in self.prefix)))
+            counts = levels[depth]
+            for r1 in range(r, mod1, mod):
+                members = S.residue_status(r1, mod1)
+                if members is not None:
+                    self._bucket(finite, members, depth, mod1)
+                elif r1 in counts:
+                    entries[r1] = (counts[r1], 0, r1)
+                else:
+                    # a realized class holds no prefix element, so its smallest
+                    # member is never excluded and depends on S alone
+                    w = S.pick_in_class(r1, mod1)
+                    entries[r1] = (0, 1, canonical_key(w), w)
         for r1, bucket in finite.items():
             entries[r1] = min(bucket.values())
         node = self.nodes[mod + r] = [None, entries, finite]
         return node
+
+    def _bucket(self, finite: dict, members, depth: int, mod1: int) -> None:
+        """Score each member outside the prefix into its subclass's bucket in `finite`."""
+        b, prefix = self.b, self.prefix
+        for f in members:
+            # a prefix element outside the class adds less than depth to f's value
+            excess = 0
+            for c in prefix:
+                v = ord_b(b, f - c)
+                if v is None:
+                    break
+                if v > depth:
+                    excess += v - depth
+            else:
+                finite.setdefault(f % mod1, {})[f] = (excess, 1, canonical_key(f), f)
 
     def _summary(self, node: list) -> tuple:
         """The summary of the root `node`, after scoring every subclass it needs.
@@ -319,22 +326,22 @@ class _GreedyState:
         2^1500 nests 1,500 levels at b = 2.
         """
         b, nodes = self.b, self.nodes
-        depth, stack = 0, []
+        depth, mod, stack = 0, 1, []
         while True:
             if node[0] is None:
                 top = min(node[1].values())
                 if not top[1]:  # a lower bound: score that subclass, then come back
-                    stack.append((node, top))
+                    stack.append((node, top, depth, mod))
                     depth += 1
+                    mod *= b
                     r1 = top[2]
-                    node = nodes.get(b**depth + r1) or self._open(r1, depth)
+                    node = nodes.get(mod + r1) or self._open(r1, depth, mod)
                     continue
                 node[0] = top
             if not stack:
                 return node[0]
             excess, _, key, a = node[0]
-            node, (c, _, r1) = stack.pop()
-            depth -= 1
+            node, (c, _, r1), depth, mod = stack.pop()
             node[1][r1] = (c + excess, 1, key, a)
 
 

@@ -249,20 +249,28 @@ def t_ordering(
     CapError if truncation leaves a minimisation ambiguous; choose the cap
     above the largest exponent the run can attain.
     """
-    if not U:
+    Fs, _ = _scaled([f.coeffs for f in U])
+    indices, exponents = _t_run(Fs, k, policy, start)
+    return TOrdering(indices, [U[i] for i in indices], exponents)
+
+
+def _t_run(
+    Fs: list[list[int]], k: int, policy: TieBreakPolicy, start: Optional[int]
+) -> tuple[list[int], list[TOrderValue]]:
+    """t_ordering's indices and exponents over its members scaled to numerators Fs over one denominator."""
+    if not Fs:
         raise ValueError("U must be nonempty")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    idx = start if start is not None else policy.choose(range(len(U)))
-    if not 0 <= idx < len(U):
+    idx = start if start is not None else policy.choose(range(len(Fs)))
+    if not 0 <= idx < len(Fs):
         raise ValueError(f"start index {idx} out of range")
-    Fs, _ = _scaled([f.coeffs for f in U])
     # 2^w above twice the largest |numerator|, so above every coefficient of a difference
     w = max(abs(c) for F in Fs for c in F).bit_length() + 1
     members = [(_pack(F, w), len(F)) for F in Fs]
     indices = [idx]
     exponents = [TOrderValue.of(0)]
-    sums = [TOrderValue.of(0)] * len(U)
+    sums = [TOrderValue.of(0)] * len(Fs)
     for _ in range(k):
         last, cap = members[indices[-1]]
         sums = [s + _order(v - last, w, min(n, cap)) for s, (v, n) in zip(sums, members)]
@@ -277,10 +285,10 @@ def t_ordering(
             chosen = policy.choose([i for i, s in enumerate(sums) if s.exact and s.floor == vmin])
         else:
             # every candidate is capped: record the chosen at-least marker
-            chosen = policy.choose(range(len(U)))
+            chosen = policy.choose(range(len(Fs)))
         indices.append(chosen)
         exponents.append(sums[chosen])
-    return TOrdering(indices, [U[i] for i in indices], exponents)
+    return indices, exponents
 
 
 COEFF_BOUND = 3  # sampled coefficients have integer entries in [-COEFF_BOUND, COEFF_BOUND]
@@ -358,15 +366,16 @@ def maxmin_check(
     its minimum order over U; (b) every sampled primitive polynomial of
     degree k has minimum order <= alpha_k(U).  The full maximisation over
     all primitive polynomials is not machine-checkable and not attempted.
-    U is scaled once to numerators F over one d.  d^k * q_k(F/d) = prod (F - F_j),
-    so q_k's orders are its integer rows' at F itself, with denominator 1.
+    U is scaled once to numerators F over one d, which the t-ordering shares.
+    d^k * q_k(F/d) = prod (F - F_j), so q_k's orders are its integer rows' at
+    F itself, with denominator 1.
     """
-    run = t_ordering(U, k)
-    alpha = run.exponents[k]
+    Fs, d = _scaled([f.coeffs for f in U])
+    indices, exponents = _t_run(Fs, k, CANONICAL, None)
+    alpha = exponents[k]
     if not alpha.exact:
         raise CapError(f"alpha_{k}(U) not resolved below the cap (>= {alpha.floor})")
-    Fs, d = _scaled([f.coeffs for f in U])
-    prefix = [Fs[i] for i in run.indices[:k]]
+    prefix = [Fs[i] for i in indices[:k]]
     witness = _min_order_over(Fs, 1, _qk_rows(prefix, min(map(len, prefix), default=8)))
     witness_equal = witness.must_equal(alpha.floor)
 

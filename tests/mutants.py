@@ -34,6 +34,7 @@ _AUTO = "tests/test_factored.py::TestBaseSets::test_auto_matches_a_cutoff_above_
 _PACKED = "tests/test_series.py::TestPackedKernels::"
 _PICK = "tests/test_intsets.py::TestPickInClass::"
 _STATUS_SCAN = "tests/test_intsets.py::TestResidueStatus::test_consistency_with_scan"
+_SIEVE = "tests/test_intsets.py::TestPrimeSieve::"
 
 # (file under the repository root, exact text before, text after, node ids that must fail)
 MUTANTS = [
@@ -63,6 +64,9 @@ MUTANTS = [
     # the finite cut of invariants reads index |S| as inside S
     (ORDERING, "inside = [n is None or k < n for k in ks]", "inside = [n is None or k <= n for k in ks]",
      ["tests/test_factorials.py::TestOneRouteCallPerQuery"]),
+    # each level counted at the previous level's modulus
+    (ORDERING, "mod *= b\n            r = a % mod\n", "r = a % mod\n            mod *= b\n",
+     ["tests/test_ordering.py::TestPersistentFrontier::test_kept_level_counts_equal_a_fresh_recount"]),
     # a b = 1 step is worth 0, not infinity
     (ORDERING,
      "return StepResult(next(iter(S.iter_canonical())), None)",
@@ -115,8 +119,13 @@ MUTANTS = [
     (INTSETS, "return r if canonical_key(r) <= canonical_key(neg) else neg", "return r",
      [_PICK + "test_examples"]),
     # a composite modulus's prime divisor g reported in a class other than g's
-    (INTSETS, "return (g,) if is_prime(g) and g % m == r else ()", "return (g,) if is_prime(g) else ()",
-     [_STATUS_SCAN]),
+    (INTSETS, "return (g,) if g % m == r and self._cache.is_prime(g) else ()",
+     "return (g,) if self._cache.is_prime(g) else ()", [_STATUS_SCAN]),
+    # the same slip where pick_in_class answers a class that is not coprime to m
+    (INTSETS, "return g if g % m == r and self._cache.is_prime(g) else None",
+     "return g if self._cache.is_prime(g) else None", [_PICK + "test_primes_match_a_trial_division_oracle"]),
+    # the sieve left at its size when asked for the first number past it
+    (INTSETS, "if n >= size:", "if n > size:", [_SIEVE + "test_the_edges_of_each_size"]),
     # a progression's class answered by the step alone, not by gcd(step, m)
     (INTSETS, "return None if (r - self.first) % g == 0 else ()",
      "return None if (r - self.first) % self.step == 0 else ()", [_STATUS_SCAN]),

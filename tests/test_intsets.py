@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -274,3 +274,87 @@ class TestPickInClass:
         S = ArithmeticProgression(-10, 3)
         a = S.pick_in_class(2, 9)
         assert a is not None and S.contains(a) and a % 9 == 2
+
+
+class TestPrimeSieve:
+    """The grow-only sieve behind Primes, against trial division on both sides of each edge."""
+
+    def test_flags_through_four_doublings(self):
+        cache = intsets_module._PrimeCache()
+        sizes = [len(cache.flags)]
+        for n in range(1 << 14):
+            assert cache.is_prime(n) == _is_prime_by_trial(n), n
+            if len(cache.flags) != sizes[-1]:
+                sizes.append(len(cache.flags))
+        assert sizes == [1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14]
+        assert list(cache.flags) == [_is_prime_by_trial(n) for n in range(1 << 14)]
+
+    def test_the_edges_of_each_size(self):
+        # at each size: its last flag, then the first one past it, which
+        # doubles the sieve, then the one after that
+        cache = intsets_module._PrimeCache()
+        size = len(cache.flags)
+        while size <= 1 << 16:
+            assert len(cache.flags) == size
+            for n in (size - 1, size, size + 1):
+                assert cache.is_prime(n) == _is_prime_by_trial(n), n
+            assert len(cache.flags) == 2 * size
+            size *= 2
+
+    def test_negative_and_small_numbers(self):
+        cache = intsets_module._PrimeCache()
+        assert [n for n in range(-50, 12) if cache.is_prime(n)] == [2, 3, 5, 7, 11]
+
+    def test_the_sieve_stops_at_its_ceiling(self, monkeypatch):
+        monkeypatch.setattr(intsets_module, "SIEVE_MAX", 3000)
+        cache = intsets_module._PrimeCache()
+        assert cache.covering(2999) is cache.flags and len(cache.flags) == 3000
+        assert cache.covering(3000) is None
+        for n in (2999, 3000, 3001, 3011, 3013, 4096, 4099):
+            assert cache.is_prime(n) == _is_prime_by_trial(n), n
+        assert len(cache.flags) == 3000
+
+    @pytest.fixture
+    def low_ceiling(self, monkeypatch):
+        """Primes over a fresh sieve whose ceiling is 2^12."""
+        monkeypatch.setattr(intsets_module, "SIEVE_MAX", 1 << 12)
+        monkeypatch.setattr(Primes, "_cache", intsets_module._PrimeCache())
+        return Primes()
+
+    def test_membership_above_a_low_ceiling(self, low_ceiling):
+        P = low_ceiling
+        for n in range(3000, 6000):
+            assert P.contains(n) == _is_prime_by_trial(n), n
+        assert len(P._cache.flags) == 1 << 12
+
+    @pytest.mark.parametrize("m", [2 * 4099, 4 * 4099, 3 << 12, 10007, 4096])
+    def test_residue_answers_above_a_low_ceiling(self, low_ceiling, m):
+        # 4099 and 10007 are primes past the ceiling: a non-coprime class's one
+        # prime is asked of trial division, and so is every search past 2^12
+        P = low_ceiling
+        divisors = [p for p in range(2, m + 1) if m % p == 0 and _is_prime_by_trial(p)]
+        for r in range(m):
+            if math.gcd(r, m) > 1:
+                want = tuple(p for p in divisors if p % m == r)
+                assert P.residue_status(r, m) == want, (r, m)
+                assert P.pick_in_class(r, m) == (want[0] if want else None), (r, m)
+            else:
+                assert P.residue_status(r, m) is None
+        for r in random.Random(m).sample([r for r in range(m) if math.gcd(r, m) == 1], 200):
+            want = next(x for x in count(r if r > 1 else r + m, m) if _is_prime_by_trial(x))
+            assert P.pick_in_class(r, m) == want, (r, m)
+        assert len(P._cache.flags) == 1 << 12
+
+    def test_enumeration_across_a_growth(self, monkeypatch):
+        # the first 5,000 primes run to 48,611: past 2^12 by trial division
+        # under the low ceiling, and through six doublings under the default;
+        # an enumeration sees flags a later call has grown
+        want = [n for n in range(48612) if _is_prime_by_trial(n)]
+        assert len(want) == 5000
+        for ceiling in (1 << 12, intsets_module.SIEVE_MAX):
+            monkeypatch.setattr(intsets_module, "SIEVE_MAX", ceiling)
+            monkeypatch.setattr(Primes, "_cache", intsets_module._PrimeCache())
+            walk = Primes().iter_canonical()
+            head = list(islice(walk, 100))
+            assert Primes().contains(40009)  # under the default ceiling, grows the flags under the walk
+            assert head + list(islice(walk, 4900)) == want, ceiling

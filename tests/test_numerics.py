@@ -20,6 +20,7 @@ from borderings.numerics import (
     omega_totient,
     ord_b,
     prime_factors,
+    prime_flags,
     primes_up_to,
 )
 from oracle import totients_and_omegas
@@ -235,6 +236,16 @@ class TestArithmeticFunctions:
         ps = primes_up_to(10**4)
         assert len(ps) == 1229
         assert all(is_prime(p) for p in ps[:100])
+
+    def test_prime_flags(self):
+        # every length from 3, odd and even, against trial division; and a
+        # length past 10^6, whose flags count pi(10^6) = 78,498
+        for n in range(3, 600):
+            assert list(prime_flags(n)) == [int(is_prime(i)) for i in range(n)], n
+        flags = prime_flags(10**6 + 1)
+        assert len(flags) == 10**6 + 1 and sum(flags) == 78498
+        top = [999907, 999917, 999931, 999953, 999959, 999961, 999979, 999983]
+        assert [i for i in range(10**6 - 100, 10**6 + 1) if flags[i]] == top
 
     def test_prime_factors(self):
         assert prime_factors(360) == {2: 3, 3: 2, 5: 1}

@@ -6,7 +6,7 @@ import hashlib
 import heapq
 import random
 from collections import Counter
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -819,6 +819,27 @@ class TestPersistentFrontier:
                             assert kept == summary, (S.spec, i, cid)
                             compared += 1
             assert compared > 2 * (k // 20), S.spec
+
+    @pytest.mark.parametrize("b", [2, 6, 12])
+    def test_kept_level_counts_equal_a_fresh_recount(self, b):
+        # a level opens with the first node at its depth and each append
+        # updates every open level: after a run there is one level per depth
+        # a node opened at, plus one, each a plain dict equal to a recount of
+        # the prefix; a finite S opens only its root, which counts nothing
+        below = ProgressionPlus(ArithmeticProgression(0, 8), [2, 6, -6, 18, 3, 7])
+        for S in (AllIntegers(), Primes(), parse_set_spec("ap:3,10"), below):
+            state = ordering_module._GreedyState(S, b)
+            for _ in range(121):
+                state.append(state.step(CANONICAL).element)
+            depth = max(next(d for d in count() if b ** (d + 1) > cid) for cid in state.nodes)
+            assert len(state.levels) == depth + 1, (S.spec, b)
+            for level, counts in enumerate(state.levels, 1):
+                assert type(counts) is dict, (S.spec, b, level)
+                assert counts == dict(Counter(a % b**level for a in state.prefix)), (S.spec, b, level)
+        state = ordering_module._GreedyState(parse_set_spec("list:3,1,4,-1,5,-9,2,6"), b)
+        for _ in range(8):
+            state.append(state.step(CANONICAL).element)
+        assert state.levels == []
 
     @pytest.mark.parametrize(
         "first,step,extra",

@@ -208,6 +208,23 @@ class TestMaxMin:
             qk = qk_rows(t_ordering(V, 3).elements[:3])
             assert full_min_order(V, qk) == TOrderValue.of(rep.witness_min)
 
+    def test_the_family_is_scaled_once(self, monkeypatch):
+        # the t-ordering and the witness and sample evaluations share one
+        # scaling of U to integer numerators over one denominator
+        U = [phi_b(v, 3, 8) + series(Fraction(1, 2)) for v in (-7, -2, 0, 4, 5, 13)]
+        ref = maxmin_check(U, 3, samples=10, seed=5)
+        calls = 0
+        original = series_module._scaled
+
+        def counting_scaled(seqs, n=None):
+            nonlocal calls
+            calls += 1
+            return original(seqs, n)
+
+        monkeypatch.setattr(series_module, "_scaled", counting_scaled)
+        assert maxmin_check(U, 3, samples=10, seed=5) == ref
+        assert calls == 1
+
     def test_superadditive_and_antitone(self):
         rng = random.Random(21)
         for _ in range(20):
