@@ -14,7 +14,7 @@ The harness, `borderings.verify`, is imported on demand: by
 
 __version__ = "0.1.0"
 
-from .numerics import INF, ExtNat, ord_b, digits, digit_sum, cumulative_digit_sum, floor_sum
+from .numerics import ExtNat, ord_b, digits, digit_sum, cumulative_digit_sum, floor_sum
 from .intsets import (
     AllIntegers,
     ArithmeticProgression,

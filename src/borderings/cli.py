@@ -30,7 +30,7 @@ from . import __version__, tables
 from .factored import FactoredNumber, group_digits, parse_base_spec
 from .factorials import factorial, gen_binomial, gen_integer, row_product
 from .intsets import parse_set_spec
-from .ordering import exponent_sequence
+from .ordering import invariants
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -81,7 +81,7 @@ def _decimal(value: FactoredNumber) -> str:
     sum e * b.bit_length() over the bases bounds the bit length from above.
     """
     if not value.is_zero:
-        bits = sum(e.value * b.bit_length() for b, e in value.items() if b != 1)
+        bits = sum(e * b.bit_length() for b, e in value.items() if b != 1)
         if bits > DECIMAL_BITS_MAX:
             raise ValueError(
                 f"the value may have up to {bits} bits; decimal output is limited to "
@@ -134,10 +134,10 @@ def cmd_exponents(args) -> int:
     if args.k > EXPONENTS_K_MAX:
         raise ValueError(f"exponents is limited to k <= {EXPONENTS_K_MAX}, got k = {args.k}")
     S = parse_set_spec(args.set)
-    seq = exponent_sequence(S, args.base, args.k)
+    ((source, values),) = invariants(S, (args.base,), range(min(args.k, 0), args.k + 1))  # k < 0 reaches the check
     infinity = "∞" if args.format == "text" else "inf"
-    rows = [{"i": i, "alpha": str(v.value) if v.is_finite else infinity} for i, v in enumerate(seq.values)]
-    params = {"set": S.spec, "base": args.base, "k": args.k, "source": seq.source}
+    rows = [{"i": i, "alpha": infinity if v is None else str(v)} for i, v in enumerate(values)]
+    params = {"set": S.spec, "base": args.base, "k": args.k, "source": source}
     _emit(args, params, ["i", "alpha"], rows)
     return EXIT_OK
 

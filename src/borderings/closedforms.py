@@ -69,11 +69,14 @@ def alpha_P(k: int, b: int) -> int:
 
     Zero whenever totient(b) + omega(b) > k; otherwise the floor sum of
     (k - omega(b)) over totient(b), b*totient(b), b^2*totient(b), ...
+    As totient(b) >= sqrt(b/2), every b > 2k^2 gives zero before b is factored.
     """
     if b < 2:
         raise ValueError(f"alpha_P needs b >= 2, got {b}")
     if k < 0:
         raise ValueError(f"alpha_P needs k >= 0, got {k}")
+    if b > 2 * k * k:
+        return 0
     w, m = omega_totient(b)
     n = k - w
     if n < 0:

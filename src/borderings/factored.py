@@ -1,4 +1,4 @@
-"""Factored numbers: formal products of bases b >= 0 with extended-natural exponents.
+"""Factored numbers: formal products of bases b >= 0 with extended-natural exponents (int, None for inf).
 
 The value semantics follow the conventions for degenerate bases:
 b^inf = 0 for b >= 2 and for b = 0, while 1^inf = 1, and b^0 = 1 for
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .intsets import parse_range
-from .numerics import ExtNat, prime_factors, primes_up_to
+from .numerics import ext_le, prime_factors, primes_up_to
 
 
 class BaseSetError(ValueError):
@@ -29,7 +29,7 @@ BASE_SPEC_MAX = 10**4
 class FactoredNumber:
     """An immutable map base -> exponent, normalised on construction.
 
-    Exponents come as int or ExtNat, are held as int (None for inf) and leave as ExtNat.
+    Exponents are nonnegative ints, None for inf, in and out.
     """
 
     __slots__ = ("_exp",)
@@ -40,10 +40,9 @@ class FactoredNumber:
         for b, e in (exponents or {}).items():
             if not isinstance(b, int) or b < 0:
                 raise ValueError(f"base must be an integer >= 0, got {b!r}")
-            if isinstance(e, ExtNat):
-                e = e.value if e.is_finite else None
-            elif e is not None and (e.__class__ is not int or e < 0):
-                ExtNat(e)  # raises, as for any negative or non-integer exponent
+            if e is not None and (e.__class__ is not int or e < 0):
+                error = ValueError if e.__class__ is int else TypeError
+                raise error(f"exponent must be an int >= 0 or None, got {e!r}")
             if e == 0:
                 continue
             if b == 0 or (b >= 2 and e is None):
@@ -65,11 +64,11 @@ class FactoredNumber:
     def is_zero(self) -> bool:
         return 0 in self._exp
 
-    def exponent(self, b: int) -> ExtNat:
-        return ExtNat(self._exp.get(b, 0))
+    def exponent(self, b: int) -> int | None:
+        return self._exp.get(b, 0)
 
     def items(self):
-        return ((b, ExtNat(self._exp[b])) for b in sorted(self._exp))
+        return sorted(self._exp.items())
 
     def value(self) -> int:
         """Exact integer value of the product."""
@@ -99,7 +98,7 @@ class FactoredNumber:
 
     def exponentwise_divides(self, other: "FactoredNumber") -> bool:
         """True when every base exponent of self is <= the one in other."""
-        return all(ExtNat(e) <= other.exponent(b) for b, e in self._exp.items())
+        return all(ext_le(e, other.exponent(b)) for b, e in self._exp.items())
 
     def integer_divides(self, other: "FactoredNumber") -> bool:
         """Plain integer divisibility of the values."""

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .factored import BaseSet, FactoredNumber
 from .intsets import AllIntegers, IntegerSet
-from .numerics import ExtNat, cumulative_digit_sum, digit_sum
+from .numerics import cumulative_digit_sum, digit_sum, ext_le, ext_sum
 from .ordering import invariants, pairwise_valuation_sum
 
 
@@ -77,7 +77,7 @@ def pairwise_multiple_check(S: IntegerSet, T: BaseSet, seq: Sequence[int]) -> bo
         raise ValueError("sequence must be nonempty")
     bases = T.resolve(S, n)
     for b, (_, values) in zip(bases, invariants(S, bases, range(n + 1))):
-        if pairwise_valuation_sum(elements, b) < ExtNat(None if None in values else sum(values)):
+        if not ext_le(ext_sum(*values), pairwise_valuation_sum(elements, b)):
             return False
     return True
 

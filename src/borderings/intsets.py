@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import stat
 from itertools import count, islice
 from typing import Iterator, Optional
 
@@ -285,6 +287,8 @@ def parse_set_spec(spec: str) -> IntegerSet:
         if kind == "list:":
             return _finite((int(t) for t in body.split(",") if t.strip()), None)
         if kind == "file:":
+            if not stat.S_ISREG(os.stat(body).st_mode):  # a FIFO would block open, a device never end
+                raise ValueError("not a regular file")
             with open(body) as fh:
                 return _finite((int(line) for line in fh if line.strip()), spec)
         if kind == "range:":

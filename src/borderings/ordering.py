@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import closedforms
-from .numerics import INF, ZERO, ExtNat, ord_b
+from .numerics import ExtNat, ext_le, ext_sum, ord_b
 from .intsets import (
     AllIntegers,
     ArithmeticProgression,
@@ -97,12 +97,12 @@ def _valuation_sum(b: int, a: int, others) -> Optional[int]:
     return total
 
 
-def evaluate_test_sequence(seq: Sequence[int], b: int) -> list[ExtNat]:
-    """Additive exponent values of a test sequence: a_i -> sum_j ord_b(a_i - a_j)."""
-    return [ExtNat(_valuation_sum(b, a, seq[:i])) for i, a in enumerate(seq)]
+def evaluate_test_sequence(seq: Sequence[int], b: int) -> list[Optional[int]]:
+    """Additive exponent values of a test sequence: a_i -> sum_j ord_b(a_i - a_j), None for inf."""
+    return [_valuation_sum(b, a, seq[:i]) for i, a in enumerate(seq)]
 
 
-def evaluate_multiplicative(seq: Sequence[int], b: int) -> list[ExtNat]:
+def evaluate_multiplicative(seq: Sequence[int], b: int) -> list[Optional[int]]:
     """Multiplicative variant: ord_b of the product of differences.
 
     Always >= the additive value, with equality for prime b; the gap is
@@ -115,15 +115,15 @@ def evaluate_multiplicative(seq: Sequence[int], b: int) -> list[ExtNat]:
         prod = 1
         for j in range(i):
             prod *= a - seq[j]
-        out.append(ExtNat(ord_b(b, prod)) if i else ZERO)
+        out.append(ord_b(b, prod) if i else 0)
     return out
 
 
-def pairwise_valuation_sum(seq: Sequence[int], b: int) -> ExtNat:
-    """Sum of ord_b over all pairwise differences; equals the sum of the exponents,
-    since ord_b(-x) = ord_b(x).
+def pairwise_valuation_sum(seq: Sequence[int], b: int) -> Optional[int]:
+    """Sum of ord_b over all pairwise differences, None for inf; equals the sum of
+    the exponents, since ord_b(-x) = ord_b(x).
     """
-    return sum(evaluate_test_sequence(seq, b), ZERO)
+    return ext_sum(*evaluate_test_sequence(seq, b))
 
 
 START_POOL = 32  # candidate pool size for randomised starts
@@ -473,14 +473,14 @@ def exponent_sequence(S: IntegerSet, b: int, k: int) -> ExponentSequence:
     """alpha_0..alpha_k(S, b), listed with the route that gave them."""
     # a negative k reaches the check as itself, not as an empty range
     ((source, values),) = invariants(S, (b,), range(min(k, 0), k + 1))
-    return ExponentSequence([INF if v is None else ExtNat(v) for v in values], source)
+    return ExponentSequence([ExtNat(v) for v in values], source)
 
 
 @dataclass
 class MajorizationReport:
     """Prefix-sum dominance of a test sequence over the set invariants."""
 
-    sequence_values: list[ExtNat]
+    sequence_values: list[Optional[int]]
     equality_positions: list[int] = field(default_factory=list)
     violations: list[int] = field(default_factory=list)
 
@@ -502,13 +502,11 @@ def check_majorization(S: IntegerSet, b: int, seq: Sequence[int]) -> Majorizatio
         if not S.contains(a):
             raise ValueError(f"sequence element {a} is not in {S.spec}")
     seq_values = evaluate_test_sequence(elements, b)
-    inv = exponent_sequence(S, b, max(len(elements) - 1, 0))
+    ((_, inv),) = invariants(S, (b,), range(max(len(elements), 1)))
     report = MajorizationReport(seq_values)
-    seq_sums = list(accumulate(seq_values))
-    inv_sums = list(accumulate(inv.values))
-    for m in range(len(elements)):
-        if seq_sums[m] == inv_sums[m]:
+    for m, (got, least) in enumerate(zip(accumulate(seq_values, ext_sum), accumulate(inv, ext_sum))):
+        if got == least:
             report.equality_positions.append(m)
-        elif seq_sums[m] < inv_sums[m]:
+        elif not ext_le(least, got):
             report.violations.append(m)
     return report

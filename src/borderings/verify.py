@@ -27,7 +27,7 @@ from .factorials import (
     row_product_direct,
 )
 from .intsets import AllIntegers, ExplicitFinite, Primes
-from .numerics import floor_sum, is_prime, omega_totient, ord_b
+from .numerics import ext_le, ext_sum, floor_sum, is_prime, omega_totient, ord_b
 from .ordering import (
     CANONICAL,
     RandomTieBreak,
@@ -35,7 +35,7 @@ from .ordering import (
     check_majorization,
     evaluate_multiplicative,
     evaluate_test_sequence,
-    exponent_sequence,
+    invariants,
 )
 from .series import (
     TruncatedSeries,
@@ -119,8 +119,8 @@ def _tie_invariance(rng: random.Random, run, starts, reruns: int) -> str:
 
 
 def _miss(cases, holds, say) -> str:
-    """say(*case) for the first case where holds(*case) is false, or "" if every case holds."""
-    return next((say(*case) for case in cases if not holds(*case)), "")
+    """say(*case), with None read as inf, for the first case where holds(*case) is false, or "" if every case holds."""
+    return next((say(*("inf" if c is None else c for c in case)) for case in cases if not holds(*case)), "")
 
 
 def _closed_form_miss(values, formula, b: int) -> str:
@@ -132,11 +132,16 @@ def _closed_form_miss(values, formula, b: int) -> str:
     )
 
 
+def _alphas(S, b: int, k: int) -> list:
+    """alpha_0..alpha_k(S, b), None for inf."""
+    return invariants(S, (b,), range(k + 1))[0][1]
+
+
 def _superadditivity_miss(alphas) -> str:
     """The first (k, l) with alphas[k + l] < alphas[k] + alphas[l], or "" if there is none."""
     return _miss(
         ((k, ell) for k in range(len(alphas)) for ell in range(len(alphas) - k)),
-        lambda k, ell: alphas[k + ell] >= alphas[k] + alphas[ell],
+        lambda k, ell: ext_le(ext_sum(alphas[k], alphas[ell]), alphas[k + ell]),
         lambda k, ell: f"alpha_{k + ell} < alpha_{k} + alpha_{ell}",
     )
 
@@ -189,11 +194,11 @@ def _suite_superadditivity(rep: SuiteReport, rng: random.Random) -> None:
     for i in range(_count(60, rep.scale)):
         S = _random_finite_set(rng)
         b = rng.randint(2, 12)
-        detail = _superadditivity_miss(exponent_sequence(S, b, len(S.values) + 2).values)
+        detail = _superadditivity_miss(_alphas(S, b, len(S.values) + 2))
         rep.add("superadditive", {"set": _values_str(S.values), "b": b}, detail)
     for S, name, k_max in ((AllIntegers(), "Z", 60), (Primes(), "P", 40)):
         for b in range(2, 13):
-            detail = _superadditivity_miss(exponent_sequence(S, b, k_max).values)
+            detail = _superadditivity_miss(_alphas(S, b, k_max))
             rep.add("superadditive", {"set": name, "b": b, "k_max": k_max}, detail)
 
 
@@ -202,16 +207,14 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         S = _random_finite_set(rng)
         b = rng.randint(2, 12)
         k_max = len(S.values) + 2
-        alphas = exponent_sequence(S, b, k_max).values
-        zeros = exponent_sequence(S, 0, k_max).values
-        ones = exponent_sequence(S, 1, k_max).values
+        (_, alphas), (_, zeros), (_, ones) = invariants(S, (b, 0, 1), range(k_max + 1))
         detail = _miss(
             zip(count(), alphas, alphas[1:]),
-            lambda j, a, after: a <= after,
+            lambda j, a, after: ext_le(a, after),
             lambda j, a, after: f"alpha_{j} = {a} > alpha_{j + 1} = {after}",
         ) or _miss(
             zip(count(), alphas, zeros, ones),
-            lambda j, a, low, high: low <= a <= high,
+            lambda j, a, low, high: ext_le(low, a) and ext_le(a, high),
             "alpha_{} = {} outside [{}, {}], its values at b = 0 and 1".format,
         )
         rep.add("nondecreasing+extreme-bounds", {"set": _values_str(S.values), "b": b}, detail)
@@ -222,11 +225,11 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         small = sorted(rng.sample(big, size))
         b = rng.randint(2, 12)
         k_max = len(small)
-        a_small = exponent_sequence(ExplicitFinite(small), b, k_max).values
-        a_big = exponent_sequence(ExplicitFinite(big), b, k_max).values
+        a_small = _alphas(ExplicitFinite(small), b, k_max)
+        a_big = _alphas(ExplicitFinite(big), b, k_max)
         detail = _miss(
             zip(count(), a_small, a_big),
-            lambda j, low, high: low >= high,
+            lambda j, low, high: ext_le(high, low),
             "alpha_{} = {} on the subset < {} on the set".format,
         )
         rep.add("set-antitone", {"small": _values_str(small), "big": _values_str(big), "b": b}, detail)
@@ -241,7 +244,7 @@ def _suite_monotonicity(rep: SuiteReport, rng: random.Random) -> None:
         prime = is_prime(b)
         detail = _miss(
             zip(count(), add, mult),
-            lambda j, a, m: a == m if prime else a <= m,
+            lambda j, a, m: a == m if prime else ext_le(a, m),
             "term {}: additive {}, multiplicative {}".format,
         )
         rep.add("additive-le-multiplicative", {"b": b, "seq": _values_str(seq)}, detail)
@@ -342,8 +345,8 @@ def _suite_divisibility(rep: SuiteReport, rng: random.Random) -> None:
 
 def _digit_map(S: ExplicitFinite, b: int):
     """alpha_0..alpha_{|S|-1}(S, b), and phi_b of S's members at a cap 2 above the largest."""
-    alphas = exponent_sequence(S, b, len(S.values) - 1).values
-    cap = max((v.value for v in alphas if v.is_finite), default=0) + 2
+    alphas = _alphas(S, b, len(S.values) - 1)
+    cap = max((v for v in alphas if v is not None), default=0) + 2
     return alphas, cap, [phi_b(v, b, cap) for v in S.values]
 
 
@@ -355,7 +358,7 @@ def _suite_transport(rep: SuiteReport, rng: random.Random) -> None:
         run = t_ordering(U, len(U) - 1)
         detail = _miss(
             zip(count(), alphas, run.exponents),
-            lambda j, av, tv: (tv.exact and tv.floor == av.value) if av.is_finite else not tv.exact,
+            lambda j, av, tv: (tv.exact and tv.floor == av) if av is not None else not tv.exact,
             lambda j, av, tv: f"k={j}: integer side {av}, series side {tv.render()}",
         )
         rep.add("digit-map-preserves-invariants", {"set": _values_str(S.values), "b": b, "cap": cap}, detail)

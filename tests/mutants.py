@@ -25,6 +25,7 @@ ORDERING = "src/borderings/ordering.py"
 FACTORED = "src/borderings/factored.py"
 SERIES = "src/borderings/series.py"
 INTSETS = "src/borderings/intsets.py"
+NUMERICS = "src/borderings/numerics.py"
 
 _FINITE_RUNS = "tests/test_ordering.py::TestFiniteRuns::test_runs_are_reproduced"
 _SUBSET_MINIMA = "tests/test_ordering.py::TestBOrdering::test_prefix_sums_are_subset_minima_on_larger_sets"
@@ -35,6 +36,7 @@ _PACKED = "tests/test_series.py::TestPackedKernels::"
 _PICK = "tests/test_intsets.py::TestPickInClass::"
 _STATUS_SCAN = "tests/test_intsets.py::TestResidueStatus::test_consistency_with_scan"
 _SIEVE = "tests/test_intsets.py::TestPrimeSieve::"
+_EXT = "tests/test_numerics.py::TestExtArithmetic::"
 
 # (file under the repository root, exact text before, text after, node ids that must fail)
 MUTANTS = [
@@ -135,6 +137,13 @@ MUTANTS = [
     # the index of a progression's class member off by one when m/g = 1
     (INTSETS, "% mg if mg > 1 else 0", "% mg if mg > 1 else 1",
      [_PICK + "test_progression_matches_a_brute_force_oracle"]),
+    # an infinite exponent summed as 0
+    (NUMERICS, "return None if None in terms else sum(terms)", "return sum(t or 0 for t in terms)",
+     [_EXT + "test_infinity_absorbs", "tests/test_ordering.py::TestEvaluation::test_pairwise_sum"]),
+    # an infinite exponent sorted below every int
+    (NUMERICS, "return y is None or (x is not None and x <= y)", "return x is None or (y is not None and x <= y)",
+     [_EXT + "test_infinity_maximal",
+      "tests/test_factored.py::TestArithmetic::test_exponentwise_divides_with_infinite_exponents"]),
 ]
 
 

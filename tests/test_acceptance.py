@@ -155,9 +155,8 @@ def test_criterion_6_additive_vs_multiplicative_example():
     add = evaluate_test_sequence([0, 1, 2, 5], 6)
     mult = evaluate_multiplicative([0, 1, 2, 5], 6)
     mult_alt = evaluate_multiplicative([0, 2, 4, 5], 6)
-    assert add[3].is_finite and add[3].value == 0
-    assert mult[3].is_finite and mult[3].value == 1
-    assert mult_alt[3].is_finite and mult_alt[3].value == 0
+    assert (add[3], mult[3], mult_alt[3]) == (0, 1, 0)
+    assert all(type(v) is int for v in add + mult + mult_alt)
     # two product-minimising orderings disagree on the product valuation,
     # so that variant carries no well-defined invariant
     assert mult[3] != mult_alt[3]

@@ -64,6 +64,24 @@ class TestExponents:
         code, _, err = run_cli(capsys, "exponents", "--set", "what", "--base", "2", "--k", "3")
         assert code == 2 and "set spec" in err
 
+    def test_huge_bases_finish_at_once(self, capsys, tmp_path):
+        # a base past 2k^2 gives alpha_P = 0 unfactored; a factor past the trial-division
+        # budget and a FIFO spec exit 2; each of the three once ran without bound
+        start = time.perf_counter()
+        m61 = str(2**61 - 1)
+        code, out, _ = run_cli(capsys, "exponents", "--set", "P", "--base", m61, "--k", "3", "--format", "csv")
+        assert code == 0 and out.splitlines()[-1] == "3,0"
+        code, out, _ = run_cli(capsys, "factorial", "--set", "P", "--bases", f"list:{m61}", "--k", "3")
+        assert code == 0 and out.splitlines()[-1].split()[0] == "1"
+        argv = ("factorial", "--set", f"list:0,{m61}", "--bases", f"list:{m61}", "--k", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(f"error: cannot factor {m61}")
+        fifo = tmp_path / "set.fifo"
+        os.mkfifo(fifo)
+        code, out, err = run_cli(capsys, "exponents", "--set", f"file:{fifo}", "--base", "6", "--k", "3")
+        assert code == 2 and err == f"error: bad set spec 'file:{fifo}': not a regular file\n"
+        assert time.perf_counter() - start < 5
+
     def test_oversized_range_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "exponents", "--set", "range:0..1000000", "--base", "2", "--k", "3"
@@ -80,7 +98,7 @@ class TestExponents:
         def no_work(*args, **kwargs):
             raise AssertionError("exponents started work on an oversized set file")
 
-        monkeypatch.setattr(cli_module, "exponent_sequence", no_work)
+        monkeypatch.setattr(cli_module, "invariants", no_work)
         code, out, err = run_cli(capsys, "exponents", "--set", f"file:{path}", "--base", "6", "--k", "3")
         assert code == 2 and out == ""
         assert f"{RANGE_WIDTH_MAX + 1} members; the limit is {RANGE_WIDTH_MAX}" in err
@@ -117,7 +135,7 @@ class TestExponents:
             raise AssertionError("exponents started work past the k limit")
 
         monkeypatch.setattr(cli_module, "parse_set_spec", no_work)
-        monkeypatch.setattr(cli_module, "exponent_sequence", no_work)
+        monkeypatch.setattr(cli_module, "invariants", no_work)
         for k in (EXPONENTS_K_MAX + 1, 10**10):
             code, out, err = run_cli(capsys, "exponents", "--set", "ap:0,1", "--base", "2", "--k", str(k))
             assert code == 2 and out == ""

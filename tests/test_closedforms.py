@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from borderings.intsets import Primes
 from borderings.numerics import digit_sum, floor_sum, omega_totient
 from borderings.ordering import b_ordering, evaluate_test_sequence
 
-from oracle import partition_minimum, up_to
+from oracle import partition_minimum, totients_and_omegas, up_to
 
 
 class TestAlphaZ:
@@ -114,6 +115,23 @@ class TestAlphaP:
         assert values[99] == 97 // 2 + 97 // 12 + 97 // 72  # omega(6) = totient(6) = 2
         assert calls.count(6) <= 1
 
+    def test_bases_above_twice_k_squared_are_zero_unfactored(self, monkeypatch):
+        # totient(b) >= sqrt(b/2), so b > 2k^2 has totient(b) + omega(b) > k
+        phi, omegas = totients_and_omegas(2 * 10**5)
+        assert all(2 * phi[n] ** 2 >= n for n in range(1, 2 * 10**5 + 1))
+        for k in range(60):
+            for b in range(max(2, 2 * k * k + 1), 2 * k * k + 400):
+                assert phi[b] + omegas[b] > k and alpha_P(k, b) == 0, (k, b)
+
+        def no_factoring(n):
+            raise AssertionError(f"alpha_P factored {n}")
+
+        monkeypatch.setattr(numerics_module, "prime_factors", no_factoring)
+        start = time.perf_counter()
+        assert [alpha_P(k, 2**61 - 1) for k in range(4)] == [0, 0, 0, 0]
+        assert alpha_P(10**5, 2 * 10**10 + 1) == 0
+        assert time.perf_counter() - start < 1
+
     def test_matches_greedy(self):
         P = Primes()
         for b in (2, 3, 6, 12):
@@ -129,7 +147,7 @@ class TestAlphaP:
             assert len(set(seq)) == len(seq)
             vals = evaluate_test_sequence(seq, b)
             for k, v in enumerate(vals):
-                assert v.is_finite and v.value == alpha_P(k, b), (b, e, k)
+                assert v == alpha_P(k, b), (b, e, k)
 
 
 def factorial_P(k, bases):
@@ -199,7 +217,6 @@ class TestPTestBound:
             seq = [rng.choice(pool) for _ in range(k + 1)]
             total = 0
             vals = evaluate_test_sequence(seq, b)
-            finite = all(v.is_finite for v in vals)
-            if finite:
-                total = sum(v.value for v in vals)
+            if None not in vals:
+                total = sum(vals)
                 assert total >= p_test_lower_bound(k, b)

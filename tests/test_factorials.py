@@ -29,7 +29,7 @@ from borderings.intsets import (
     Primes,
     parse_set_spec,
 )
-from borderings.numerics import INF, ord_b
+from borderings.numerics import ord_b
 from borderings.ordering import b_ordering, exponent_sequence, pairwise_valuation_sum
 
 Z = AllIntegers()
@@ -192,7 +192,7 @@ def alpha_quotient(S, bases, top, others=()):
     for b in bases:
         e = exponent_sequence(S, b, top).values[top]
         rest = [exponent_sequence(S, b, k).values[k] for k in others]
-        exps[b] = e if not e.is_finite else e.value - sum(r.value for r in rest)
+        exps[b] = e.value - sum(r.value for r in rest) if e.is_finite else None
     return FactoredNumber(exps)
 
 
@@ -223,10 +223,15 @@ class TestOneRouteCallPerQuery:
             seq = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
             for T in (ROUTE_BASES, AUTO) if spec in ("Z", "N", "P") else (ROUTE_BASES,):
                 n = len(seq) - 1
-                want = all(
-                    pairwise_valuation_sum(seq, b) >= sum(exponent_sequence(S, b, k).values[k] for k in range(n + 1))
-                    for b in T.resolve(S, n)
-                )
+
+                def multiple(b):  # the pairwise total, None for inf, is at least alpha_0 + ... + alpha_n
+                    alphas = [exponent_sequence(S, b, k).values[k] for k in range(n + 1)]
+                    total = pairwise_valuation_sum(seq, b)
+                    return total is None or (
+                        all(a.is_finite for a in alphas) and total >= sum(a.value for a in alphas)
+                    )
+
+                want = all(multiple(b) for b in T.resolve(S, n))
                 assert pairwise_multiple_check(S, T, seq) is want, (seq, T.spec)
 
 

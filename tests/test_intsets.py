@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import time
 from itertools import count, islice
 
 import pytest
@@ -46,6 +48,17 @@ class TestParsing:
         path.write_text("5\n-3\n8\n")
         s = parse_set_spec(f"file:{path}")
         assert s.values == (-3, 5, 8)
+
+    def test_file_spec_takes_only_a_regular_file(self, tmp_path):
+        # open() on a FIFO blocks until a writer comes, and /dev/zero is one endless line
+        fifo = tmp_path / "set.fifo"
+        os.mkfifo(fifo)
+        start = time.perf_counter()
+        for path in (fifo, "/dev/zero", tmp_path):
+            with pytest.raises(SetSpecError) as info:
+                parse_set_spec(f"file:{path}")
+            assert str(info.value) == f"bad set spec 'file:{path}': not a regular file"
+        assert time.perf_counter() - start < 1
 
     def test_errors(self):
         # one wrap: a known kind names its spec and the reason it was refused

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borderings.cli import EXPONENTS_K_MAX
 from borderings.factored import BASE_SPEC_MAX, parse_base_spec
 from borderings.factorials import factorial
 from borderings.intsets import Primes
 from borderings.numerics import (
-    INF,
+    TRIAL_DIVISION_MAX,
     ExtNat,
     cumulative_digit_sum,
     digit_sum,
     digits,
+    ext_le,
+    ext_sum,
     floor_sum,
     is_prime,
     omega_totient,
@@ -25,52 +30,74 @@ from borderings.numerics import (
 )
 from oracle import totients_and_omegas
 
-extnats = st.one_of(st.integers(min_value=0, max_value=10**6).map(ExtNat), st.just(INF))
+extnats = st.one_of(st.integers(min_value=0, max_value=10**6), st.none())  # None for inf
 
 
 class TestExtNat:
     def test_construction(self):
-        assert ExtNat(3).value == 3
-        assert not INF.is_finite
+        assert ExtNat(3).value == 3 and ExtNat(3).is_finite
+        assert not ExtNat(None).is_finite
         with pytest.raises(ValueError):
             ExtNat(-1)
         with pytest.raises(TypeError):
             ExtNat(2.5)
+        with pytest.raises(TypeError):
+            ExtNat(True)
         with pytest.raises(ValueError):
-            INF.value
+            ExtNat(None).value
 
+    @given(extnats)
+    def test_equality_hash_and_text(self, a):
+        assert ExtNat(a) == ExtNat(a) and hash(ExtNat(a)) == hash(ExtNat(a))
+        assert str(ExtNat(a)) == ("inf" if a is None else str(a))
+        assert repr(ExtNat(a)) == f"ExtNat({ExtNat(a)})"
+        if a is not None:
+            assert ExtNat(a) == a and a == ExtNat(a) and ExtNat(a) != a + 1
+
+    def test_no_arithmetic_or_order(self):
+        # sums and comparisons of exponents are ext_sum and ext_le on plain values
+        with pytest.raises(TypeError):
+            ExtNat(2) + 3
+        with pytest.raises(TypeError):
+            ExtNat(2) < ExtNat(3)
+
+    @given(extnats, st.integers(max_value=-1))
+    def test_negative_ints_equal_no_value(self, a, n):
+        a = ExtNat(a)
+        assert a != n and not a == n and n != a
+        assert n not in [a]
+
+
+class TestExtArithmetic:
     @given(extnats, extnats)
     def test_addition_commutative(self, a, b):
-        assert a + b == b + a
+        assert ext_sum(a, b) == ext_sum(b, a)
 
     @given(extnats, extnats, extnats)
     def test_addition_associative(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
+        assert ext_sum(ext_sum(a, b), c) == ext_sum(a, ext_sum(b, c)) == ext_sum(a, b, c)
 
     @given(extnats)
     def test_infinity_absorbs(self, a):
-        assert a + INF == INF
+        assert ext_sum(a, None) is None and ext_sum(None, a) is None
+
+    def test_finite_sums_are_int_sums(self):
+        assert ext_sum() == 0 and ext_sum(4) == 4 and ext_sum(2, 3, 0) == 5
+        assert ext_sum(0, None, 7) is None
 
     @given(extnats, extnats)
     def test_total_order(self, a, b):
-        assert (a <= b) or (b <= a)
-        if a <= b and b <= a:
+        assert ext_le(a, b) or ext_le(b, a)
+        if ext_le(a, b) and ext_le(b, a):
             assert a == b
 
     @given(extnats)
     def test_infinity_maximal(self, a):
-        assert a <= INF
+        assert ext_le(a, None)
+        assert ext_le(None, a) is (a is None)
 
-    def test_int_interop(self):
-        assert ExtNat(2) + 3 == 5
-        assert 1 + ExtNat(2) == ExtNat(3)
-        assert ExtNat(2) < 4
-
-    @given(extnats, st.integers(max_value=-1))
-    def test_negative_ints_lie_below_every_value(self, a, n):
-        assert a != n and not a == n and n != a
-        assert n < a and a > n and not a < n and not a <= n
-        assert n not in [a]
+    def test_finite_order_is_int_order(self):
+        assert ext_le(2, 4) and ext_le(3, 3) and not ext_le(4, 2)
 
 
 class TestOrdB:
@@ -98,9 +125,9 @@ class TestOrdB:
         st.integers(min_value=2, max_value=12),
     )
     def test_superadditive_in_products(self, a1, a2, b):
-        lhs = ExtNat(ord_b(b, a1 * a2))
-        rhs = ExtNat(ord_b(b, a1)) + ExtNat(ord_b(b, a2))
-        assert rhs <= lhs
+        lhs = ord_b(b, a1 * a2)
+        rhs = ext_sum(ord_b(b, a1), ord_b(b, a2))
+        assert ext_le(rhs, lhs)
         if is_prime(b):
             assert lhs == rhs
 
@@ -252,3 +279,19 @@ class TestArithmeticFunctions:
         assert prime_factors(1) == {}
         with pytest.raises(ValueError):
             prime_factors(0)
+
+    def test_trial_division_budget_edge(self):
+        # divisors up to 2^20 factor every n < 2^40, which holds every base a
+        # spec names and every base alpha_P factors (b <= 2k^2, k <= EXPONENTS_K_MAX)
+        assert TRIAL_DIVISION_MAX == 2**20
+        assert max(BASE_SPEC_MAX, 2 * EXPONENTS_K_MAX**2) < 2**40
+        below, above = 1048573, 1048583  # the primes either side of 2^20
+        assert prime_factors(below**2) == {below: 2}
+        assert prime_factors(below * above) == {below: 1, above: 1}
+        assert prime_factors(1099511627689) == {1099511627689: 1}  # the largest prime below 2^40
+        assert prime_factors(6 * 1048571 * below) == {2: 1, 3: 1, 1048571: 1, below: 1}
+        start = time.perf_counter()
+        for n in (above**2, 12 * above**2, 2**61 - 1):
+            with pytest.raises(ValueError, match=f"no divisor up to {TRIAL_DIVISION_MAX}"):
+                prime_factors(n)
+        assert time.perf_counter() - start < 2

@@ -11,7 +11,6 @@ import pytest
 import borderings.verify as verify
 from borderings.cli import main
 from borderings.factored import FactoredNumber
-from borderings.numerics import ExtNat
 from borderings.verify import SCALE_MAX, SUITE_NAMES, run_suite
 
 
@@ -50,6 +49,13 @@ def test_every_suite_passes():
     assert all(r.passed for r in reports)
 
 
+def test_a_miss_names_an_infinite_value_inf():
+    # exponents are None for inf inside the library; a failure detail prints inf
+    holds = lambda j, a, m: a == m  # noqa: E731
+    assert verify._miss([(0, 1, 1), (1, None, 2)], holds, "term {}: {} vs {}".format) == "term 1: inf vs 2"
+    assert verify._miss([(0, None, None)], holds, "{} {} {}".format) == ""
+
+
 def _reruns(*args, **kwargs):
     """True for the seeded reruns, which alone pass a start."""
     return "start" in kwargs
@@ -77,10 +83,10 @@ FAULTS = {
     ),
     "superadditivity": (
         "superadditivity",
-        "exponent_sequence",
-        lambda S, b, k: S.spec == "P",
-        "values",
-        lambda v: [*v[:-1], ExtNat(0)],
+        "invariants",
+        lambda S, bases, ks: S.spec == "P",
+        None,
+        lambda rows: [(source, [*v[:-1], 0]) for source, v in rows],
         "superadditive",
     ),
     "greedy-vs-formula": (
@@ -93,10 +99,10 @@ FAULTS = {
     ),
     "monotonicity": (
         "monotonicity",
-        "exponent_sequence",
-        lambda S, b, k: b >= 2,
-        "values",
-        lambda v: [v[0], ExtNat(99), *v[2:]],
+        "invariants",
+        lambda S, bases, ks: bases[0] >= 2,
+        None,
+        lambda rows: [(source, [v[0], 99, *v[2:]]) for source, v in rows],
         "nondecreasing+extreme-bounds",
     ),
     "integrality": (
