@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .intsets import Primes
-from .numerics import digit_sum, omega_totient, prime_factors
+from .numerics import digit_sum, least_prime_in, omega_totient, prime_factors
 
 
 def alpha_AP(k: int, b: int, d: int = 1) -> int:
@@ -115,11 +114,5 @@ def prime_witness_sequence(b: int, e: int) -> list[int]:
     """
     if b < 2 or e < 1:
         raise ValueError(f"need b >= 2 and e >= 1, got b={b}, e={e}")
-    primes = Primes()
-    seq = sorted(prime_factors(b))
     mod = b**e
-    for r in range(1, mod):
-        if math.gcd(r, b) == 1:
-            p = primes.pick_in_class(r, mod)
-            seq.append(p)
-    return seq
+    return sorted(prime_factors(b)) + [least_prime_in(r, mod) for r in range(1, mod) if math.gcd(r, b) == 1]

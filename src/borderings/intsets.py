@@ -1,7 +1,8 @@
 """Subsets of Z with membership, canonical enumeration and residue-class knowledge.
 
 The canonical element order used everywhere downstream is (|a|, nonnegative
-before negative).  Every infinite set answers residue-class questions exactly.
+before negative).  Every infinite set answers residue-class questions exactly;
+P asks each of its questions of the primes in `numerics`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import stat
 from itertools import count, islice
 from typing import Iterator, Optional
 
-from .numerics import is_prime, prime_flags
+from .numerics import is_prime, iter_primes, least_prime_in
 
 
 class SetSpecError(ValueError):
@@ -114,58 +115,14 @@ class AllIntegers(IntegerSet):
         return r if canonical_key(r) <= canonical_key(neg) else neg
 
 
-# Most flags the shared prime sieve holds: 4 MiB, built in about 10 ms on a
-# 2-vCPU Xeon.  Primality at or past it is asked of `numerics.is_prime`.
-SIEVE_MAX = 1 << 22
-
-
-class _PrimeCache:
-    """Grow-only sieve shared by all Primes instances: flags[n] is 1 exactly when n is prime."""
-
-    def __init__(self):
-        self.flags = prime_flags(1 << 10)
-
-    def covering(self, n: int) -> Optional[bytearray]:
-        """The flags, doubled until they hold n >= 0; None when n is at or past SIEVE_MAX."""
-        size = len(self.flags)
-        if n >= size:
-            if n >= SIEVE_MAX:
-                return None
-            while size <= n:
-                size *= 2
-            self.flags = prime_flags(min(size, SIEVE_MAX))
-        return self.flags
-
-    def is_prime(self, n: int) -> bool:
-        if n < 2:
-            return False
-        flags = self.covering(n)
-        return is_prime(n) if flags is None else flags[n] == 1
-
-    def iter_primes(self) -> Iterator[int]:
-        n = 2
-        while (flags := self.covering(n)) is not None:
-            n = flags.find(1, n)
-            if n < 0:  # none left below the flags' end: grow them from there
-                n = len(flags)
-                continue
-            yield n
-            n += 1
-        while True:
-            if is_prime(n):
-                yield n
-            n += 1
-
-
 class Primes(IntegerSet):
     spec = "P"
-    _cache = _PrimeCache()
 
     def contains(self, a: int) -> bool:
-        return self._cache.is_prime(a)
+        return is_prime(a)
 
     def iter_canonical(self) -> Iterator[int]:
-        return self._cache.iter_primes()
+        return iter_primes()
 
     def residue_status(self, r: int, m: int) -> Optional[tuple[int, ...]]:
         r = _check_modulus(r, m)
@@ -174,24 +131,10 @@ class Primes(IntegerSet):
             # Dirichlet: infinitely many primes in every class coprime to m
             return None
         # a prime p = r (mod m) must divide g, hence equal g
-        return (g,) if g % m == r and self._cache.is_prime(g) else ()
+        return (g,) if g % m == r and is_prime(g) else ()
 
     def pick_in_class(self, r, m):
-        r = _check_modulus(r, m)
-        g = math.gcd(r, m)
-        if g > 1:  # as in residue_status: g is the class's one prime, or it has none
-            return g if g % m == r and self._cache.is_prime(g) else None
-        # Dirichlet: the class holds a prime, so the search ends
-        x = r if r > 1 else r + m
-        while (flags := self._cache.covering(x)) is not None:
-            size = len(flags)
-            while x < size:
-                if flags[x]:
-                    return x
-                x += m
-        while not is_prime(x):
-            x += m
-        return x
+        return least_prime_in(_check_modulus(r, m), m)
 
 
 class ArithmeticProgression(IntegerSet):

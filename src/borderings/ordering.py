@@ -34,14 +34,7 @@ from .intsets import (
 )
 
 
-class TieBreakPolicy:
-    name = "abstract"
-
-    def choose(self, candidates: Sequence[int]) -> int:
-        raise NotImplementedError
-
-
-class CanonicalTieBreak(TieBreakPolicy):
+class CanonicalTieBreak:
     """Deterministic default: smallest (|a|, nonnegative-first) minimizer."""
 
     name = "canonical"
@@ -50,7 +43,7 @@ class CanonicalTieBreak(TieBreakPolicy):
         return min(candidates, key=canonical_key)
 
 
-class RandomTieBreak(TieBreakPolicy):
+class RandomTieBreak:
     """Seeded random choice among minimizers; for well-definedness stress only."""
 
     def __init__(self, seed: int):
@@ -129,7 +122,7 @@ def pairwise_valuation_sum(seq: Sequence[int], b: int) -> Optional[int]:
 START_POOL = 32  # candidate pool size for randomised starts
 
 
-def _initial_element(S: IntegerSet, policy: TieBreakPolicy) -> int:
+def _initial_element(S: IntegerSet, policy: CanonicalTieBreak | RandomTieBreak) -> int:
     if isinstance(policy, RandomTieBreak):
         pool = []
         for a in S.iter_canonical():
@@ -207,7 +200,7 @@ class _GreedyState:
             node = self.nodes.get(mod + r1)
         self.prefix.append(a)
 
-    def step(self, policy: TieBreakPolicy) -> StepResult:
+    def step(self, policy: CanonicalTieBreak | RandomTieBreak) -> StepResult:
         S, b = self.S, self.b
         if not self.prefix:
             return StepResult(_initial_element(S, policy), 0)
@@ -233,7 +226,7 @@ class _GreedyState:
                     break
                 yield a
 
-    def _branch_and_bound(self, policy: TieBreakPolicy) -> StepResult:
+    def _branch_and_bound(self, policy: CanonicalTieBreak | RandomTieBreak) -> StepResult:
         """Certified minimum of sum_j ord_b(a' - a_j) over S.
 
         The root summary holds the least value and its canonical member.
@@ -349,7 +342,7 @@ def greedy_step(
     prefix: Sequence[int],
     b: int,
     S: IntegerSet,
-    policy: TieBreakPolicy = CANONICAL,
+    policy: CanonicalTieBreak | RandomTieBreak = CANONICAL,
 ) -> StepResult:
     """One greedy extension step: an element of provably minimal value over all of S.
 
@@ -372,7 +365,7 @@ def b_ordering(
     S: IntegerSet,
     b: int,
     k: int,
-    policy: TieBreakPolicy = CANONICAL,
+    policy: CanonicalTieBreak | RandomTieBreak = CANONICAL,
     start: Optional[int] = None,
 ) -> BOrdering:
     """A b-ordering of S of length k+1 with its exponents."""

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .numerics import ord_b
 from .numerics import digits as base_digits
-from .ordering import CANONICAL, TieBreakPolicy
+from .ordering import CANONICAL, CanonicalTieBreak, RandomTieBreak
 
 
 class CapError(ArithmeticError):
@@ -240,7 +240,7 @@ def _order(v: int, w: int, n: int) -> TOrderValue:
 def t_ordering(
     U: Sequence[TruncatedSeries],
     k: int,
-    policy: TieBreakPolicy = CANONICAL,
+    policy: CanonicalTieBreak | RandomTieBreak = CANONICAL,
     start: Optional[int] = None,
 ) -> TOrdering:
     """Greedy ordering of U minimising summed ord_t of differences at each step.
@@ -255,7 +255,7 @@ def t_ordering(
 
 
 def _t_run(
-    Fs: list[list[int]], k: int, policy: TieBreakPolicy, start: Optional[int]
+    Fs: list[list[int]], k: int, policy: CanonicalTieBreak | RandomTieBreak, start: Optional[int]
 ) -> tuple[list[int], list[TOrderValue]]:
     """t_ordering's indices and exponents over its members scaled to numerators Fs over one denominator."""
     if not Fs:

@@ -37,6 +37,7 @@ _PICK = "tests/test_intsets.py::TestPickInClass::"
 _STATUS_SCAN = "tests/test_intsets.py::TestResidueStatus::test_consistency_with_scan"
 _SIEVE = "tests/test_intsets.py::TestPrimeSieve::"
 _EXT = "tests/test_numerics.py::TestExtArithmetic::"
+_LEAST_PRIME = "tests/test_numerics.py::TestArithmeticFunctions::test_least_prime_in_matches_a_scan_of_every_class"
 
 # (file under the repository root, exact text before, text after, node ids that must fail)
 MUTANTS = [
@@ -121,13 +122,19 @@ MUTANTS = [
     (INTSETS, "return r if canonical_key(r) <= canonical_key(neg) else neg", "return r",
      [_PICK + "test_examples"]),
     # a composite modulus's prime divisor g reported in a class other than g's
-    (INTSETS, "return (g,) if g % m == r and self._cache.is_prime(g) else ()",
-     "return (g,) if self._cache.is_prime(g) else ()", [_STATUS_SCAN]),
-    # the same slip where pick_in_class answers a class that is not coprime to m
-    (INTSETS, "return g if g % m == r and self._cache.is_prime(g) else None",
-     "return g if self._cache.is_prime(g) else None", [_PICK + "test_primes_match_a_trial_division_oracle"]),
+    (INTSETS, "return (g,) if g % m == r and is_prime(g) else ()",
+     "return (g,) if is_prime(g) else ()", [_STATUS_SCAN]),
+    # the same slip where the class search answers a class that is not coprime to m
+    (NUMERICS, "return g if g % m == r and is_prime(g) else None",
+     "return g if is_prime(g) else None", [_PICK + "test_primes_match_a_trial_division_oracle", _LEAST_PRIME]),
+    # the class search stepping by 1, not m: it meets the first prime past r, in any class
+    (NUMERICS, "            x += m\n", "            x += 1\n",
+     [_PICK + "test_primes_match_a_trial_division_oracle", _LEAST_PRIME]),
     # the sieve left at its size when asked for the first number past it
-    (INTSETS, "if n >= size:", "if n > size:", [_SIEVE + "test_the_edges_of_each_size"]),
+    (NUMERICS, "if n >= size:", "if n > size:", [_SIEVE + "test_the_edges_of_each_size"]),
+    # the enumeration asking is_prime of every integer where the sieve's flags hold the answer
+    (NUMERICS, "while (flags := prime_sieve(n)) is not None:", "while (flags := prime_sieve(n)) is None:",
+     [_SIEVE + "test_enumeration_reads_the_flags_below_the_ceiling"]),
     # a progression's class answered by the step alone, not by gcd(step, m)
     (INTSETS, "return None if (r - self.first) % g == 0 else ()",
      "return None if (r - self.first) % self.step == 0 else ()", [_STATUS_SCAN]),

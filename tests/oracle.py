@@ -8,11 +8,17 @@ reference takes only the library's order type and error from `series`.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, combinations_with_replacement, takewhile
 
 from borderings.series import CapError, TOrderValue
 
 INFINITY = None  # oracle-side marker for an infinite valuation
+
+
+def is_prime_by_trial(n: int) -> bool:
+    """Primality by dividing by every integer up to the square root."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def up_to(S, bound):

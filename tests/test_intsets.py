@@ -11,6 +11,7 @@ from itertools import count, islice
 import pytest
 
 import borderings.intsets as intsets_module
+import borderings.numerics as numerics
 from borderings.intsets import (
     RANGE_WIDTH_MAX,
     AllIntegers,
@@ -23,11 +24,7 @@ from borderings.intsets import (
     parse_set_spec,
 )
 
-from oracle import up_to
-
-
-def _is_prime_by_trial(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+from oracle import is_prime_by_trial, up_to
 
 
 class TestParsing:
@@ -244,7 +241,7 @@ class TestPickInClass:
         # every class mod m <= 60: a coprime class's least prime, or a
         # non-coprime class's one prime or None
         bound = 10**4
-        primes = [x for x in range(2, bound) if _is_prime_by_trial(x)]
+        primes = [x for x in range(2, bound) if is_prime_by_trial(x)]
         for m in range(2, 61):
             for r in range(m):
                 want = next((p for p in primes if p % m == r), None)
@@ -258,8 +255,8 @@ class TestPickInClass:
         # 10^7; it steps by m until a prime and returns the least one
         assert math.gcd(r, m) == 1
         a = Primes().pick_in_class(r, m)
-        assert a is not None and a % m == r and _is_prime_by_trial(a)
-        assert all(not _is_prime_by_trial(x) for x in range(r, a, m))
+        assert a is not None and a % m == r and is_prime_by_trial(a)
+        assert all(not is_prime_by_trial(x) for x in range(r, a, m))
 
     def test_progression_matches_a_brute_force_oracle(self):
         # the witness is computed, not searched for; `cap` is still drawn so
@@ -290,62 +287,57 @@ class TestPickInClass:
 
 
 class TestPrimeSieve:
-    """The grow-only sieve behind Primes, against trial division on both sides of each edge."""
+    """The grow-only sieve in numerics behind Primes, against trial division on both sides of each edge."""
 
-    def test_flags_through_four_doublings(self):
-        cache = intsets_module._PrimeCache()
-        sizes = [len(cache.flags)]
+    def test_flags_through_four_doublings(self, fresh_sieve):
+        sizes = [len(numerics._sieve)]
         for n in range(1 << 14):
-            assert cache.is_prime(n) == _is_prime_by_trial(n), n
-            if len(cache.flags) != sizes[-1]:
-                sizes.append(len(cache.flags))
+            assert numerics.is_prime(n) == is_prime_by_trial(n), n
+            if len(numerics._sieve) != sizes[-1]:
+                sizes.append(len(numerics._sieve))
         assert sizes == [1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14]
-        assert list(cache.flags) == [_is_prime_by_trial(n) for n in range(1 << 14)]
+        assert list(numerics._sieve) == [is_prime_by_trial(n) for n in range(1 << 14)]
 
-    def test_the_edges_of_each_size(self):
+    def test_the_edges_of_each_size(self, fresh_sieve):
         # at each size: its last flag, then the first one past it, which
         # doubles the sieve, then the one after that
-        cache = intsets_module._PrimeCache()
-        size = len(cache.flags)
+        size = len(numerics._sieve)
         while size <= 1 << 16:
-            assert len(cache.flags) == size
+            assert len(numerics._sieve) == size
             for n in (size - 1, size, size + 1):
-                assert cache.is_prime(n) == _is_prime_by_trial(n), n
-            assert len(cache.flags) == 2 * size
+                assert numerics.is_prime(n) == is_prime_by_trial(n), n
+            assert len(numerics._sieve) == 2 * size
             size *= 2
 
-    def test_negative_and_small_numbers(self):
-        cache = intsets_module._PrimeCache()
-        assert [n for n in range(-50, 12) if cache.is_prime(n)] == [2, 3, 5, 7, 11]
+    def test_negative_and_small_numbers(self, fresh_sieve):
+        assert [n for n in range(-50, 12) if numerics.is_prime(n)] == [2, 3, 5, 7, 11]
 
-    def test_the_sieve_stops_at_its_ceiling(self, monkeypatch):
-        monkeypatch.setattr(intsets_module, "SIEVE_MAX", 3000)
-        cache = intsets_module._PrimeCache()
-        assert cache.covering(2999) is cache.flags and len(cache.flags) == 3000
-        assert cache.covering(3000) is None
+    def test_the_sieve_stops_at_its_ceiling(self, fresh_sieve):
+        fresh_sieve(3000)
+        assert numerics.prime_sieve(2999) is numerics._sieve and len(numerics._sieve) == 3000
+        assert numerics.prime_sieve(3000) is None
         for n in (2999, 3000, 3001, 3011, 3013, 4096, 4099):
-            assert cache.is_prime(n) == _is_prime_by_trial(n), n
-        assert len(cache.flags) == 3000
+            assert numerics.is_prime(n) == is_prime_by_trial(n), n
+        assert len(numerics._sieve) == 3000
 
     @pytest.fixture
-    def low_ceiling(self, monkeypatch):
+    def low_ceiling(self, fresh_sieve):
         """Primes over a fresh sieve whose ceiling is 2^12."""
-        monkeypatch.setattr(intsets_module, "SIEVE_MAX", 1 << 12)
-        monkeypatch.setattr(Primes, "_cache", intsets_module._PrimeCache())
+        fresh_sieve(1 << 12)
         return Primes()
 
     def test_membership_above_a_low_ceiling(self, low_ceiling):
         P = low_ceiling
         for n in range(3000, 6000):
-            assert P.contains(n) == _is_prime_by_trial(n), n
-        assert len(P._cache.flags) == 1 << 12
+            assert P.contains(n) == is_prime_by_trial(n), n
+        assert len(numerics._sieve) == 1 << 12
 
     @pytest.mark.parametrize("m", [2 * 4099, 4 * 4099, 3 << 12, 10007, 4096])
     def test_residue_answers_above_a_low_ceiling(self, low_ceiling, m):
         # 4099 and 10007 are primes past the ceiling: a non-coprime class's one
         # prime is asked of trial division, and so is every search past 2^12
         P = low_ceiling
-        divisors = [p for p in range(2, m + 1) if m % p == 0 and _is_prime_by_trial(p)]
+        divisors = [p for p in range(2, m + 1) if m % p == 0 and is_prime_by_trial(p)]
         for r in range(m):
             if math.gcd(r, m) > 1:
                 want = tuple(p for p in divisors if p % m == r)
@@ -354,20 +346,27 @@ class TestPrimeSieve:
             else:
                 assert P.residue_status(r, m) is None
         for r in random.Random(m).sample([r for r in range(m) if math.gcd(r, m) == 1], 200):
-            want = next(x for x in count(r if r > 1 else r + m, m) if _is_prime_by_trial(x))
+            want = next(x for x in count(r if r > 1 else r + m, m) if is_prime_by_trial(x))
             assert P.pick_in_class(r, m) == want, (r, m)
-        assert len(P._cache.flags) == 1 << 12
+        assert len(numerics._sieve) == 1 << 12
 
-    def test_enumeration_across_a_growth(self, monkeypatch):
+    def test_enumeration_across_a_growth(self, fresh_sieve):
         # the first 5,000 primes run to 48,611: past 2^12 by trial division
         # under the low ceiling, and through six doublings under the default;
         # an enumeration sees flags a later call has grown
-        want = [n for n in range(48612) if _is_prime_by_trial(n)]
+        want = [n for n in range(48612) if is_prime_by_trial(n)]
         assert len(want) == 5000
-        for ceiling in (1 << 12, intsets_module.SIEVE_MAX):
-            monkeypatch.setattr(intsets_module, "SIEVE_MAX", ceiling)
-            monkeypatch.setattr(Primes, "_cache", intsets_module._PrimeCache())
+        for ceiling in (1 << 12, numerics.SIEVE_MAX):
+            fresh_sieve(ceiling)
             walk = Primes().iter_canonical()
             head = list(islice(walk, 100))
             assert Primes().contains(40009)  # under the default ceiling, grows the flags under the walk
             assert head + list(islice(walk, 4900)) == want, ceiling
+
+    def test_enumeration_reads_the_flags_below_the_ceiling(self, fresh_sieve, monkeypatch):
+        # below the ceiling the walk reads runs of flags; it asks is_prime of no single integer
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) asked below the ceiling")
+
+        monkeypatch.setattr(numerics, "is_prime", refuse)
+        assert list(islice(Primes().iter_canonical(), 5000))[-1] == 48611

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_right
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import borderings.numerics as numerics
 from borderings.cli import EXPONENTS_K_MAX
 from borderings.factored import BASE_SPEC_MAX, parse_base_spec
 from borderings.factorials import factorial
@@ -22,13 +26,14 @@ from borderings.numerics import (
     ext_sum,
     floor_sum,
     is_prime,
+    least_prime_in,
     omega_totient,
     ord_b,
     prime_factors,
     prime_flags,
     primes_up_to,
 )
-from oracle import totients_and_omegas
+from oracle import is_prime_by_trial, totients_and_omegas
 
 extnats = st.one_of(st.integers(min_value=0, max_value=10**6), st.none())  # None for inf
 
@@ -268,11 +273,44 @@ class TestArithmeticFunctions:
         # every length from 3, odd and even, against trial division; and a
         # length past 10^6, whose flags count pi(10^6) = 78,498
         for n in range(3, 600):
-            assert list(prime_flags(n)) == [int(is_prime(i)) for i in range(n)], n
+            assert list(prime_flags(n)) == [int(is_prime_by_trial(i)) for i in range(n)], n
         flags = prime_flags(10**6 + 1)
         assert len(flags) == 10**6 + 1 and sum(flags) == 78498
         top = [999907, 999917, 999931, 999953, 999959, 999961, 999979, 999983]
         assert [i for i in range(10**6 - 100, 10**6 + 1) if flags[i]] == top
+
+    def test_primes_up_to_matches_trial_division(self, fresh_sieve):
+        # every n <= 5,000: off the shared sieve under the default ceiling, and
+        # past a ceiling of 3,000 off flags of their own
+        want = [p for p in range(5001) if is_prime_by_trial(p)]
+        for ceiling in (numerics.SIEVE_MAX, 3000):
+            fresh_sieve(ceiling)
+            for n in range(-2, 5001):
+                assert primes_up_to(n) == want[: bisect_right(want, n)], (ceiling, n)
+
+    def test_primes_up_to_reads_the_shared_sieve(self, fresh_sieve, monkeypatch):
+        # a primes: base spec grows the one sieve once, then builds no flags
+        built = []
+        real = numerics.prime_flags
+        monkeypatch.setattr(numerics, "prime_flags", lambda n: built.append(n) or real(n))
+        assert len(primes_up_to(10**4)) == 1229
+        assert built == [1 << 14]
+        for n in (2, 1000, 10**4, (1 << 14) - 1):
+            assert primes_up_to(n) == [p for p in range(n + 1) if is_prime(p)]
+        assert built == [1 << 14]
+
+    @pytest.mark.parametrize("m", [2, 3, 30, 97, 4095, 4096, 4097, 5000])
+    def test_least_prime_in_matches_a_scan_of_every_class(self, fresh_sieve, m):
+        # every class, coprime or not, r = 0 and r = 1 among them, under a
+        # ceiling of 2^12: small moduli search below it, large ones across it
+        # or wholly past it.  A coprime class is scanned until its first prime;
+        # any other, whose one prime would be at most m, through 20 members
+        fresh_sieve(1 << 12)
+        for r in range(m):
+            members = count(r, m) if math.gcd(r, m) == 1 else islice(count(r, m), 20)
+            want = next((x for x in members if is_prime_by_trial(x)), None)
+            assert least_prime_in(r, m) == want, (r, m)
+        assert len(numerics._sieve) <= 1 << 12
 
     def test_prime_factors(self):
         assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
